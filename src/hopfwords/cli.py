@@ -24,7 +24,9 @@ from .dualforms import (
     FiniteSupportSeries,
     RecognizableSeries,
     Series,
+    _to_linrep,
     convolve,
+    embed_finite,
     pair,
 )
 from .errors import DomainError, InconclusiveError, ParseError
@@ -43,12 +45,9 @@ from .freealg import (
     splittings,
 )
 from .linalg import Matrix
-from .rep import MatRep, direct_sum, eval_rep, tensor_rep
+from .rep import LinRep, MatRep, conv_rep, direct_sum, eval_rep, tensor_rep
 from .sweedler import (
-    LinRep,
     behavior_table,
-    conv_rep,
-    embed_finite,
     hankel,
     hankel_rank,
     learn,
@@ -190,17 +189,29 @@ def _load_poly(args, raw: str, alphabet: Alphabet | None = None) -> NCPoly:
     return NCPoly.from_text(alphabet or _need_alphabet(args), content)
 
 
+def _reject_json_number(text: str):
+    raise ParseError(f"JSON number {text} is not allowed; write rationals as strings 'p' or 'p/q'")
+
+
+def _load_json_rep(args, content: str, cls: type[MatRep]) -> MatRep:
+    """Parse a representation operand. The decoder refuses JSON numbers with
+    a fraction or an exponent; cls.from_json_dict checks the fields."""
+    try:
+        data = json.loads(
+            content, parse_float=_reject_json_number, parse_constant=_reject_json_number
+        )
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON operand: {exc}") from exc
+    rep = cls.from_json_dict(data)
+    if args.alphabet and Alphabet.from_decl(args.alphabet) != rep.alphabet:
+        raise DomainError("operand alphabet differs from --alphabet declaration")
+    return rep
+
+
 def _load_series(args, raw: str) -> Series:
     content = _read_operand(raw).strip()
     if content.startswith("{"):
-        try:
-            data = json.loads(content)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON operand: {exc}") from exc
-        rep = LinRep.from_json_dict(data)
-        if args.alphabet and Alphabet.from_decl(args.alphabet) != rep.alphabet:
-            raise DomainError("series alphabet differs from --alphabet declaration")
-        return RecognizableSeries(rep)
+        return RecognizableSeries(_load_json_rep(args, content, LinRep))
     return FiniteSupportSeries.from_text(_need_alphabet(args), content)
 
 
@@ -209,13 +220,6 @@ def _series_args(args, count: int) -> list[Series]:
     if len(got) != count:
         raise ParseError(f"expected exactly {count} --series operand(s), got {len(got)}")
     return [_load_series(args, raw) for raw in got]
-
-
-def _load_linrep(args) -> LinRep:
-    (f,) = _series_args(args, 1)
-    if isinstance(f, FiniteSupportSeries):
-        return embed_finite(f)
-    return f.rep
 
 
 def _rep_args(args, count: int) -> list[MatRep]:
@@ -227,14 +231,7 @@ def _rep_args(args, count: int) -> list[MatRep]:
         content = _read_operand(raw).strip()
         if not content.startswith("{"):
             raise ParseError("--rep operand must be representation JSON")
-        try:
-            data = json.loads(content)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON operand: {exc}") from exc
-        rep = MatRep.from_json_dict(data)
-        if args.alphabet and Alphabet.from_decl(args.alphabet) != rep.alphabet:
-            raise DomainError("representation alphabet differs from --alphabet declaration")
-        reps.append(rep)
+        reps.append(_load_json_rep(args, content, MatRep))
     return reps
 
 
@@ -296,12 +293,7 @@ def _out_matrix(args, m: Matrix):
     return _finish(args, json.dumps(m.to_strings()), {"matrix": m.to_strings()})
 
 
-def _out_linrep(args, rep: LinRep):
-    obj = rep.to_json_dict()
-    return _finish(args, json.dumps(obj), obj)
-
-
-def _out_matrep(args, rep: MatRep):
+def _out_rep(args, rep: MatRep):
     obj = rep.to_json_dict()
     return _finish(args, json.dumps(obj), obj)
 
@@ -359,17 +351,17 @@ def _cmd_conv(args):
     result = convolve(f, h)
     if isinstance(result, FiniteSupportSeries):
         return _out_poly(args, result.poly)
-    return _out_linrep(args, result.rep)
+    return _out_rep(args, result.rep)
 
 
 def _cmd_tensor(args):
     r1, r2 = _rep_args(args, 2)
-    return _out_matrep(args, tensor_rep(r1, r2))
+    return _out_rep(args, tensor_rep(r1, r2))
 
 
 def _cmd_dsum(args):
     r1, r2 = _rep_args(args, 2)
-    return _out_matrep(args, direct_sum(r1, r2))
+    return _out_rep(args, direct_sum(r1, r2))
 
 
 def _cmd_eval(args):
@@ -402,12 +394,12 @@ def _cmd_learn(args):
     explore = getattr(args, "explore", None)
     if explore is None or explore < 0:
         raise ParseError("--explore L (nonnegative) is required")
-    return _out_linrep(args, learn(f, explore))
+    return _out_rep(args, learn(f, explore))
 
 
 def _cmd_split(args):
-    rep = _load_linrep(args)
-    pairs = split(rep)
+    (f,) = _series_args(args, 1)
+    pairs = split(_to_linrep(f))
     obj = {
         "pairs": [
             {"g": g.rep.to_json_dict(), "h": h.rep.to_json_dict()} for g, h in pairs
@@ -417,70 +409,54 @@ def _cmd_split(args):
 
 
 def _cmd_dualS(args):
-    rep = _load_linrep(args)
-    return _out_linrep(args, transpose_antipode(rep))
+    (f,) = _series_args(args, 1)
+    return _out_rep(args, transpose_antipode(_to_linrep(f)))
 
 
-def _cmd_check_coassoc(args):
-    alph = _need_alphabet(args)
+def _run_check(args, name: str, alph: Alphabet, cases):
+    """Walk the (label, ok) cases of one verifier up to the first failure."""
     maxlen = _maxlen(args)
     checked = 0
+    for label, ok in cases(alph, maxlen):
+        if not ok:
+            return _out_check(args, name, maxlen, checked, label)
+        checked += 1
+    return _out_check(args, name, maxlen, checked)
+
+
+def _coassoc_cases(alph: Alphabet, maxlen: int):
     for w in alph.words(maxlen):
         p = NCPoly.from_word(w)
-        if coassoc_lhs(p) != coassoc_rhs(p):
-            return _out_check(args, "coassoc", maxlen, checked, w)
-        checked += 1
-    return _out_check(args, "coassoc", maxlen, checked)
+        yield w, coassoc_lhs(p) == coassoc_rhs(p)
 
 
-def _cmd_check_antipode(args):
-    alph = _need_alphabet(args)
-    if alph.has_group_like:
-        raise DomainError("no antipode: group-like letters present")
-    maxlen = _maxlen(args)
-    checked = 0
+def _antipode_cases(alph: Alphabet, maxlen: int):
     for w in alph.words(maxlen):
-        wp = NCPoly.from_word(w)
-        target = NCPoly.one(alph).scale(counit(wp))
+        target = NCPoly.one(alph).scale(counit(NCPoly.from_word(w)))
         left = NCPoly.zero(alph)
         right = NCPoly.zero(alph)
         for (u, v), c in coproduct_word(w).terms.items():
             up, vp = NCPoly.from_word(u), NCPoly.from_word(v)
             left = left + poly_mul(antipode(up), vp).scale(c)
             right = right + poly_mul(up, antipode(vp)).scale(c)
-        if left != target or right != target:
-            return _out_check(args, "antipode", maxlen, checked, w)
-        checked += 1
-    return _out_check(args, "antipode", maxlen, checked)
+        yield w, left == target and right == target
 
 
-def _cmd_check_dual_assoc(args):
-    alph = _need_alphabet(args)
-    maxlen = _maxlen(args)
-
+def _dual_assoc_cases(alph: Alphabet, maxlen: int):
     def trimmed(f: FiniteSupportSeries):
         return {w: c for w, c in f.terms.items() if len(w) <= maxlen}
 
     indicators = [(w, FiniteSupportSeries.indicator(w)) for w in alph.words(2)]
-    checked = 0
     for wu, fu in indicators:
         for wv, fv in indicators:
             uv = convolve(fu, fv)
             for ww, fw in indicators:
                 lhs = convolve(uv, fw)
                 rhs = convolve(fu, convolve(fv, fw))
-                if trimmed(lhs) != trimmed(rhs):
-                    return _out_check(
-                        args, "dual-assoc", maxlen, checked, f"({wu},{wv},{ww})"
-                    )
-                checked += 1
-    return _out_check(args, "dual-assoc", maxlen, checked)
+                yield f"({wu},{wv},{ww})", trimmed(lhs) == trimmed(rhs)
 
 
-def _cmd_check_conv_oracle(args):
-    alph = _need_alphabet(args)
-    maxlen = _maxlen(args)
-
+def _conv_oracle_cases(alph: Alphabet, maxlen: int):
     def geometric(c):
         mu = {l: Matrix([[c]]) for l in alph.letters}
         return LinRep(alph, 1, Matrix.row_vector([1]), mu, Matrix.col_vector([1]))
@@ -495,7 +471,6 @@ def _cmd_check_conv_oracle(args):
 
     tables = {name: behavior_table(rep, maxlen) for name, rep in refs}
     words = list(alph.words(maxlen))
-    checked = 0
     for n1, r1 in refs:
         for n2, r2 in refs:
             table = behavior_table(conv_rep(r1, r2), maxlen)
@@ -504,12 +479,26 @@ def _cmd_check_conv_oracle(args):
                 expected = sum(
                     (t1[u] * t2[v] for u, v in splittings(w)), Fraction(0)
                 )
-                if table[w] != expected:
-                    return _out_check(
-                        args, "conv-oracle", maxlen, checked, f"{n1}*{n2} at {w}"
-                    )
-                checked += 1
-    return _out_check(args, "conv-oracle", maxlen, checked)
+                yield f"{n1}*{n2} at {w}", table[w] == expected
+
+
+def _cmd_check_coassoc(args):
+    return _run_check(args, "coassoc", _need_alphabet(args), _coassoc_cases)
+
+
+def _cmd_check_antipode(args):
+    alph = _need_alphabet(args)
+    if alph.has_group_like:
+        raise DomainError("no antipode: group-like letters present")
+    return _run_check(args, "antipode", alph, _antipode_cases)
+
+
+def _cmd_check_dual_assoc(args):
+    return _run_check(args, "dual-assoc", _need_alphabet(args), _dual_assoc_cases)
+
+
+def _cmd_check_conv_oracle(args):
+    return _run_check(args, "conv-oracle", _need_alphabet(args), _conv_oracle_cases)
 
 
 _HANDLERS = {

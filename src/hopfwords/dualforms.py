@@ -1,27 +1,21 @@
 """Linear forms on the free algebra, i.e. series on words.
 
 Two computable presentations are supported: finite support (a polynomial of
-coefficients) and recognizable (a linear representation from the sweedler
-module). Both expose coeff(word); the convolution product dual to the
+coefficients) and recognizable (a LinRep, the linear representation type of
+the rep module). Both expose coeff(word); the convolution product dual to the
 coproduct works on either, and its unit is the counit seen as a series.
+embed_finite turns a finite-support series into a LinRep, so mixed operands
+are combined at the representation level.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-from .errors import DomainError
-from .freealg import Alphabet, NCPoly, Word
+from .freealg import Alphabet, NCPoly, Word, _same_alphabet, shortlex_key
 from .linalg import Matrix
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .sweedler import LinRep
-
-
-def _same_alphabet(a: Alphabet, b: Alphabet):
-    if a != b:
-        raise DomainError("alphabet mismatch")
+from .rep import LinRep, conv_rep, rep_sum, scale_rep, trivial_rep
 
 
 class Series:
@@ -49,8 +43,6 @@ class Series:
             other, FiniteSupportSeries
         ):
             return FiniteSupportSeries(self.poly + other.poly)
-        from .sweedler import rep_sum
-
         return RecognizableSeries(rep_sum(_to_linrep(self), _to_linrep(other)))
 
     def __sub__(self, other: "Series") -> "Series":
@@ -105,7 +97,7 @@ class RecognizableSeries(Series):
 
     __slots__ = ("rep", "alphabet")
 
-    def __init__(self, rep: "LinRep"):
+    def __init__(self, rep: LinRep):
         self.rep = rep
         self.alphabet = rep.alphabet
 
@@ -113,17 +105,13 @@ class RecognizableSeries(Series):
         return self.rep.value(w)
 
     def scale(self, c) -> "RecognizableSeries":
-        from .sweedler import scale_rep
-
         return RecognizableSeries(scale_rep(self.rep, c))
 
     def __repr__(self) -> str:
         return f"RecognizableSeries(dim={self.rep.dim} over {self.alphabet.decl()})"
 
 
-def _to_linrep(f: Series) -> "LinRep":
-    from .sweedler import embed_finite
-
+def _to_linrep(f: Series) -> LinRep:
     if isinstance(f, RecognizableSeries):
         return f.rep
     return embed_finite(f)
@@ -177,20 +165,38 @@ def convolve(f: Series, h: Series) -> Series:
                 for w in _merges(u, v):
                     acc[w] = acc.get(w, Fraction(0)) + cu * cv
         return FiniteSupportSeries(NCPoly(f.alphabet, acc))
-    from .sweedler import conv_rep
-
     return RecognizableSeries(conv_rep(_to_linrep(f), _to_linrep(h)))
 
 
 def dual_unit(alphabet: Alphabet) -> RecognizableSeries:
     """The counit as a series: 1 on words of group-like letters (including
     the empty word), 0 elsewhere. Unit of the convolution product; returned
-    as a one-state recognizable series."""
-    from .sweedler import LinRep
+    as a one-state recognizable series over the trivial representation."""
+    mu = trivial_rep(alphabet).assign
+    return RecognizableSeries(LinRep(alphabet, 1, Matrix([[1]]), mu, Matrix([[1]])))
 
-    mu = {l: Matrix([[1 if l.group_like else 0]]) for l in alphabet.letters}
-    rep = LinRep(alphabet, 1, Matrix.row_vector([1]), mu, Matrix.col_vector([1]))
-    return RecognizableSeries(rep)
+
+def embed_finite(f: FiniteSupportSeries) -> LinRep:
+    """Automaton whose states are the suffix closure of the support; its
+    behavior equals f on every word of every length."""
+    alph = f.alphabet
+    suffixes = {alph.unit_word()}
+    for w in f.terms:
+        for k in range(len(w.letters) + 1):
+            suffixes.add(Word(alph, w.letters[k:]))
+    states = sorted(suffixes, key=shortlex_key)
+    pos = {w: i for i, w in enumerate(states)}
+    n = len(states)
+    mu = {}
+    for letter in alph.letters:
+        m = [[0] * n for _ in range(n)]
+        for w, i in pos.items():
+            if w.letters and w.letters[0] == letter:
+                m[i][pos[Word(alph, w.letters[1:])]] = 1
+        mu[letter] = Matrix(m)
+    lam = Matrix.row_vector([f.coeff(w) for w in states])
+    gamma = Matrix.col_vector([1 if not w.letters else 0 for w in states])
+    return LinRep(alph, n, lam, mu, gamma)
 
 
 def coefficients_agree(f: Series, h: Series, max_len: int) -> bool:

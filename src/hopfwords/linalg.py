@@ -155,10 +155,6 @@ class Matrix:
         """Row-major nested lists of rational strings ("p/q" or "p")."""
         return [[str(x) for x in r] for r in self.rows]
 
-    @classmethod
-    def from_strings(cls, data) -> "Matrix":
-        return cls(data)
-
 
 def tensor_scheme(a: Matrix, b: Matrix, group_like: bool) -> Matrix:
     """Letter matrix on a tensor product: a (x) b for a group-like letter,

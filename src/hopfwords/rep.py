@@ -7,27 +7,56 @@ for group-like letters, Kronecker sum for primitive ones), the counit gives
 the one-dimensional trivial representation, and the antipode turns dual row
 vectors back into a left action.
 
+A linear representation (LinRep) is a representation together with a row
+vector lambda and a column vector gamma; it recognizes the series
+w -> lambda * mu(w) * gamma. LinRep lives here, with the representation
+calculus it shares: sums and convolutions of series are direct sums and
+tensor products of their representations.
+
 Dual vectors are plain 1 x n matrices; column vectors are n x 1.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
-from .freealg import Alphabet, Letter, NCPoly, Word, antipode, coproduct, counit
+from .freealg import (
+    Alphabet,
+    Letter,
+    NCPoly,
+    Word,
+    _same_alphabet,
+    antipode,
+    coproduct,
+    counit,
+)
 from .linalg import Matrix, tensor_scheme
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-def _same_alphabet(a: Alphabet, b: Alphabet):
-    if a != b:
-        raise DomainError("alphabet mismatch")
+
+def _json_rational(x) -> Fraction:
+    if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        raise ValueError(f"entry {x!r} is not a rational string 'p' or 'p/q'")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"entry {x!r} has a zero denominator") from None
+
+
+def _json_matrix(rows) -> Matrix:
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise TypeError(f"expected a list of rows, got {rows!r}")
+    return Matrix([[_json_rational(x) for x in r] for r in rows])
 
 
 class MatRep:
     """Letter-to-matrix assignment, freely extended to the whole algebra."""
 
     __slots__ = ("alphabet", "dim", "assign")
+    _json_kind = "representation"
 
     def __init__(self, alphabet: Alphabet, dim: int, assign: dict[Letter, Matrix]):
         if dim < 1:
@@ -48,38 +77,102 @@ class MatRep:
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, MatRep)
+            type(other) is type(self)
             and self.alphabet == other.alphabet
             and self.dim == other.dim
             and self.assign == other.assign
         )
 
     def __repr__(self) -> str:
-        return f"MatRep(dim={self.dim} over {self.alphabet.decl()})"
+        return f"{type(self).__name__}(dim={self.dim} over {self.alphabet.decl()})"
+
+    def _letters_json(self) -> dict:
+        return {l.symbol: self.assign[l].to_strings() for l in self.alphabet.letters}
 
     def to_json_dict(self) -> dict:
         return {
             "alphabet": self.alphabet.decl(),
             "dim": self.dim,
-            "assign": {
-                l.symbol: self.assign[l].to_strings() for l in self.alphabet.letters
-            },
+            "assign": self._letters_json(),
         }
 
     @classmethod
     def from_json_dict(cls, data) -> "MatRep":
+        """Inverse of to_json_dict. `dim` must be an integer and every matrix
+        entry a rational string "p" or "p/q"; anything else is a ParseError."""
         try:
             alphabet = Alphabet.from_decl(data["alphabet"])
-            dim = int(data["dim"])
-            assign = {
-                l: Matrix.from_strings(data["assign"][l.symbol])
-                for l in alphabet.letters
-            }
-            return cls(alphabet, dim, assign)
-        except ParseError:
-            raise
+            dim = data["dim"]
+            if type(dim) is not int:
+                raise ValueError(f"dim must be an integer, got {dim!r}")
+            return cls._from_json_fields(alphabet, dim, data)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad representation JSON: {exc}") from exc
+            raise ParseError(f"bad {cls._json_kind} JSON: {exc}") from exc
+
+    @classmethod
+    def _from_json_fields(cls, alphabet: Alphabet, dim: int, data) -> "MatRep":
+        assign = {l: _json_matrix(data["assign"][l.symbol]) for l in alphabet.letters}
+        return cls(alphabet, dim, assign)
+
+
+class LinRep(MatRep):
+    """Weighted-automaton presentation of a series: a row vector lambda, one
+    square matrix per letter (the representation mu, stored as `assign`),
+    and a column vector gamma. The value on a word a1..ak is
+    lambda * mu(a1) * ... * mu(ak) * gamma."""
+
+    __slots__ = ("lam", "gamma")
+    _json_kind = "linear-representation"
+
+    def __init__(
+        self,
+        alphabet: Alphabet,
+        dim: int,
+        lam: Matrix,
+        mu: dict[Letter, Matrix],
+        gamma: Matrix,
+    ):
+        super().__init__(alphabet, dim, mu)
+        if lam.nrows != 1 or lam.ncols != dim:
+            raise ValueError(f"lambda must be 1x{dim}")
+        if gamma.nrows != dim or gamma.ncols != 1:
+            raise ValueError(f"gamma must be {dim}x1")
+        self.lam = lam
+        self.gamma = gamma
+
+    @property
+    def mu(self) -> dict[Letter, Matrix]:
+        return self.assign
+
+    def value(self, w: Word) -> Fraction:
+        _same_alphabet(self.alphabet, w.alphabet)
+        mu = self.assign
+        row = self.lam
+        for letter in w.letters:
+            row = row * mu[letter]
+        return (row * self.gamma).scalar()
+
+    def __eq__(self, other) -> bool:
+        return (
+            super().__eq__(other)
+            and self.lam == other.lam
+            and self.gamma == other.gamma
+        )
+
+    def to_json_dict(self) -> dict:
+        return {
+            "alphabet": self.alphabet.decl(),
+            "dim": self.dim,
+            "lambda": [str(x) for x in self.lam.row(0)],
+            "mu": self._letters_json(),
+            "gamma": [[str(x)] for x in self.gamma.col(0)],
+        }
+
+    @classmethod
+    def _from_json_fields(cls, alphabet: Alphabet, dim: int, data) -> "LinRep":
+        lam = _json_matrix([data["lambda"]])
+        mu = {l: _json_matrix(data["mu"][l.symbol]) for l in alphabet.letters}
+        return cls(alphabet, dim, lam, mu, _json_matrix(data["gamma"]))
 
 
 def eval_word(r: MatRep, w: Word) -> Matrix:
@@ -127,6 +220,35 @@ def trivial_rep(alphabet: Alphabet) -> MatRep:
         l: Matrix([[1 if l.group_like else 0]]) for l in alphabet.letters
     }
     return MatRep(alphabet, 1, assign)
+
+
+def zero_rep(alphabet: Alphabet) -> LinRep:
+    """One dead state; the zero series."""
+    mu = {l: Matrix([[0]]) for l in alphabet.letters}
+    return LinRep(alphabet, 1, Matrix([[0]]), mu, Matrix([[0]]))
+
+
+def scale_rep(rep: LinRep, c) -> LinRep:
+    return LinRep(rep.alphabet, rep.dim, rep.lam.scale(c), rep.mu, rep.gamma)
+
+
+def rep_sum(r1: LinRep, r2: LinRep) -> LinRep:
+    """Representation of the pointwise sum of the two series: the direct sum
+    of the two representations, with lambda and gamma stacked."""
+    s = direct_sum(r1, r2)
+    return LinRep(
+        s.alphabet, s.dim, r1.lam.hstack(r2.lam), s.assign, r1.gamma.vstack(r2.gamma)
+    )
+
+
+def conv_rep(r1: LinRep, r2: LinRep) -> LinRep:
+    """Representation of the convolution of the two series: the tensor
+    product of the two representations, with lambda and gamma Kronecker
+    multiplied."""
+    t = tensor_rep(r1, r2)
+    return LinRep(
+        t.alphabet, t.dim, r1.lam.kron(r2.lam), t.assign, r1.gamma.kron(r2.gamma)
+    )
 
 
 def _as_row(psi, dim: int) -> Matrix:

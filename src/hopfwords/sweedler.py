@@ -2,11 +2,12 @@
 
 A series belongs to the (convolution-closed) dual of the free algebra
 exactly when a finite linear representation (lambda, mu, gamma) computes it,
-equivalently when its Hankel matrix has finite rank. This module holds the
-representation type, finite Hankel windows with exact rank, shifted series,
-minimal-model learning from coefficients, the splitting of a series into
-rank-one factors, convolution at the representation level, and the
-transposed antipode.
+equivalently when its Hankel matrix has finite rank. The representation
+type LinRep, with its sums, scalings and convolutions, lives in the rep
+module; this module holds finite Hankel windows with exact rank, shifted
+series, minimal-model learning from coefficients, the splitting of a series
+into rank-one factors, the transposed antipode and equality of
+representations.
 """
 
 from __future__ import annotations
@@ -15,155 +16,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from . import linalg
 from .dualforms import FiniteSupportSeries, RecognizableSeries, Series
-from .errors import (
-    DomainError,
-    InconclusiveError,
-    InternalInvariantError,
-    ParseError,
-)
-from .freealg import Alphabet, Letter, NCPoly, Word, conc, shortlex_key
-from .linalg import Matrix, RowReducer, tensor_scheme
-
-
-def _same_alphabet(a: Alphabet, b: Alphabet):
-    if a != b:
-        raise DomainError("alphabet mismatch")
-
-
-class LinRep:
-    """Weighted-automaton presentation of a series: a row vector lambda, one
-    square matrix per letter, and a column vector gamma. The value on a word
-    a1..ak is lambda * mu(a1) * ... * mu(ak) * gamma."""
-
-    __slots__ = ("alphabet", "dim", "lam", "mu", "gamma")
-
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        dim: int,
-        lam: Matrix,
-        mu: dict[Letter, Matrix],
-        gamma: Matrix,
-    ):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        if lam.nrows != 1 or lam.ncols != dim:
-            raise ValueError(f"lambda must be 1x{dim}")
-        if gamma.nrows != dim or gamma.ncols != 1:
-            raise ValueError(f"gamma must be {dim}x1")
-        if set(mu) != set(alphabet.letters):
-            raise ValueError("mu must cover exactly the alphabet letters")
-        for letter, m in mu.items():
-            if m.nrows != dim or m.ncols != dim:
-                raise ValueError(
-                    f"matrix for {letter.symbol!r} is {m.nrows}x{m.ncols}, expected {dim}x{dim}"
-                )
-        self.alphabet = alphabet
-        self.dim = dim
-        self.lam = lam
-        self.mu = dict(mu)
-        self.gamma = gamma
-
-    def mu_word(self, w: Word) -> Matrix:
-        _same_alphabet(self.alphabet, w.alphabet)
-        out = Matrix.identity(self.dim)
-        for letter in w.letters:
-            out = out * self.mu[letter]
-        return out
-
-    def value(self, w: Word) -> Fraction:
-        _same_alphabet(self.alphabet, w.alphabet)
-        row = self.lam
-        for letter in w.letters:
-            row = row * self.mu[letter]
-        return (row * self.gamma).scalar()
-
-    def series(self) -> RecognizableSeries:
-        return RecognizableSeries(self)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LinRep)
-            and self.alphabet == other.alphabet
-            and self.dim == other.dim
-            and self.lam == other.lam
-            and self.mu == other.mu
-            and self.gamma == other.gamma
-        )
-
-    def __repr__(self) -> str:
-        return f"LinRep(dim={self.dim} over {self.alphabet.decl()})"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alphabet": self.alphabet.decl(),
-            "dim": self.dim,
-            "lambda": [str(x) for x in self.lam.row(0)],
-            "mu": {
-                l.symbol: self.mu[l].to_strings() for l in self.alphabet.letters
-            },
-            "gamma": [[str(x)] for x in self.gamma.col(0)],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "LinRep":
-        try:
-            alphabet = Alphabet.from_decl(data["alphabet"])
-            dim = int(data["dim"])
-            lam = Matrix.row_vector(data["lambda"])
-            mu = {
-                l: Matrix.from_strings(data["mu"][l.symbol])
-                for l in alphabet.letters
-            }
-            gamma = Matrix(data["gamma"])
-            return cls(alphabet, dim, lam, mu, gamma)
-        except ParseError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad linear-representation JSON: {exc}") from exc
-
-
-def behavior(rep: LinRep, w: Word) -> Fraction:
-    """The series value lambda * mu(w) * gamma."""
-    return rep.value(w)
+from .errors import DomainError, InconclusiveError, InternalInvariantError
+from .freealg import Alphabet, Letter, NCPoly, Word, _same_alphabet, conc
+from .linalg import Matrix, RowReducer
+from .rep import LinRep, eval_word, zero_rep
 
 
 def behavior_table(rep: LinRep, max_len: int) -> dict[Word, Fraction]:
     """Values on all words up to max_len, computed by propagating state rows
     down the prefix tree so shared prefixes are multiplied once."""
     out: dict[Word, Fraction] = {}
+    mu = rep.mu
 
     def walk(w: Word, row: Matrix):
         out[w] = (row * rep.gamma).scalar()
         if len(w) < max_len:
             for letter in rep.alphabet.sorted_letters:
-                walk(Word(rep.alphabet, w.letters + (letter,)), row * rep.mu[letter])
+                walk(Word(rep.alphabet, w.letters + (letter,)), row * mu[letter])
 
     walk(rep.alphabet.unit_word(), rep.lam)
     return out
-
-
-def zero_rep(alphabet: Alphabet) -> LinRep:
-    """One dead state; the zero series."""
-    mu = {l: Matrix([[0]]) for l in alphabet.letters}
-    return LinRep(alphabet, 1, Matrix.row_vector([0]), mu, Matrix.col_vector([0]))
-
-
-def scale_rep(rep: LinRep, c) -> LinRep:
-    return LinRep(rep.alphabet, rep.dim, rep.lam.scale(c), dict(rep.mu), rep.gamma)
-
-
-def rep_sum(r1: LinRep, r2: LinRep) -> LinRep:
-    """Representation of the pointwise sum of the two series."""
-    _same_alphabet(r1.alphabet, r2.alphabet)
-    mu = {l: r1.mu[l].direct_sum(r2.mu[l]) for l in r1.alphabet.letters}
-    return LinRep(
-        r1.alphabet,
-        r1.dim + r2.dim,
-        r1.lam.hstack(r2.lam),
-        mu,
-        r1.gamma.vstack(r2.gamma),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +55,7 @@ def shift_right(f: Series, s: Word) -> Series:
         return FiniteSupportSeries(NCPoly(f.alphabet, terms))
     rep = f.rep
     return RecognizableSeries(
-        LinRep(rep.alphabet, rep.dim, rep.lam * rep.mu_word(s), dict(rep.mu), rep.gamma)
+        LinRep(rep.alphabet, rep.dim, rep.lam * eval_word(rep, s), rep.mu, rep.gamma)
     )
 
 
@@ -200,7 +72,7 @@ def shift_left(f: Series, s: Word) -> Series:
         return FiniteSupportSeries(NCPoly(f.alphabet, terms))
     rep = f.rep
     return RecognizableSeries(
-        LinRep(rep.alphabet, rep.dim, rep.lam, dict(rep.mu), rep.mu_word(s) * rep.gamma)
+        LinRep(rep.alphabet, rep.dim, rep.lam, rep.mu, eval_word(rep, s) * rep.gamma)
     )
 
 
@@ -313,50 +185,10 @@ def split(rep: LinRep) -> list[tuple[RecognizableSeries, RecognizableSeries]]:
     for i in range(rep.dim):
         e_col = Matrix.col_vector([1 if j == i else 0 for j in range(rep.dim)])
         e_row = Matrix.row_vector([1 if j == i else 0 for j in range(rep.dim)])
-        g = LinRep(rep.alphabet, rep.dim, rep.lam, dict(rep.mu), e_col)
-        h = LinRep(rep.alphabet, rep.dim, e_row, dict(rep.mu), rep.gamma)
+        g = LinRep(rep.alphabet, rep.dim, rep.lam, rep.mu, e_col)
+        h = LinRep(rep.alphabet, rep.dim, e_row, rep.mu, rep.gamma)
         pairs.append((RecognizableSeries(g), RecognizableSeries(h)))
     return pairs
-
-
-def conv_rep(r1: LinRep, r2: LinRep) -> LinRep:
-    """Representation of the convolution of the two series; per letter it is
-    the same Kronecker scheme that drives tensor products of representations."""
-    _same_alphabet(r1.alphabet, r2.alphabet)
-    mu = {
-        l: tensor_scheme(r1.mu[l], r2.mu[l], l.group_like)
-        for l in r1.alphabet.letters
-    }
-    return LinRep(
-        r1.alphabet,
-        r1.dim * r2.dim,
-        r1.lam.kron(r2.lam),
-        mu,
-        r1.gamma.kron(r2.gamma),
-    )
-
-
-def embed_finite(f: FiniteSupportSeries) -> LinRep:
-    """Automaton whose states are the suffix closure of the support; its
-    behavior equals f on every word of every length."""
-    alph = f.alphabet
-    suffixes = {alph.unit_word()}
-    for w in f.terms:
-        for k in range(len(w.letters) + 1):
-            suffixes.add(Word(alph, w.letters[k:]))
-    states = sorted(suffixes, key=shortlex_key)
-    pos = {w: i for i, w in enumerate(states)}
-    n = len(states)
-    mu = {}
-    for letter in alph.letters:
-        m = [[0] * n for _ in range(n)]
-        for w, i in pos.items():
-            if w.letters and w.letters[0] == letter:
-                m[i][pos[Word(alph, w.letters[1:])]] = 1
-        mu[letter] = Matrix(m)
-    lam = Matrix.row_vector([f.coeff(w) for w in states])
-    gamma = Matrix.col_vector([1 if not w.letters else 0 for w in states])
-    return LinRep(alph, n, lam, mu, gamma)
 
 
 def transpose_antipode(rep: LinRep) -> LinRep:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CASES = [
     ("coprod", ["coprod", "--alphabet", "a:L,b:L", "ab"]),
@@ -39,9 +40,15 @@ CASES = [
 
 
 def run_cli(args, cwd=FIXTURES):
+    """Run the CLI from source; the absolute src path leads PYTHONPATH so a
+    relative entry (as in PYTHONPATH=src) cannot break under cwd."""
+    env = dict(os.environ)
+    old = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + old if old else "")
     return subprocess.run(
         [sys.executable, "-m", "hopfwords", *args],
         cwd=cwd,
+        env=env,
         capture_output=True,
         timeout=120,
     )

@@ -21,7 +21,6 @@ from hopfwords import (
     NCPoly,
     RecognizableSeries,
     antipode,
-    behavior,
     behavior_table,
     coassoc_lhs,
     coassoc_rhs,
@@ -147,7 +146,7 @@ def test_criterion_06_split_factorization():
         for x in words:
             for y in words:
                 total = sum((g.coeff(x) * h.coeff(y) for g, h in pairs), Fraction(0))
-                assert total == behavior(rep, conc(x, y)), (name, x, y)
+                assert total == rep.value(conc(x, y)), (name, x, y)
     _finish(6, 5, t0, "f(xy) = sum g_i(x) h_i(y) for the three reference series")
 
 
@@ -162,7 +161,7 @@ def test_criterion_07_rank_and_learning():
         assert model.dim <= rep.dim
         assert model.dim == hankel_rank(f, 4, 4), name
         for w in rep.alphabet.words(7):
-            assert behavior(model, w) == behavior(rep, w), (name, w)
+            assert model.value(w) == rep.value(w), (name, w)
     _finish(7, 10, t0, "hankel rank <= dim; learning round-trips at minimal rank")
 
 
@@ -192,7 +191,7 @@ def test_criterion_08_convolution_vs_oracle():
         w = single.word("a" * n if n else "1")
         binomial = sum(math.comb(n, k) * 2**k * 3 ** (n - k) for k in range(n + 1))
         assert binomial == 5**n
-        assert behavior(conv, w) == binomial
+        assert conv.value(w) == binomial
     _finish(8, 10, t0, "conv_rep equals the splitting formula; geometric conv is 5^n")
 
 

@@ -72,6 +72,14 @@ def test_maxlen_out_of_range_is_usage_error():
     assert b"--maxlen" in proc.stderr
 
 
+def test_json_number_operand_is_parse_error():
+    # a float would leak into exact arithmetic as its binary expansion
+    bad = '{"alphabet":"a:L","dim":true,"assign":{"a":[[0.1]]}}'
+    proc = run_cli(["tensor", "--rep", bad, "--rep", "mat_a2.json"])
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+
+
 def test_unknown_subcommand_exits_one():
     proc = run_cli(["frobnicate"])
     assert proc.returncode == 1

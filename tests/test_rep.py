@@ -217,3 +217,7 @@ def test_matrep_json_round_trip(mixed):
     assert MatRep.from_json_dict(data) == r
     with pytest.raises(ParseError):
         MatRep.from_json_dict({"alphabet": "a:L", "dim": 1})
+    # dim must be a JSON integer; entries must be "p" or "p/q" strings
+    for dim, entry in [(True, "1"), ("1", "1"), (1, "1e3"), (1, "0.5"), (1, 0.1), (1, 1)]:
+        with pytest.raises(ParseError):
+            MatRep.from_json_dict({"alphabet": "a:L", "dim": dim, "assign": {"a": [[entry]]}})

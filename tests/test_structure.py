@@ -1,0 +1,70 @@
+"""Module-graph guard: the package's modules import each other in one fixed
+order, only at module top level, and shared helpers are defined once."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hopfwords"
+
+# a module may import only modules listed before it; the package entry
+# points (__init__, __main__) may import anything and are imported by none
+ORDER = ["errors", "freealg", "linalg", "rep", "dualforms", "sweedler", "cli"]
+ENTRY_POINTS = {"__init__", "__main__"}
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+
+
+def _imports(tree):
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def _package_targets(node):
+    """The package modules an import statement names, relative or absolute."""
+    if isinstance(node, ast.Import):
+        dotted = [alias.name for alias in node.names]
+    elif node.level:
+        if node.module:
+            return [node.module.split(".")[0]]
+        return [alias.name for alias in node.names]
+    elif node.module == "hopfwords":
+        dotted = [f"hopfwords.{alias.name}" for alias in node.names]
+    else:
+        dotted = [node.module]
+    return [d.split(".")[1] for d in dotted if d.startswith("hopfwords.")]
+
+
+def test_every_module_has_a_place_in_the_order():
+    assert set(_trees()) == set(ORDER) | ENTRY_POINTS
+
+
+def test_imports_are_at_module_top_level():
+    # no function-local or TYPE_CHECKING imports patching over a cycle
+    for name, tree in _trees().items():
+        top = {id(node) for node in tree.body}
+        for node in _imports(tree):
+            assert id(node) in top, f"{name}.py line {node.lineno}: nested import"
+
+
+def test_import_edges_follow_the_module_order():
+    for name, tree in _trees().items():
+        for node in _imports(tree):
+            for target in _package_targets(node):
+                assert target not in ENTRY_POINTS, f"{name} imports {target}"
+                if name in ENTRY_POINTS:
+                    continue
+                assert ORDER.index(target) < ORDER.index(name), (
+                    f"{name}.py line {node.lineno} imports {target}, "
+                    f"which comes after it in {ORDER}"
+                )
+
+
+def test_same_alphabet_is_defined_once():
+    found = [
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_same_alphabet"
+    ]
+    assert found == ["freealg"]

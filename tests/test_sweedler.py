@@ -9,9 +9,9 @@ from hopfwords import (
     Alphabet,
     FiniteSupportSeries,
     LinRep,
+    MatRep,
     Matrix,
     RecognizableSeries,
-    behavior,
     behavior_table,
     conv_rep,
     dual_counit,
@@ -43,27 +43,27 @@ COUNTING_JSON = (
 
 def test_behavior_geometric(single):
     geo = geometric_rep(single, 2)
-    assert behavior(geo, single.word("aaa")) == 8
-    assert behavior(geo, single.unit_word()) == (geo.lam * geo.gamma).scalar() == 1
+    assert geo.value(single.word("aaa")) == 8
+    assert geo.value(single.unit_word()) == (geo.lam * geo.gamma).scalar() == 1
 
 
 def test_behavior_counting(ab):
     c = counting_rep(ab)
-    assert behavior(c, ab.word("abab")) == 2
-    assert behavior(c, ab.word("bbb")) == 0
-    assert behavior(c, ab.word("aaa")) == 3
+    assert c.value(ab.word("abab")) == 2
+    assert c.value(ab.word("bbb")) == 0
+    assert c.value(ab.word("aaa")) == 3
 
 
 def test_behavior_table_matches_pointwise(ab):
     c = counting_rep(ab)
     table = behavior_table(c, 4)
     for w in ab.words(4):
-        assert table[w] == behavior(c, w)
+        assert table[w] == c.value(w)
 
 
 def test_behavior_alphabet_mismatch(ab, single):
     with pytest.raises(DomainError):
-        behavior(geometric_rep(single, 2), ab.word("a"))
+        geometric_rep(single, 2).value(ab.word("a"))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +152,7 @@ def test_learn_geometric(single):
     assert model.dim == 1
     for n in range(6):
         w = single.word("a" * n if n else "1")
-        assert behavior(model, w) == 2**n
+        assert model.value(w) == 2**n
 
 
 def test_learn_counting_round_trip(ab):
@@ -160,7 +160,7 @@ def test_learn_counting_round_trip(ab):
     model = learn(RecognizableSeries(c), 3)
     assert model.dim == 2 == hankel_rank(RecognizableSeries(c), 4, 4)
     for w in ab.words(7):
-        assert behavior(model, w) == behavior(c, w)
+        assert model.value(w) == c.value(w)
 
 
 def test_learn_unit_indicator(ab):
@@ -175,13 +175,13 @@ def test_learn_finite_support_round_trip(ab):
     f = FiniteSupportSeries.from_text(ab, "2*ab - b")
     model = learn(f, 2)
     for w in ab.words(5):
-        assert behavior(model, w) == f.coeff(w)
+        assert model.value(w) == f.coeff(w)
 
 
 def test_learn_zero_series(ab):
     model = learn(FiniteSupportSeries.zero(ab), 1)
     for w in ab.words(3):
-        assert behavior(model, w) == 0
+        assert model.value(w) == 0
 
 
 def test_learn_inconclusive_when_rank_still_growing(single):
@@ -191,13 +191,13 @@ def test_learn_inconclusive_when_rank_still_growing(single):
     # with a wide enough window the same series is learned exactly
     model = learn(f, 4)
     for w in single.words(9):
-        assert behavior(model, w) == f.coeff(w)
+        assert model.value(w) == f.coeff(w)
 
 
 def test_learn_oracle_input(single):
     model = learn(lambda w: Fraction(3) ** len(w), 2, alphabet=single)
     assert model.dim == 1
-    assert behavior(model, single.word("aaa")) == 27
+    assert model.value(single.word("aaa")) == 27
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,7 @@ def test_split_geometric_single_factor(single):
     g, h = pairs[0]
     for x in single.words(3):
         for y in single.words(3):
-            assert g.coeff(x) * h.coeff(y) == behavior(geo, conc(x, y))
+            assert g.coeff(x) * h.coeff(y) == geo.value(conc(x, y))
 
 
 def test_split_factorization_identity(ab):
@@ -230,7 +230,7 @@ def test_split_factorization_identity(ab):
                 total = sum(
                     (g.coeff(x) * h.coeff(y) for g, h in pairs), Fraction(0)
                 )
-                assert total == behavior(rep, conc(x, y))
+                assert total == rep.value(conc(x, y))
 
 
 def test_split_counit_contraction(ab):
@@ -239,10 +239,10 @@ def test_split_counit_contraction(ab):
     for y in ab.words(4):
         assert sum(
             (g.coeff(ab.unit_word()) * h.coeff(y) for g, h in pairs), Fraction(0)
-        ) == behavior(c, y)
+        ) == c.value(y)
         assert sum(
             (g.coeff(y) * h.coeff(ab.unit_word()) for g, h in pairs), Fraction(0)
-        ) == behavior(c, y)
+        ) == c.value(y)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +255,7 @@ def test_conv_rep_binomial_closed_form(single):
         w = single.word("a" * n if n else "1")
         expected = sum(math.comb(n, k) * 2**k * 3 ** (n - k) for k in range(n + 1))
         assert expected == 5**n
-        assert behavior(conv, w) == expected
+        assert conv.value(w) == expected
 
 
 def test_conv_rep_matches_subword_formula_on_profiles():
@@ -279,7 +279,7 @@ def test_conv_rep_indicator_shuffle(ab):
     conv = conv_rep(ra, rb)
     for w in ab.words(3):
         expected = 1 if str(w) in ("ab", "ba") else 0
-        assert behavior(conv, w) == expected
+        assert conv.value(w) == expected
 
 
 def test_conv_rep_with_dual_unit_is_identity(mixed):
@@ -287,7 +287,7 @@ def test_conv_rep_with_dual_unit_is_identity(mixed):
     e = dual_unit(mixed).rep
     for other in (conv_rep(r, e), conv_rep(e, r)):
         for w in mixed.words(4):
-            assert behavior(other, w) == behavior(r, w)
+            assert other.value(w) == r.value(w)
 
 
 def test_conv_rep_alphabet_mismatch(ab, single):
@@ -304,7 +304,7 @@ def test_embed_finite_unit(ab):
     assert rep.dim == 1
     for l in ab.letters:
         assert rep.mu[l] == Matrix([[0]])
-    assert behavior(rep, ab.unit_word()) == 1
+    assert rep.value(ab.unit_word()) == 1
 
 
 def test_embed_finite_indicator_exhaustive(ab):
@@ -312,14 +312,14 @@ def test_embed_finite_indicator_exhaustive(ab):
     rep = embed_finite(f)
     assert rep.dim == 3  # suffix closure {1, b, ab}
     for w in ab.words(4):
-        assert behavior(rep, w) == (1 if str(w) == "ab" else 0)
+        assert rep.value(w) == (1 if str(w) == "ab" else 0)
 
 
 def test_embed_finite_linear_combination(ab):
     f = FiniteSupportSeries.from_text(ab, "2*a - b")
     rep = embed_finite(f)
     for w in ab.words(3):
-        assert behavior(rep, w) == f.coeff(w)
+        assert rep.value(w) == f.coeff(w)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +329,9 @@ def test_embed_finite_linear_combination(ab):
 def test_transpose_antipode_values(single):
     geo = geometric_rep(single, 2)
     ts = transpose_antipode(geo)
-    assert behavior(ts, single.word("aa")) == 4
-    assert behavior(ts, single.word("a")) == -2
-    assert behavior(ts, single.word("aaa")) == -8
+    assert ts.value(single.word("aa")) == 4
+    assert ts.value(single.word("a")) == -2
+    assert ts.value(single.word("aaa")) == -8
 
 
 def test_transpose_antipode_reverses(ab):
@@ -339,14 +339,14 @@ def test_transpose_antipode_reverses(ab):
     ts = transpose_antipode(c)
     for w in ab.words(4):
         sign = 1 if len(w) % 2 == 0 else -1
-        assert behavior(ts, w) == sign * behavior(c, w.reverse())
+        assert ts.value(w) == sign * c.value(w.reverse())
 
 
 def test_transpose_antipode_involution(ab):
     c = counting_rep(ab)
     twice = transpose_antipode(transpose_antipode(c))
     for w in ab.words(5):
-        assert behavior(twice, w) == behavior(c, w)
+        assert twice.value(w) == c.value(w)
 
 
 def test_transpose_antipode_needs_primitive_alphabet(mixed):
@@ -386,7 +386,7 @@ def test_rep_sum_is_pointwise_sum(ab):
     r2 = geometric_rep(ab, 2)
     s = rep_sum(r1, r2)
     for w in ab.words(4):
-        assert behavior(s, w) == behavior(r1, w) + behavior(r2, w)
+        assert s.value(w) == r1.value(w) + r2.value(w)
 
 
 def test_reps_equal_decides_equality(ab):
@@ -399,7 +399,7 @@ def test_reps_equal_decides_equality(ab):
 def test_linrep_json_round_trip_wire_schema(ab):
     rep = LinRep.from_json_dict(json.loads(COUNTING_JSON))
     assert rep == counting_rep(ab)
-    assert behavior(rep, ab.word("abab")) == 2
+    assert rep.value(ab.word("abab")) == 2
     assert json.loads(json.dumps(rep.to_json_dict())) == json.loads(COUNTING_JSON)
 
 
@@ -410,6 +410,29 @@ def test_linrep_json_rejects_malformed():
     bad["mu"].pop("b")
     with pytest.raises(ParseError):
         LinRep.from_json_dict(bad)
+    # dim must be a JSON integer; entries must be "p" or "p/q" strings
+    for field, value in [
+        ("dim", True),
+        ("dim", "2"),
+        ("lambda", ["1e3", "0"]),
+        ("lambda", ["0.5", "0"]),
+        ("lambda", ["1/0", "0"]),
+        ("lambda", [1, 0]),
+        ("lambda", "10"),
+        ("gamma", [[0.1], ["1"]]),
+    ]:
+        bad = json.loads(COUNTING_JSON)
+        bad[field] = value
+        with pytest.raises(ParseError):
+            LinRep.from_json_dict(bad)
+
+
+def test_linrep_is_a_matrep_but_never_equal_to_one(ab):
+    c = counting_rep(ab)
+    assert isinstance(c, MatRep)
+    plain = MatRep(ab, c.dim, c.mu)
+    assert plain.assign == c.mu
+    assert plain != c and c != plain
 
 
 def test_linrep_validation(ab):
