@@ -63,6 +63,9 @@ EXIT_COUNTEREXAMPLE = 4
 
 _INLINE_LIMIT = 1024
 _MAXLEN_CAP = 7
+# most entries of a Hankel window (hankel, rank, learn), checked before any
+# word is enumerated
+_WINDOW_CAP = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -247,6 +250,30 @@ def _window(args) -> tuple[int, int]:
     return p, s
 
 
+def _window_side(nletters: int, maxlen: int) -> int:
+    """Number of words of length <= maxlen, or _WINDOW_CAP + 1 once it is
+    known to be larger; counted, not enumerated."""
+    total, level = 0, 1
+    for _ in range(maxlen + 1):
+        total += level
+        if total > _WINDOW_CAP:
+            return _WINDOW_CAP + 1
+        level *= nletters
+    return total
+
+
+def _preflight_window(alphabet: Alphabet, p: int, s: int):
+    """Refuse a (p, s) Hankel window of more than _WINDOW_CAP entries."""
+    n = len(alphabet.letters)
+    rows, cols = _window_side(n, p), _window_side(n, s)
+    if rows * cols > _WINDOW_CAP:
+        shape = " x ".join(f">{_WINDOW_CAP}" if k > _WINDOW_CAP else str(k) for k in (rows, cols))
+        raise ParseError(
+            f"Hankel window of {shape} words (prefixes <= {p}, suffixes <= {s} "
+            f"over {n} letter(s)) exceeds the cap of {_WINDOW_CAP} entries"
+        )
+
+
 def _maxlen(args) -> int:
     n = getattr(args, "maxlen", None)
     if n is None:
@@ -373,6 +400,7 @@ def _cmd_eval(args):
 def _cmd_hankel(args):
     (f,) = _series_args(args, 1)
     p, s = _window(args)
+    _preflight_window(f.alphabet, p, s)
     slice_ = hankel(f, p, s)
     obj = {
         "rows": [str(w) for w in slice_.rows],
@@ -385,6 +413,7 @@ def _cmd_hankel(args):
 def _cmd_rank(args):
     (f,) = _series_args(args, 1)
     p, s = _window(args)
+    _preflight_window(f.alphabet, p, s)
     r = hankel_rank(f, p, s)
     return _finish(args, str(r), {"rank": r})
 
@@ -394,6 +423,7 @@ def _cmd_learn(args):
     explore = getattr(args, "explore", None)
     if explore is None or explore < 0:
         raise ParseError("--explore L (nonnegative) is required")
+    _preflight_window(f.alphabet, explore + 1, explore + 1)
     return _out_rep(args, learn(f, explore))
 
 

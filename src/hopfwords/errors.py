@@ -16,7 +16,17 @@ class DomainError(HopfwordsError):
 
 class InconclusiveError(HopfwordsError):
     """The Hankel rank did not stabilize within the explored window; the data
-    neither confirms nor refutes recognizability at this exploration length."""
+    neither confirms nor refutes recognizability at this exploration length.
+
+    The evidence is kept as attributes: r_small and r_big are the ranks of
+    the (explore, explore) and (explore+1, explore+1) windows, explore the
+    exploration length; each is None when not given."""
+
+    def __init__(self, message: str, *, r_small=None, r_big=None, explore=None):
+        super().__init__(message)
+        self.r_small = r_small
+        self.r_big = r_big
+        self.explore = explore
 
 
 class InternalInvariantError(HopfwordsError):

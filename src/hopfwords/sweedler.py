@@ -8,34 +8,57 @@ module; this module holds finite Hankel windows with exact rank, shifted
 series, minimal-model learning from coefficients, the splitting of a series
 into rank-one factors, the transposed antipode and equality of
 representations.
+
+Where a representation is at hand it is used instead of word-by-word
+evaluation: the Hankel window of a recognizable series is the product of
+its prefix rows lambda*mu(u) and suffix columns mu(v)*gamma, each computed
+once down the word tree, and equality of two representations is decided by
+propagating a basis of the reachable row space (polynomial time).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+
 from . import linalg
 from .dualforms import FiniteSupportSeries, RecognizableSeries, Series
 from .errors import DomainError, InconclusiveError, InternalInvariantError
 from .freealg import Alphabet, Letter, NCPoly, Word, _same_alphabet, conc
 from .linalg import Matrix, RowReducer
-from .rep import LinRep, eval_word, zero_rep
+from .rep import LinRep, eval_word, rep_sum, scale_rep, zero_rep
+
+
+def _tree_vectors(rep: LinRep, max_len: int, prefixes: bool) -> list[tuple[Word, Matrix]]:
+    """(w, vector) for every word w of length <= max_len, in ascending
+    shortlex order: the rows lambda*mu(w) for `prefixes`, else the columns
+    mu(w)*gamma. Each is one letter-matrix product away from the vector of
+    a word one letter shorter, row(u a) = row(u) mu(a) and
+    col(a v) = mu(a) col(v), so shared prefixes (suffixes) are multiplied
+    once."""
+    alphabet = rep.alphabet
+    letters = alphabet.sorted_letters
+    mu = rep.mu
+    out: list[tuple[Word, Matrix]] = []
+    level = [((), rep.lam if prefixes else rep.gamma)]
+    for n in range(max_len + 1):
+        out.extend((Word(alphabet, key), vec) for key, vec in level)
+        if n == max_len:
+            break
+        if prefixes:
+            level = [(key + (a,), vec * mu[a]) for key, vec in level for a in letters]
+        else:
+            level = [((a,) + key, mu[a] * vec) for a in letters for key, vec in level]
+    return out
 
 
 def behavior_table(rep: LinRep, max_len: int) -> dict[Word, Fraction]:
-    """Values on all words up to max_len, computed by propagating state rows
-    down the prefix tree so shared prefixes are multiplied once."""
-    out: dict[Word, Fraction] = {}
-    mu = rep.mu
-
-    def walk(w: Word, row: Matrix):
-        out[w] = (row * rep.gamma).scalar()
-        if len(w) < max_len:
-            for letter in rep.alphabet.sorted_letters:
-                walk(Word(rep.alphabet, w.letters + (letter,)), row * mu[letter])
-
-    walk(rep.alphabet.unit_word(), rep.lam)
-    return out
+    """Values on all words up to max_len, in ascending shortlex order,
+    computed by propagating state rows down the prefix tree so shared
+    prefixes are multiplied once."""
+    gamma = rep.gamma
+    return {w: (row * gamma).scalar() for w, row in _tree_vectors(rep, max_len, prefixes=True)}
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +124,19 @@ def _coeff_fn(f, alphabet: Alphabet | None):
 
 
 def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
-    """The window with prefixes of length <= p and suffixes of length <= s."""
+    """The window with prefixes of length <= p and suffixes of length <= s.
+
+    For a RecognizableSeries the window is the product of the prefix rows
+    lambda*mu(u) and the suffix columns mu(v)*gamma, each computed once, so
+    an entry costs one dot product of length dim. A finite-support series or
+    a bare coefficient oracle (which needs `alphabet`) is asked for f(uv)
+    entry by entry."""
+    if isinstance(f, RecognizableSeries):
+        rows, row_vecs = zip(*_tree_vectors(f.rep, p, prefixes=True))
+        cols, col_vecs = zip(*_tree_vectors(f.rep, s, prefixes=False))
+        left = Matrix(row.row(0) for row in row_vecs)
+        right = Matrix(zip(*(col.col(0) for col in col_vecs)))
+        return HankelSlice(rows, cols, left * right)
     cf, alph = _coeff_fn(f, alphabet)
     rows = tuple(alph.words(p))
     cols = tuple(alph.words(s))
@@ -130,11 +165,16 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     basis. The result reproduces f on every word the window certifies
     (length <= 2*explore + 1) and everywhere when f is genuinely
     recognizable with rank reached inside the window.
+
+    f is a Series or, with `alphabet`, a bare coefficient oracle; a
+    RecognizableSeries gets the factored window of hankel(). The
+    InconclusiveError carries the two window ranks and the exploration
+    length as attributes r_small, r_big and explore.
     """
     if explore < 0:
         raise ValueError("exploration length must be nonnegative")
-    cf, alph = _coeff_fn(f, alphabet)
-    window = hankel(cf, explore + 1, explore + 1, alph)
+    window = hankel(f, explore + 1, explore + 1, alphabet)
+    alph = window.rows[0].alphabet
     n_small = sum(1 for w in window.rows if len(w) <= explore)
     small = Matrix([row[:n_small] for row in window.entries.rows[:n_small]])
     r_small = linalg.rank(small)
@@ -142,7 +182,10 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     if r_small != r_big:
         raise InconclusiveError(
             f"hankel rank not stabilized: {r_small} at window {explore}, "
-            f"{r_big} at window {explore + 1}; raise the exploration length"
+            f"{r_big} at window {explore + 1}; raise the exploration length",
+            r_small=r_small,
+            r_big=r_big,
+            explore=explore,
         )
     if r_big == 0:
         return zero_rep(alph)
@@ -208,8 +251,24 @@ def dual_counit(rep: LinRep) -> Fraction:
 
 
 def reps_equal(r1: LinRep, r2: LinRep) -> bool:
-    """Exact equality of the recognized series, decided on the word window
-    that the dimension bound makes sufficient (length dim1 + dim2)."""
-    _same_alphabet(r1.alphabet, r2.alphabet)
-    bound = r1.dim + r2.dim
-    return behavior_table(r1, bound) == behavior_table(r2, bound)
+    """Exact equality of the recognized series, decided in polynomial time.
+
+    The difference r1 - r2 is the zero series exactly when gamma of the
+    difference annihilates every reachable row lambda*mu(w). A breadth-first
+    search from lambda keeps a basis of the reachable space: a row is
+    expanded by each letter only when it enlarges the span, so at most
+    dim1 + dim2 rows are expanded and the cost is O(n^3 |A|) for
+    n = dim1 + dim2 (Tzeng 1992)."""
+    d = rep_sum(r1, scale_rep(r2, -1))
+    mu, gamma = d.mu, d.gamma
+    letters = d.alphabet.sorted_letters
+    reducer = RowReducer(d.dim)
+    pending = deque([d.lam])
+    while pending:
+        row = pending.popleft()
+        if not reducer.offer(row.row(0)):
+            continue
+        if (row * gamma).scalar():
+            return False
+        pending.extend(row * mu[a] for a in letters)
+    return True

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -70,6 +71,20 @@ def test_maxlen_out_of_range_is_usage_error():
     proc = run_cli(["check-coassoc", "--alphabet", "a:L", "--maxlen", "8"])
     assert proc.returncode == 1
     assert b"--maxlen" in proc.stderr
+
+
+def test_oversized_hankel_window_is_refused_before_enumeration():
+    # 2^21 - 1 prefixes by 2^21 - 1 suffixes: counted, never enumerated
+    for args in (
+        ["rank", "--alphabet", "a:L,b:L", "--hankel", "20,20", "--series", "a"],
+        ["learn", "--alphabet", "a:L,b:L", "--explore", "30", "--series", "a"],
+    ):
+        t0 = time.perf_counter()
+        proc = run_cli(args)
+        assert time.perf_counter() - t0 < 10
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert b"Hankel window of >1048576 x >1048576 words" in proc.stderr
 
 
 def test_json_number_operand_is_parse_error():

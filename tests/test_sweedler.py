@@ -1,9 +1,14 @@
 import json
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hopfwords.sweedler as sweedler
 from conftest import counting_rep, geometric_rep
 from hopfwords import (
     Alphabet,
@@ -22,11 +27,13 @@ from hopfwords import (
     learn,
     rep_sum,
     reps_equal,
+    scale_rep,
     shift_left,
     shift_right,
     split,
     splittings,
     transpose_antipode,
+    zero_rep,
 )
 from hopfwords.errors import DomainError, InconclusiveError, ParseError
 
@@ -192,6 +199,18 @@ def test_learn_inconclusive_when_rank_still_growing(single):
     model = learn(f, 4)
     for w in single.words(9):
         assert model.value(w) == f.coeff(w)
+
+
+def test_learn_inconclusive_error_carries_the_window_ranks(single):
+    with pytest.raises(InconclusiveError) as info:
+        learn(FiniteSupportSeries.indicator(single.word("aaaa")), 1)
+    err = info.value
+    # the (1, 1) window misses f(aaaa) = 1, the (2, 2) window holds it at (aa, aa)
+    assert (err.r_small, err.r_big, err.explore) == (0, 1, 1)
+    assert str(err) == (
+        "hankel rank not stabilized: 0 at window 1, 1 at window 2; "
+        "raise the exploration length"
+    )
 
 
 def test_learn_oracle_input(single):
@@ -445,3 +464,163 @@ def test_linrep_validation(ab):
             {a: Matrix.identity(2), b: Matrix.identity(2)},
             Matrix.col_vector([0, 1]),
         )
+
+
+# ---------------------------------------------------------------------------
+# factored Hankel windows and equality by basis propagation
+
+
+ALPHABETS = st.sampled_from(["a:L,b:L", "a:L,b:L,g:G"]).map(Alphabet.from_decl)
+
+
+@st.composite
+def linreps(draw, alphabet, max_dim=4):
+    """Random LinRep of dim 1..max_dim with integer entries in -2..2."""
+    n = draw(st.integers(1, max_dim))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    lam, gamma = draw(vec), draw(vec)
+    mu = {l: Matrix(draw(st.lists(vec, min_size=n, max_size=n))) for l in alphabet.letters}
+    return LinRep(alphabet, n, Matrix.row_vector(lam), mu, Matrix.col_vector(gamma))
+
+
+def word_window_equal(r1: LinRep, r2: LinRep) -> bool:
+    """The former decision of reps_equal, kept as the reference: the values
+    on every word up to length dim1 + dim2 coincide."""
+    bound = r1.dim + r2.dim
+    return behavior_table(r1, bound) == behavior_table(r2, bound)
+
+
+def change_basis(r: LinRep, ops) -> LinRep:
+    """r in the basis T = E1 E2 ... with Ek = I + c e_ij (i != j), an
+    invertible integer matrix with integer inverse: lambda T, T^-1 mu T,
+    T^-1 gamma recognize the same series."""
+    n = r.dim
+
+    def elementary(i, j, c):
+        return Matrix([[(x == y) + (c if (x, y) == (i, j) else 0) for y in range(n)] for x in range(n)])
+
+    t = t_inv = Matrix.identity(n)
+    for i, j, c in ops:
+        if i % n != j % n:
+            t = t * elementary(i % n, j % n, c)
+            t_inv = elementary(i % n, j % n, -c) * t_inv
+    mu = {l: t_inv * m * t for l, m in r.mu.items()}
+    return LinRep(r.alphabet, n, r.lam * t, mu, t_inv * r.gamma)
+
+
+basis_ops = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 2)), max_size=4
+)
+
+
+@given(st.data(), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_factored_hankel_equals_oracle_path(data, p, s):
+    alph = data.draw(ALPHABETS)
+    r = data.draw(linreps(alph))
+    factored = hankel(RecognizableSeries(r), p, s)
+    assert factored == hankel(r.value, p, s, alphabet=alph)
+    assert hankel_rank(RecognizableSeries(r), p, s) == hankel_rank(r.value, p, s, alphabet=alph)
+
+
+@pytest.mark.parametrize("p,s", [(0, 0), (0, 3), (3, 0)])
+def test_factored_hankel_degenerate_windows(mixed, p, s):
+    r = conv_rep(counting_rep(mixed), geometric_rep(mixed, 2))
+    assert hankel(RecognizableSeries(r), p, s) == hankel(r.value, p, s, alphabet=mixed)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_reps_equal_agrees_with_word_window_on_random_pairs(data):
+    alph = data.draw(ALPHABETS)
+    r1 = data.draw(linreps(alph, max_dim=3))
+    r2 = data.draw(linreps(alph, max_dim=3))
+    assert reps_equal(r1, r2) == word_window_equal(r1, r2)
+
+
+@given(st.data(), basis_ops)
+@settings(max_examples=40, deadline=None)
+def test_reps_equal_on_pairs_equal_by_construction(data, ops):
+    alph = data.draw(ALPHABETS)
+    r = data.draw(linreps(alph, max_dim=2))
+    for twin in (
+        change_basis(r, ops),
+        rep_sum(r, zero_rep(alph)),
+        conv_rep(r, dual_unit(alph).rep),
+    ):
+        assert reps_equal(r, twin) and word_window_equal(r, twin)
+        # a nonzero multiple of the series differs wherever it is nonzero
+        tripled = scale_rep(twin, 3)
+        assert reps_equal(r, tripled) == word_window_equal(r, tripled)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_reps_equal_finds_a_difference_at_the_longest_word(single, k):
+    # sum of a^i over i < k has k suffix states; against the constant series
+    # 1 (one state) the first difference is at a^k, of length dim1 + dim2 - 1
+    truncated = embed_finite(
+        FiniteSupportSeries.from_text(single, " + ".join("a" * i or "1" for i in range(k)))
+    )
+    constant = geometric_rep(single, 1)
+    assert truncated.dim == k
+    assert not reps_equal(constant, truncated)
+    assert not word_window_equal(constant, truncated)
+    assert behavior_table(constant, k - 1) == behavior_table(truncated, k - 1)
+
+
+@pytest.mark.parametrize("text", ["ab", "bab", "abba"])
+def test_reps_equal_on_indicators_of_long_words(ab, text):
+    # the indicator of a word of length k has k + 1 suffix states
+    w = ab.word(text)
+    flipped = ab.word(text[:-1] + ("a" if text[-1] == "b" else "b"))
+    ind = embed_finite(FiniteSupportSeries.indicator(w))
+    other = embed_finite(FiniteSupportSeries.indicator(flipped))
+    for r1, r2, expected in [(ind, zero_rep(ab), False), (ind, other, False), (ind, ind, True)]:
+        assert reps_equal(r1, r2) == expected == word_window_equal(r1, r2)
+    # too large for the word window (2^20 words): checked against the sum
+    both = embed_finite(FiniteSupportSeries.from_text(ab, f"{w} + {flipped}"))
+    assert reps_equal(rep_sum(ind, other), both)
+    assert not reps_equal(rep_sum(ind, ind), both)
+
+
+def test_recognizable_hankel_and_learn_never_evaluate_words(ab, monkeypatch):
+    c = counting_rep(ab)
+    f = RecognizableSeries(c)
+    window = hankel(c.value, 3, 2, alphabet=ab)
+
+    def refuse(self, w):
+        raise AssertionError("LinRep.value called")
+
+    monkeypatch.setattr(LinRep, "value", refuse)
+    assert hankel(f, 3, 2) == window
+    assert hankel_rank(f, 4, 4) == 2
+    model = learn(f, 3)
+    monkeypatch.undo()
+    assert model.dim == 2 and reps_equal(model, c)
+
+
+def test_reps_equal_never_enumerates_words(ab, monkeypatch):
+    def refuse(rep, max_len):
+        raise AssertionError("behavior_table called")
+
+    monkeypatch.setattr(sweedler, "behavior_table", refuse)
+    c = counting_rep(ab)
+    assert reps_equal(c, learn(RecognizableSeries(c), 3))
+    assert not reps_equal(c, geometric_rep(ab, 2))
+
+
+def test_reps_equal_dim_8_plus_8_is_fast(ab):
+    rng = random.Random(8)
+    r = LinRep(
+        ab,
+        8,
+        Matrix.row_vector([rng.randint(-1, 1) for _ in range(8)]),
+        {l: Matrix([[rng.randint(-1, 1) for _ in range(8)] for _ in range(8)]) for l in ab.letters},
+        Matrix.col_vector([rng.randint(-1, 1) for _ in range(8)]),
+    )
+    twin = change_basis(r, [(i, (i + 3) % 8, rng.choice((-2, -1, 1, 2))) for i in range(16)])
+    t0 = time.perf_counter()
+    assert reps_equal(r, twin)
+    assert not reps_equal(r, scale_rep(twin, 2))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"dim 8+8 reps_equal took {elapsed:.2f}s"
