@@ -63,8 +63,8 @@ EXIT_COUNTEREXAMPLE = 4
 
 _INLINE_LIMIT = 1024
 _MAXLEN_CAP = 7
-# most entries of a Hankel window (hankel, rank, learn), checked before any
-# word is enumerated
+# most entries of a Hankel window (hankel, rank, learn), and most terms of a
+# coproduct before merging (coprod), checked before any word is enumerated
 _WINDOW_CAP = 1 << 20
 
 
@@ -349,7 +349,14 @@ def _out_check(args, name: str, maxlen: int, checked: int, counterexample=None):
 
 
 def _cmd_coprod(args):
-    return _out_tensor2(args, coproduct(_load_poly(args, args.poly)))
+    p = _load_poly(args, args.poly)
+    # a word with k primitive letters splits 2^k ways; counted, not enumerated
+    count = sum(1 << sum(not l.group_like for l in w.letters) for w in p.terms)
+    if count > _WINDOW_CAP:
+        raise ParseError(
+            f"coproduct of {count} terms before merging exceeds the cap of {_WINDOW_CAP} terms"
+        )
+    return _out_tensor2(args, coproduct(p))
 
 
 def _cmd_mul(args):

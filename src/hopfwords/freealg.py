@@ -7,11 +7,18 @@ when every letter is primitive).
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
+
+Words are the dict keys of every term map, so a key costs one str hash: a
+Word hashes as its symbol string, computed once at construction, and equals
+another Word when both the symbol strings and the alphabets are equal. str
+hashes are salted per process, so no cached hash is ever pickled; words and
+alphabets are rebuilt from their parts when loaded. Coefficients are exact:
+only int and Fraction are accepted, anything else is a TypeError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -45,16 +52,28 @@ class Letter:
         if s in _RESERVED:
             raise ParseError(f"letter symbol {s!r} collides with the expression grammar")
 
+    def __hash__(self) -> int:
+        return hash(self.symbol)
+
     @property
     def group_like(self) -> bool:
         return self.kind is LetterKind.GROUP_LIKE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Alphabet:
-    """Ordered finite set of tagged letters; the G/L partition is the tags."""
+    """Ordered finite set of tagged letters; the G/L partition is the tags.
+
+    The hash, the letter set and the letter subsets below are computed once
+    at construction. The hash is never pickled (see __reduce__)."""
 
     letters: tuple[Letter, ...]
+    _letter_set: frozenset = field(init=False, repr=False)
+    sorted_letters: tuple[Letter, ...] = field(init=False, repr=False)
+    group_like: tuple[Letter, ...] = field(init=False, repr=False)
+    primitive: tuple[Letter, ...] = field(init=False, repr=False)
+    has_group_like: bool = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
         seen = set()
@@ -62,6 +81,28 @@ class Alphabet:
             if letter.symbol in seen:
                 raise ParseError(f"duplicate letter {letter.symbol!r} in alphabet")
             seen.add(letter.symbol)
+        group_like = tuple(l for l in self.letters if l.group_like)
+        cache = object.__setattr__
+        cache(self, "_letter_set", frozenset(self.letters))
+        # ascending symbol-code order; used for word enumeration
+        cache(self, "sorted_letters", tuple(sorted(self.letters, key=lambda l: l.symbol)))
+        cache(self, "group_like", group_like)
+        cache(self, "primitive", tuple(l for l in self.letters if not l.group_like))
+        cache(self, "has_group_like", bool(group_like))
+        cache(self, "_hash", hash(self.letters))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Alphabet):
+            return NotImplemented
+        return self._hash == other._hash and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Alphabet, (self.letters,)
 
     @classmethod
     def from_decl(cls, decl: str) -> "Alphabet":
@@ -86,23 +127,6 @@ class Alphabet:
                 return letter
         return None
 
-    @property
-    def sorted_letters(self) -> tuple[Letter, ...]:
-        """Letters in ascending symbol-code order; used for word enumeration."""
-        return tuple(sorted(self.letters, key=lambda l: l.symbol))
-
-    @property
-    def group_like(self) -> tuple[Letter, ...]:
-        return tuple(l for l in self.letters if l.group_like)
-
-    @property
-    def primitive(self) -> tuple[Letter, ...]:
-        return tuple(l for l in self.letters if not l.group_like)
-
-    @property
-    def has_group_like(self) -> bool:
-        return any(l.group_like for l in self.letters)
-
     def unit_word(self) -> "Word":
         return Word(self, ())
 
@@ -126,17 +150,45 @@ class Alphabet:
                 yield Word(self, combo)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Word:
-    """A finite string of letters; the empty word is the multiplicative unit."""
+    """A finite string of letters; the empty word is the multiplicative unit.
+
+    Key contract: the hash is the hash of the symbol string, computed once at
+    construction; two words are equal when their symbol strings and their
+    alphabets are equal (so "a" over a:L,b:L and "a" over a:L,b:L,g:G are
+    distinct keys). str hashes are salted per process, so the hash is never
+    pickled: a word is rebuilt from (alphabet, letters) when loaded.
+    """
 
     alphabet: Alphabet
     letters: tuple[Letter, ...]
+    _symbols: str = field(init=False, repr=False)
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        allowed = self.alphabet._letter_set
         for letter in self.letters:
-            if letter not in self.alphabet.letters:
+            if letter not in allowed:
                 raise DomainError(f"letter {letter.symbol!r} is not in the alphabet")
+        symbols = "".join(l.symbol for l in self.letters)
+        object.__setattr__(self, "_symbols", symbols)
+        object.__setattr__(self, "_hash", hash(symbols))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Word):
+            return NotImplemented
+        return self._symbols == other._symbols and (
+            self.alphabet is other.alphabet or self.alphabet == other.alphabet
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Word, (self.alphabet, self.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -146,10 +198,10 @@ class Word:
         return not self.letters
 
     def symbols(self) -> str:
-        return "".join(l.symbol for l in self.letters)
+        return self._symbols
 
     def __str__(self) -> str:
-        return self.symbols() if self.letters else "1"
+        return self._symbols if self.letters else "1"
 
     def __repr__(self) -> str:
         return f"Word({self})"
@@ -164,40 +216,51 @@ class Word:
 
 def shortlex_key(w: Word):
     """Ascending enumeration order: by length, then by symbols."""
-    return (len(w.letters), tuple(l.symbol for l in w.letters))
-
-
-def display_key(w: Word):
-    """Canonical term order: length descending, then symbols ascending."""
-    return (-len(w.letters), tuple(l.symbol for l in w.letters))
+    return (len(w.letters), w._symbols)
 
 
 def _same_alphabet(a: Alphabet, b: Alphabet):
-    if a != b:
+    if a is not b and a != b:
         raise DomainError("alphabet mismatch")
 
 
 def _bump(acc: dict, key, value: Fraction):
-    acc[key] = acc.get(key, Fraction(0)) + value
+    old = acc.get(key)
+    acc[key] = value if old is None else old + value
+
+
+def _exact(c) -> Fraction:
+    """A coefficient as a Fraction; only int and Fraction are exact inputs."""
+    if isinstance(c, Fraction) or (isinstance(c, int) and not isinstance(c, bool)):
+        return Fraction(c)
+    raise TypeError(f"coefficient must be an int or a Fraction, got {c!r}")
 
 
 def _canonical(alphabet: Alphabet, terms, component_words) -> dict:
-    """Validate, merge and sort terms; drop zero coefficients."""
+    """Validate, merge and sort terms; drop zero coefficients.
+
+    Terms are ordered component by component, by length descending, then
+    symbols ascending; symbols are single characters, so comparing symbol
+    strings compares the symbol sequences."""
     acc: dict = {}
     items = terms.items() if isinstance(terms, Mapping) else terms
     for key, c in items:
         for w in component_words(key):
-            _same_alphabet(w.alphabet, alphabet)
-        c = Fraction(c)
+            if w.alphabet is not alphabet:
+                _same_alphabet(w.alphabet, alphabet)
+        if c.__class__ is not Fraction:
+            c = _exact(c)
         if c:
             _bump(acc, key, c)
-    clean = {k: v for k, v in acc.items() if v}
-    def sort_key(key):
+    clean = [kv for kv in acc.items() if kv[1]]
+    def sort_key(kv):
         out = []
-        for w in component_words(key):
-            out.extend(display_key(w))
-        return tuple(out)
-    return dict(sorted(clean.items(), key=lambda kv: sort_key(kv[0])))
+        for w in component_words(kv[0]):
+            out.append(-len(w.letters))
+            out.append(w._symbols)
+        return out
+    clean.sort(key=sort_key)
+    return dict(clean)
 
 
 def _term_text(c: Fraction, body: str) -> str:
@@ -289,7 +352,7 @@ class NCPoly:
         return NotImplemented
 
     def scale(self, c) -> "NCPoly":
-        c = Fraction(c)
+        c = _exact(c)
         return NCPoly(self.alphabet, {w: c * v for w, v in self.terms.items()})
 
     def __str__(self) -> str:
@@ -361,7 +424,7 @@ class Tensor2:
         return NotImplemented
 
     def scale(self, c) -> "Tensor2":
-        c = Fraction(c)
+        c = _exact(c)
         return Tensor2(self.alphabet, {k: c * v for k, v in self.terms.items()})
 
     def __str__(self) -> str:
@@ -457,30 +520,6 @@ def coproduct(p: NCPoly) -> Tensor2:
     for w, c in p.terms.items():
         for pair in splittings(w):
             _bump(acc, pair, c)
-    return Tensor2(p.alphabet, acc)
-
-
-def _letter_coproduct(letter: Letter, alphabet: Alphabet) -> Tensor2:
-    x = Word(alphabet, (letter,))
-    if letter.group_like:
-        return Tensor2(alphabet, {(x, x): 1})
-    u = alphabet.unit_word()
-    return Tensor2(alphabet, {(x, u): 1, (u, x): 1})
-
-
-def coproduct_multiplicative(p: NCPoly) -> Tensor2:
-    """Cross-check path: extend the letter rule multiplicatively in A (x) A.
-
-    Agrees with coproduct() on everything; kept separate so the two routes
-    can audit each other.
-    """
-    acc: dict = {}
-    for w, c in p.terms.items():
-        t = Tensor2.one(p.alphabet)
-        for letter in w.letters:
-            t = tensor2_mul(t, _letter_coproduct(letter, p.alphabet))
-        for key, d in t.terms.items():
-            _bump(acc, key, c * d)
     return Tensor2(p.alphabet, acc)
 
 

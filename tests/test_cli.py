@@ -5,7 +5,7 @@ import time
 import pytest
 
 from cli_cases import CASES, GOLDEN, regen_requested, run_cli
-from hopfwords import Alphabet, NCPoly
+from hopfwords import Alphabet, NCPoly, Tensor2
 from hopfwords.cli import run
 
 
@@ -85,6 +85,20 @@ def test_oversized_hankel_window_is_refused_before_enumeration():
         assert proc.returncode == 1
         assert proc.stdout == b""
         assert b"Hankel window of >1048576 x >1048576 words" in proc.stderr
+
+
+def test_oversized_coproduct_is_refused_before_enumeration():
+    # 40 primitive letters split 2^40 ways; 8 of them (2^8 terms) still run
+    t0 = time.perf_counter()
+    proc = run_cli(["coprod", "--alphabet", "a:L,b:L,g:G", "ab" * 20 + "g"])
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert str(1 << 40).encode() in proc.stderr
+    mixed = Alphabet.from_decl("a:L,b:L,g:G")
+    proc = run_cli(["coprod", "--alphabet", mixed.decl(), "abgbaggabba"])
+    assert proc.returncode == 0
+    assert sum(Tensor2.from_text(mixed, proc.stdout.decode().strip()).terms.values()) == 256
 
 
 def test_json_number_operand_is_parse_error():

@@ -1,4 +1,10 @@
+import os
+import re
+import subprocess
+import sys
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,14 +12,17 @@ from hypothesis import strategies as st
 
 from hopfwords import (
     Alphabet,
+    FiniteSupportSeries,
+    Letter,
+    LetterKind,
     NCPoly,
     Tensor2,
+    Word,
     antipode,
     coassoc_lhs,
     coassoc_rhs,
     conc,
     coproduct,
-    coproduct_multiplicative,
     coproduct_word,
     counit,
     poly_mul,
@@ -54,6 +63,121 @@ def test_word_basics(ab):
 def test_word_enumeration_is_shortlex(ab):
     got = [str(w) for w in ab.words(2)]
     assert got == ["1", "a", "b", "aa", "ab", "ba", "bb"]
+
+
+# ---------------------------------------------------------------------------
+# words as dict keys: hash on symbols, equality on symbols and alphabet
+
+
+def test_words_over_equal_alphabets_share_one_key():
+    first = Alphabet.from_decl("a:L,b:L,g:G")
+    second = Alphabet.from_decl("a:L,b:L,g:G")
+    assert first is not second
+    u, v = first.word("agb"), second.word("agb")
+    assert u == v and hash(u) == hash(v)
+    assert len({u: 1, v: 2}) == 1
+    assert NCPoly(first, [(u, 1), (v, 2)]) == NCPoly.from_text(first, "3*agb")
+
+
+def test_words_over_different_alphabets_are_different_keys(ab, mixed):
+    u, v = ab.word("a"), mixed.word("a")
+    assert u != v
+    assert len({u: 1, v: 2}) == 2
+    # same symbol, different tag
+    assert Alphabet.from_decl("a:L").word("a") != Alphabet.from_decl("a:G").word("a")
+
+
+def test_foreign_words_and_letters_are_domain_errors(ab, mixed):
+    with pytest.raises(DomainError):
+        NCPoly(ab, {mixed.word("a"): 1})
+    with pytest.raises(DomainError):
+        Word(ab, (Letter("g", LetterKind.GROUP_LIKE),))
+    with pytest.raises(DomainError):
+        Word(ab, (Letter("a", LetterKind.GROUP_LIKE),))
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+_DUMP = """
+import pickle, sys
+from hopfwords import Alphabet, NCPoly
+ab = Alphabet.from_decl("a:L,b:L,g:G")
+p = NCPoly.from_text(ab, "3*abgab - 1/2*g + 1")
+sys.stdout.buffer.write(pickle.dumps((ab.word("abgab"), p)))
+"""
+
+_LOAD = """
+import pickle, sys
+from fractions import Fraction
+from hopfwords import Alphabet
+w, p = pickle.loads(sys.stdin.buffer.read())
+assert hash(w) == hash("abgab")
+assert p.terms[w] == 3
+assert hash(p.alphabet) == hash(Alphabet.from_decl("a:L,b:L,g:G"))
+assert p.coeff(p.alphabet.word("g")) == Fraction(-1, 2)
+print("found")
+"""
+
+
+def _python(code: str, seed: str, data: bytes = b"") -> bytes:
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join([str(_SRC), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=data, env=env, capture_output=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_pickled_word_is_found_under_another_hash_seed():
+    # str hashes are salted per process; a cached hash must not travel
+    data = _python(_DUMP, "1")
+    assert _python(_LOAD, "2", data) == b"found\n"
+
+
+def test_word_keys_never_hash_letter_kinds(monkeypatch, mixed):
+    def refuse(self):
+        raise AssertionError("LetterKind hashed")
+
+    p = NCPoly.from_text(mixed, "agbgab - 2*ga")
+    q = NCPoly.from_text(mixed, "1/3*bg + a")
+    monkeypatch.setattr(LetterKind, "__hash__", refuse)
+    with pytest.raises(AssertionError):
+        hash(LetterKind.PRIMITIVE)
+    assert coassoc_lhs(p) == coassoc_rhs(p)
+    assert coproduct(p * q) == tensor2_mul(coproduct(p), coproduct(q))
+
+
+# ---------------------------------------------------------------------------
+# exact coefficients
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, "1", Decimal("0.5")], ids=repr)
+def test_inexact_coefficients_are_type_errors(ab, bad):
+    w = ab.word("ab")
+    t = coproduct(NCPoly.from_word(w))
+    for build in (
+        lambda: NCPoly(ab, {w: bad}),
+        lambda: NCPoly.from_word(w, bad),
+        lambda: Tensor2(ab, {(w, w): bad}),
+        lambda: NCPoly.from_word(w).scale(bad),
+        lambda: t.scale(bad),
+        lambda: FiniteSupportSeries.indicator(w).scale(bad),
+    ):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            build()
+
+
+@pytest.mark.parametrize("c", [3, -2, Fraction(-7, 3), Fraction(4, 2)], ids=repr)
+def test_int_and_fraction_coefficients_round_trip(ab, c):
+    w = ab.word("ba")
+    p = NCPoly(ab, {w: c})
+    assert p.coeff(w) == c and type(p.coeff(w)) is Fraction
+    assert NCPoly.from_text(ab, str(p)) == p
+    assert p.scale(c) == NCPoly(ab, {w: Fraction(c) * c})
+    t = coproduct(p).scale(c)
+    assert t.coeff(ab.word("b"), ab.word("a")) == Fraction(c) * c
+    assert Tensor2.from_text(ab, str(t)) == t
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +306,27 @@ def test_coproduct_linearity(ab):
         ("b", "1"): 1,
         ("1", "b"): 1,
     }
+
+
+def _letter_coproduct(letter, alphabet):
+    x = Word(alphabet, (letter,))
+    if letter.group_like:
+        return Tensor2(alphabet, {(x, x): 1})
+    u = alphabet.unit_word()
+    return Tensor2(alphabet, {(x, u): 1, (u, x): 1})
+
+
+def coproduct_multiplicative(p):
+    """Oracle for coproduct(): the letter rule extended multiplicatively in
+    A (x) A, an independent route to the subword-splitting formula."""
+    acc = {}
+    for w, c in p.terms.items():
+        t = Tensor2.one(p.alphabet)
+        for letter in w.letters:
+            t = tensor2_mul(t, _letter_coproduct(letter, p.alphabet))
+        for key, d in t.terms.items():
+            acc[key] = acc.get(key, 0) + c * d
+    return Tensor2(p.alphabet, acc)
 
 
 def test_coproduct_agrees_with_multiplicative_extension(mixed):
