@@ -1,37 +1,121 @@
 """Dense matrices over exact rationals, plus the elimination machinery used
 by the representation calculus and the automaton learner. No floating point
-anywhere: entries are `fractions.Fraction` throughout."""
+anywhere.
+
+Storage contract: a Matrix is a tuple of integer numerator rows over one
+positive common denominator, kept in lowest terms (den > 0 and the gcd of
+den and all numerators is 1), so equal matrices have equal storage. All
+arithmetic, rank and row reduction run on those integers; fractions.Fraction
+values are built only at the edge (rows, row, col, [i, j], scalar,
+to_strings, repr and RowReducer.coordinates).
+
+Exact entries are an int (not a bool), a Fraction, or a string of the
+strict rational grammar -?[0-9]+(/[0-9]+)?. A float, bool or Decimal raises
+TypeError; any other string, such as "0.5", "1e3" or "1/0", raises
+ValueError.
+"""
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-def _dot(row, col):
-    total = Fraction(0)
-    for a, b in zip(row, col):
-        if a and b:
-            total += a * b
-    return total
+
+def _parse_rational(x) -> Fraction:
+    """The one strict rational parser: a string "p" or "p/q" with decimal
+    digits and a nonzero q; anything else is a ValueError."""
+    if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
+        raise ValueError(f"entry {x!r} is not a rational string 'p' or 'p/q'")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"entry {x!r} has a zero denominator") from None
+
+
+def _entry(x):
+    """An exact entry as an int or a Fraction (see the module docstring)."""
+    if isinstance(x, bool):
+        raise TypeError(f"matrix entry must be exact, got the bool {x!r}")
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, str):
+        return _parse_rational(x)
+    raise TypeError(
+        f"matrix entry must be an int, a Fraction or a rational string, got {x!r}"
+    )
+
+
+# Tuples here are built from lists, never from generators (nor lcm(*gen)):
+# tuple() of a generator guesses a size and resizes, so the freed tuple
+# lands on another size's free list, and after a few thousand matrix
+# operations CPython's tuple free lists hold over a megabyte.
+
+
+def _cleared(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer numerator rows over the lcm of the entries' denominators. Every
+    entry is in lowest terms, so the result is too."""
+    if all(type(x) is int for r in rows for x in r):
+        return rows, 1
+    vals = [[_entry(x) for x in r] for r in rows]
+    den = lcm(*[x.denominator for r in vals for x in r])
+    return tuple([tuple([x.numerator * (den // x.denominator) for x in r]) for r in vals]), den
+
+
+def _fractions(ints, den: int) -> tuple[Fraction, ...]:
+    if den == 1:
+        return tuple([Fraction(x) for x in ints])
+    return tuple([Fraction(x, den) for x in ints])
+
+
+def _scaled(num, k: int):
+    return num if k == 1 else tuple([tuple([x * k for x in r]) for r in num])
 
 
 class Matrix:
-    """Immutable dense matrix over Q."""
+    """Immutable dense matrix over Q.
 
-    __slots__ = ("rows",)
+    Stored as a tuple of integer numerator rows `num` over one common
+    denominator `den`, in lowest terms (den > 0, gcd(den, all of num) == 1);
+    equality and hashing compare that pair. `Matrix(rows)` takes exact
+    entries only: int (not bool), Fraction, or a string "p" or "p/q". The
+    read-only `rows`, and `row`, `col`, `[i, j]` and `scalar`, build
+    Fractions on each access."""
+
+    __slots__ = ("num", "den")
 
     def __init__(self, rows: Iterable[Iterable]):
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple([tuple(row) for row in rows])
         if not data or not data[0]:
             raise ValueError("matrix must have at least one row and one column")
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise ValueError("rows of unequal length")
-        self.rows = data
+        self.num, self.den = _cleared(data)
+
+    @classmethod
+    def _from_ints(cls, num: tuple[tuple[int, ...], ...], den: int = 1) -> "Matrix":
+        """The matrix num / den for integer rows and den > 0, reduced to
+        lowest terms by one gcd over the numerators and den."""
+        if den != 1:
+            g = den
+            for r in num:
+                g = gcd(g, *r)
+                if g == 1:
+                    break
+            if g != 1:
+                num = tuple([tuple([x // g for x in r]) for r in num])
+                den //= g
+        m = object.__new__(cls)
+        m.num = num
+        m.den = den
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -50,36 +134,40 @@ class Matrix:
         return cls([[x] for x in xs])
 
     @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple([_fractions(r, self.den) for r in self.num])
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self.num)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0])
+        return len(self.num[0])
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.rows[i]
+        return _fractions(self.num[i], self.den)
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self.rows)
+        return _fractions([r[j] for r in self.num], self.den)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.rows[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def scalar(self) -> Fraction:
         if self.nrows != 1 or self.ncols != 1:
             raise ValueError(f"not a 1x1 matrix: {self.nrows}x{self.ncols}")
-        return self.rows[0][0]
+        return Fraction(self.num[0][0], self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matrix) and self.rows == other.rows
+        return isinstance(other, Matrix) and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)
+        body = "; ".join(" ".join(r) for r in self.to_strings())
         return f"Matrix[{body}]"
 
     def _same_shape(self, other: "Matrix"):
@@ -88,20 +176,28 @@ class Matrix:
                 f"shape mismatch: {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
             )
 
+    def _aligned(self, other: "Matrix"):
+        """Both numerator tables over the lcm of the two denominators."""
+        da, db = self.den, other.den
+        if da == db:
+            return self.num, other.num, da
+        den = lcm(da, db)
+        return _scaled(self.num, den // da), _scaled(other.num, den // db), den
+
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        a, b, den = self._aligned(other)
+        num = tuple([tuple([x + y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
+        return Matrix._from_ints(num, den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        a, b, den = self._aligned(other)
+        num = tuple([tuple([x - y for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)])
+        return Matrix._from_ints(num, den)
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in r] for r in self.rows])
+        return Matrix._from_ints(tuple([tuple([-x for x in r]) for r in self.num]), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -110,8 +206,9 @@ class Matrix:
                     f"dimension mismatch: {self.nrows}x{self.ncols} times "
                     f"{other.nrows}x{other.ncols}"
                 )
-            cols = list(zip(*other.rows))
-            return Matrix([[_dot(r, c) for c in cols] for r in self.rows])
+            cols = list(zip(*other.num))
+            num = tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in self.num])
+            return Matrix._from_ints(num, self.den * other.den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -122,38 +219,49 @@ class Matrix:
         return NotImplemented
 
     def scale(self, c) -> "Matrix":
-        c = Fraction(c)
-        return Matrix([[c * x for x in r] for r in self.rows])
+        c = _entry(c)
+        return Matrix._from_ints(_scaled(self.num, c.numerator), self.den * c.denominator)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
+        return Matrix._from_ints(tuple(list(zip(*self.num))), self.den)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product in standard row-major block order."""
-        out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                out.append([a * b for a in ra for b in rb])
-        return Matrix(out)
+        num = tuple(
+            [tuple([a * b for a in ra for b in rb]) for ra in self.num for rb in other.num]
+        )
+        return Matrix._from_ints(num, self.den * other.den)
 
     def direct_sum(self, other: "Matrix") -> "Matrix":
-        top = [list(r) + [Fraction(0)] * other.ncols for r in self.rows]
-        bottom = [[Fraction(0)] * self.ncols + list(r) for r in other.rows]
-        return Matrix(top + bottom)
+        a, b, den = self._aligned(other)
+        right = (0,) * other.ncols
+        left = (0,) * self.ncols
+        return Matrix._from_ints(tuple([r + right for r in a] + [left + r for r in b]), den)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("hstack needs equal row counts")
-        return Matrix([list(a) + list(b) for a, b in zip(self.rows, other.rows)])
+        a, b, den = self._aligned(other)
+        return Matrix._from_ints(tuple([ra + rb for ra, rb in zip(a, b)]), den)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
             raise ValueError("vstack needs equal column counts")
-        return Matrix(list(self.rows) + list(other.rows))
+        a, b, den = self._aligned(other)
+        return Matrix._from_ints(a + b, den)
 
     def to_strings(self) -> list[list[str]]:
         """Row-major nested lists of rational strings ("p/q" or "p")."""
         return [[str(x) for x in r] for r in self.rows]
+
+
+def _stacked(vectors: Sequence[Matrix], as_columns: bool = False) -> Matrix:
+    """The matrix whose rows are the entries of the given row or column
+    vectors (all of one length), or whose columns are with `as_columns`;
+    built on the numerators over the lcm of the vectors' denominators."""
+    den = lcm(*[v.den for v in vectors])
+    lines = [tuple([x * (den // v.den) for r in v.num for x in r]) for v in vectors]
+    return Matrix._from_ints(tuple(list(zip(*lines)) if as_columns else lines), den)
 
 
 def tensor_scheme(a: Matrix, b: Matrix, group_like: bool) -> Matrix:
@@ -167,31 +275,30 @@ def tensor_scheme(a: Matrix, b: Matrix, group_like: bool) -> Matrix:
 def rank(m: Matrix) -> int:
     """Exact rank over Q.
 
-    Fraction-free (Bareiss) elimination on denominator-cleared rows; the
-    pivot is always the first nonzero entry scanning rows top-down and
-    columns left to right, so the pivot sequence is reproducible for
+    Fraction-free (Bareiss) elimination on the integer numerators; the pivot
+    is always the first nonzero entry scanning rows top-down and columns
+    left to right, so the pivot sequence is reproducible for
     deterministically ordered input.
     """
-    cleared = []
-    for r in m.rows:
-        scale = lcm(*(x.denominator for x in r))
-        cleared.append([int(x * scale) for x in r])
-    nr, nc = len(cleared), len(cleared[0])
+    rows = [list(r) for r in m.num]
+    nr, nc = len(rows), len(rows[0])
     prev = 1
     pr = 0
     for pc in range(nc):
-        piv = next((i for i in range(pr, nr) if cleared[i][pc] != 0), None)
+        piv = next((i for i in range(pr, nr) if rows[i][pc] != 0), None)
         if piv is None:
             continue
         if piv != pr:
-            cleared[pr], cleared[piv] = cleared[piv], cleared[pr]
+            rows[pr], rows[piv] = rows[piv], rows[pr]
+        top = rows[pr]
+        p = top[pc]
         for i in range(pr + 1, nr):
+            ri = rows[i]
+            c = ri[pc]
             for j in range(pc + 1, nc):
-                cleared[i][j] = (
-                    cleared[i][j] * cleared[pr][pc] - cleared[i][pc] * cleared[pr][j]
-                ) // prev
-            cleared[i][pc] = 0
-        prev = cleared[pr][pc]
+                ri[j] = (ri[j] * p - c * top[j]) // prev
+            ri[pc] = 0
+        prev = p
         pr += 1
         if pr == nr:
             break
@@ -203,9 +310,15 @@ class RowReducer:
 
     Rows are offered in order; a row is accepted when it enlarges the span
     of the rows accepted so far. The reducer keeps a fully reduced echelon
-    copy of the accepted rows together with the change of basis, so any
+    form of the accepted rows together with the change of basis, so any
     vector in their span can be rewritten exactly as a combination of the
     accepted originals.
+
+    Fraction-free: every offered row is cleared to integers and its scale
+    recorded. Stored row i is an integer vector, positive at its pivot
+    column and zero at every other stored row's pivot, with an integer
+    combination over the cleared originals that equals it; each pair is
+    divided by its content after every update, so entries stay small.
     """
 
     def __init__(self, width: int):
@@ -213,72 +326,80 @@ class RowReducer:
             raise ValueError("width must be positive")
         self.width = width
         self._pivots: list[int] = []
-        self._rows: list[list[Fraction]] = []
-        self._combos: list[list[Fraction]] = []
+        self._rows: list[list[int]] = []
+        self._combos: list[list[int]] = []
+        self._scales: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _eliminate(self, vec: Sequence):
-        v = [Fraction(x) for x in vec]
-        if len(v) != self.width:
-            raise ValueError(f"expected a row of width {self.width}, got {len(v)}")
-        coeffs = [Fraction(0)] * len(self._rows)
-        for i, p in enumerate(self._pivots):
-            c = v[p]
-            if c:
-                row = self._rows[i]
-                for j, rj in enumerate(row):
-                    if rj:
-                        v[j] -= c * rj
-                coeffs[i] = c
-        return v, coeffs
+    def _reduce(self, vec: Sequence):
+        """Clear vec to integers w = s * vec and eliminate the stored pivots:
+        returns (s, d, terms, residual) with residual = d*w - sum of k*rows[i]
+        over terms (i, k). The residual is zero exactly when vec lies in the
+        span; otherwise its first nonzero column is a new pivot."""
+        (w,), s = _cleared((tuple(vec),))
+        if len(w) != self.width:
+            raise ValueError(f"expected a row of width {self.width}, got {len(w)}")
+        rows = self._rows
+        hits = [(i, w[p], rows[i][p]) for i, p in enumerate(self._pivots) if w[p]]
+        if not hits:
+            return s, 1, [], w
+        d = lcm(*[piv for _, _, piv in hits])
+        terms = [(i, c * (d // piv)) for i, c, piv in hits]
+        residual = [d * x for x in w] if d != 1 else w
+        for i, k in terms:
+            residual = [x - k * y for x, y in zip(residual, rows[i])]
+        return s, d, terms, residual
+
+    def _combination(self, terms) -> list[int]:
+        """The sum of k * combos[i] over terms (i, k): the stored rows'
+        combination as one over the cleared originals."""
+        out = [0] * len(self._scales)
+        for i, k in terms:
+            for j, x in enumerate(self._combos[i]):
+                if x:
+                    out[j] += k * x
+        return out
 
     def offer(self, vec: Sequence) -> bool:
         """Absorb vec if independent of the accepted rows; report whether it was."""
-        v, coeffs = self._eliminate(vec)
-        pivot = next((j for j, x in enumerate(v) if x), None)
+        s, d, terms, new_row = self._reduce(vec)
+        pivot = next((j for j, x in enumerate(new_row) if x), None)
         if pivot is None:
             return False
-        f = v[pivot]
-        new_row = [x / f for x in v]
-        n = len(self._combos)
-        new_combo = [Fraction(0)] * (n + 1)
-        new_combo[n] = Fraction(1) / f
-        for i, c in enumerate(coeffs):
-            if c:
-                for j, cj in enumerate(self._combos[i]):
-                    if cj:
-                        new_combo[j] -= c * cj / f
-        for combo in self._combos:
-            combo.append(Fraction(0))
-        # keep stored rows fully reduced so single-pass elimination stays valid
-        for i, row in enumerate(self._rows):
+        new_combo = [-x for x in self._combination(terms)] + [d]
+        g = gcd(*new_row, *new_combo)
+        if new_row[pivot] < 0:
+            g = -g
+        new_row = [x // g for x in new_row]
+        new_combo = [x // g for x in new_combo]
+        p = new_row[pivot]
+        # keep stored rows fully reduced so one elimination pass stays valid
+        for row, combo in zip(self._rows, self._combos):
+            combo.append(0)
             c = row[pivot]
             if c:
-                for j, x in enumerate(new_row):
-                    if x:
-                        row[j] -= c * x
-                combo = self._combos[i]
-                for j, x in enumerate(new_combo):
-                    if x:
-                        combo[j] -= c * x
+                row[:] = [p * x - c * y for x, y in zip(row, new_row)]
+                combo[:] = [p * x - c * y for x, y in zip(combo, new_combo)]
+                g = gcd(*row, *combo)
+                if g != 1:
+                    row[:] = [x // g for x in row]
+                    combo[:] = [x // g for x in combo]
         self._pivots.append(pivot)
         self._rows.append(new_row)
         self._combos.append(new_combo)
+        self._scales.append(s)
         return True
 
     def coordinates(self, vec: Sequence):
         """Coefficients of vec over the accepted original rows, or None when
         vec lies outside their span."""
-        v, coeffs = self._eliminate(vec)
-        if any(v):
+        s, d, terms, residual = self._reduce(vec)
+        if any(residual):
             return None
-        out = [Fraction(0)] * len(self._combos)
-        for i, c in enumerate(coeffs):
-            if c:
-                for j, cj in enumerate(self._combos[i]):
-                    if cj:
-                        out[j] += c * cj
-        return out
+        # d * s * vec = sum_j y_j * scale_j * original_j
+        y = self._combination(terms)
+        den = s * d
+        return [Fraction(x * sj, den) for x, sj in zip(y, self._scales)]

@@ -18,7 +18,6 @@ Dual vectors are plain 1 x n matrices; column vectors are n x 1.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
@@ -32,24 +31,13 @@ from .freealg import (
     coproduct,
     counit,
 )
-from .linalg import Matrix, tensor_scheme
-
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-
-
-def _json_rational(x) -> Fraction:
-    if not (isinstance(x, str) and _RATIONAL.fullmatch(x)):
-        raise ValueError(f"entry {x!r} is not a rational string 'p' or 'p/q'")
-    try:
-        return Fraction(x)
-    except ZeroDivisionError:
-        raise ValueError(f"entry {x!r} has a zero denominator") from None
+from .linalg import Matrix, _parse_rational, tensor_scheme
 
 
 def _json_matrix(rows) -> Matrix:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise TypeError(f"expected a list of rows, got {rows!r}")
-    return Matrix([[_json_rational(x) for x in r] for r in rows])
+    return Matrix([[_parse_rational(x) for x in r] for r in rows])
 
 
 class MatRep:

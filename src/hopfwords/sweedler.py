@@ -10,10 +10,12 @@ into rank-one factors, the transposed antipode and equality of
 representations.
 
 Where a representation is at hand it is used instead of word-by-word
-evaluation: the Hankel window of a recognizable series is the product of
-its prefix rows lambda*mu(u) and suffix columns mu(v)*gamma, each computed
-once down the word tree, and equality of two representations is decided by
-propagating a basis of the reachable row space (polynomial time).
+evaluation: the Hankel window of a recognizable series (and of a
+finite-support one, through its suffix automaton) is the product of its
+prefix rows lambda*mu(u) and suffix columns mu(v)*gamma, each computed once
+down the word tree, and equality of two representations is decided by
+propagating a basis of the reachable row space (polynomial time). Windows,
+ranks and row reduction run on the integer numerators of the matrices.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .dualforms import FiniteSupportSeries, RecognizableSeries, Series
+from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, embed_finite
 from .errors import DomainError, InconclusiveError, InternalInvariantError
 from .freealg import Alphabet, Letter, NCPoly, Word, _same_alphabet, conc
-from .linalg import Matrix, RowReducer
+from .linalg import Matrix, RowReducer, _stacked
 from .rep import LinRep, eval_word, rep_sum, scale_rep, zero_rep
 
 
@@ -128,14 +130,17 @@ def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
 
     For a RecognizableSeries the window is the product of the prefix rows
     lambda*mu(u) and the suffix columns mu(v)*gamma, each computed once, so
-    an entry costs one dot product of length dim. A finite-support series or
-    a bare coefficient oracle (which needs `alphabet`) is asked for f(uv)
+    an entry costs one dot product of length dim. A finite-support series
+    takes the same route through its suffix automaton (embed_finite). Only a
+    bare coefficient oracle (which needs `alphabet`) is asked for f(uv)
     entry by entry."""
+    if isinstance(f, FiniteSupportSeries):
+        f = RecognizableSeries(embed_finite(f))
     if isinstance(f, RecognizableSeries):
         rows, row_vecs = zip(*_tree_vectors(f.rep, p, prefixes=True))
         cols, col_vecs = zip(*_tree_vectors(f.rep, s, prefixes=False))
-        left = Matrix(row.row(0) for row in row_vecs)
-        right = Matrix(zip(*(col.col(0) for col in col_vecs)))
+        left = _stacked(row_vecs)
+        right = _stacked(col_vecs, as_columns=True)
         return HankelSlice(rows, cols, left * right)
     cf, alph = _coeff_fn(f, alphabet)
     rows = tuple(alph.words(p))
@@ -166,8 +171,8 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     (length <= 2*explore + 1) and everywhere when f is genuinely
     recognizable with rank reached inside the window.
 
-    f is a Series or, with `alphabet`, a bare coefficient oracle; a
-    RecognizableSeries gets the factored window of hankel(). The
+    f is a Series or, with `alphabet`, a bare coefficient oracle; a Series
+    gets the factored window of hankel(). The
     InconclusiveError carries the two window ranks and the exploration
     length as attributes r_small, r_big and explore.
     """
@@ -175,8 +180,11 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
         raise ValueError("exploration length must be nonnegative")
     window = hankel(f, explore + 1, explore + 1, alphabet)
     alph = window.rows[0].alphabet
+    # integer rows: the window's common denominator scales every row alike,
+    # which changes no rank, no accepted row and no coordinate
+    num = window.entries.num
     n_small = sum(1 for w in window.rows if len(w) <= explore)
-    small = Matrix([row[:n_small] for row in window.entries.rows[:n_small]])
+    small = Matrix(row[:n_small] for row in num[:n_small])
     r_small = linalg.rank(small)
     r_big = linalg.rank(window.entries)
     if r_small != r_big:
@@ -191,14 +199,11 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
         return zero_rep(alph)
     index = {w: i for i, w in enumerate(window.rows)}
     reducer = RowReducer(len(window.cols))
-    basis: list[int] = []
-    for i, row in enumerate(window.entries.rows):
-        if reducer.offer(row):
-            basis.append(i)
+    basis = [i for i, row in enumerate(num) if reducer.offer(row)]
     basis_words = [window.rows[i] for i in basis]
     if any(len(w) > explore for w in basis_words):
         raise InternalInvariantError("stabilized basis contains a maximal-length row")
-    lam = reducer.coordinates(window.entries.rows[0])
+    lam = reducer.coordinates(num[0])
     if lam is None:
         raise InternalInvariantError("empty-word row escaped the selected basis")
     mu: dict[Letter, Matrix] = {}
@@ -206,13 +211,13 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
         rows = []
         for w in basis_words:
             extended = Word(alph, w.letters + (letter,))
-            coords = reducer.coordinates(window.entries.rows[index[extended]])
+            coords = reducer.coordinates(num[index[extended]])
             if coords is None:
                 raise InternalInvariantError("hankel row escaped the selected basis")
             rows.append(coords)
         mu[letter] = Matrix(rows)
     # column of the empty suffix holds f on the basis words
-    gamma = Matrix.col_vector([window.entries.rows[i][0] for i in basis])
+    gamma = Matrix._from_ints(tuple((num[i][0],) for i in basis), window.entries.den)
     return LinRep(alph, r_big, Matrix.row_vector(lam), mu, gamma)
 
 
@@ -266,7 +271,7 @@ def reps_equal(r1: LinRep, r2: LinRep) -> bool:
     pending = deque([d.lam])
     while pending:
         row = pending.popleft()
-        if not reducer.offer(row.row(0)):
+        if not reducer.offer(row.num[0]):
             continue
         if (row * gamma).scalar():
             return False

@@ -87,6 +87,16 @@ def test_oversized_hankel_window_is_refused_before_enumeration():
         assert b"Hankel window of >1048576 x >1048576 words" in proc.stderr
 
 
+def test_finite_support_window_just_under_the_cap_is_fast():
+    # 1023 x 1023 words: the window goes through the suffix automaton of the
+    # support and one integer product, not one coefficient lookup per entry
+    t0 = time.perf_counter()
+    proc = run_cli(["rank", "--alphabet", "a:L,b:L", "--hankel", "9,9", "--series", "a"])
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"2\n"
+
+
 def test_oversized_coproduct_is_refused_before_enumeration():
     # 40 primitive letters split 2^40 ways; 8 of them (2^8 terms) still run
     t0 = time.perf_counter()

@@ -1,7 +1,11 @@
+import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfwords.errors import DomainError
 from hopfwords.linalg import Matrix, RowReducer, rank, tensor_scheme
@@ -132,3 +136,219 @@ def test_rowreducer_rejects_dependent_rows():
     assert reducer.offer([0, 1, 0])
     assert not reducer.offer([1, 3, 3])
     assert reducer.rank == 2
+
+
+# ---------------------------------------------------------------------------
+# agreement with a plain Fraction reference
+
+
+def ref_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def ref_mul(a, b):
+    return [[sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in zip(*b)] for r in a]
+
+
+def ref_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def ref_direct_sum(a, b):
+    return [list(r) + [Fraction(0)] * len(b[0]) for r in a] + [
+        [Fraction(0)] * len(a[0]) + list(r) for r in b
+    ]
+
+
+def ref_rank(a):
+    """Gauss-Jordan over Fractions."""
+    rows = [list(r) for r in a]
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c] / rows[r][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+class FractionRowReducer:
+    """The Fraction-arithmetic RowReducer, kept as the reference."""
+
+    def __init__(self, width):
+        self.width = width
+        self._pivots, self._rows, self._combos = [], [], []
+
+    def _eliminate(self, vec):
+        v = [Fraction(x) for x in vec]
+        coeffs = [Fraction(0)] * len(self._rows)
+        for i, p in enumerate(self._pivots):
+            c = v[p]
+            if c:
+                v = [x - c * y for x, y in zip(v, self._rows[i])]
+                coeffs[i] = c
+        return v, coeffs
+
+    def offer(self, vec):
+        v, coeffs = self._eliminate(vec)
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        f = v[pivot]
+        new_row = [x / f for x in v]
+        n = len(self._combos)
+        new_combo = [Fraction(0)] * n + [1 / f]
+        for i, c in enumerate(coeffs):
+            new_combo = [x - c * y / f for x, y in zip(new_combo, self._combos[i] + [0])]
+        for combo in self._combos:
+            combo.append(Fraction(0))
+        for i, row in enumerate(self._rows):
+            c = row[pivot]
+            if c:
+                self._rows[i] = [x - c * y for x, y in zip(row, new_row)]
+                self._combos[i] = [x - c * y for x, y in zip(self._combos[i], new_combo)]
+        self._pivots.append(pivot)
+        self._rows.append(new_row)
+        self._combos.append(new_combo)
+        return True
+
+    def coordinates(self, vec):
+        v, coeffs = self._eliminate(vec)
+        if any(v):
+            return None
+        out = [Fraction(0)] * len(self._combos)
+        for c, combo in zip(coeffs, self._combos):
+            out = [x + c * y for x, y in zip(out, combo)]
+        return out
+
+
+rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+def fraction_tables(nrows, ncols):
+    row = st.lists(rationals, min_size=ncols, max_size=ncols)
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
+def assert_canonical(m: Matrix):
+    assert m.den > 0
+    assert math.gcd(m.den, *(x for r in m.num for x in r)) == 1
+    assert all(type(x) is int for r in m.num for x in r)
+
+
+def same(m: Matrix, table):
+    assert_canonical(m)
+    return m.rows == tuple(tuple(Fraction(x) for x in r) for r in table)
+
+
+dims = st.integers(1, 5)
+
+
+@given(st.data(), dims, dims, dims, rationals)
+@settings(max_examples=80, deadline=None)
+def test_matrix_operations_agree_with_fraction_reference(data, n, m, k, c):
+    a = data.draw(fraction_tables(n, m))
+    b = data.draw(fraction_tables(n, m))
+    d = data.draw(fraction_tables(m, k))
+    ma, mb, md = Matrix(a), Matrix(b), Matrix(d)
+    assert same(ma, a)
+    assert same(ma + mb, ref_add(a, b))
+    assert same(ma - mb, ref_sub(a, b))
+    assert same(-ma, [[-x for x in r] for r in a])
+    assert same(ma * md, ref_mul(a, d))
+    assert same(ma.scale(c), [[c * x for x in r] for r in a])
+    assert same(c * ma, [[c * x for x in r] for r in a])
+    assert same(ma.kron(md), ref_kron(a, d))
+    assert same(ma.transpose(), list(zip(*a)))
+    assert same(ma.direct_sum(md), ref_direct_sum(a, d))
+    assert same(ma.hstack(mb), [list(x) + list(y) for x, y in zip(a, b)])
+    assert same(ma.vstack(mb), a + b)
+    assert ma.to_strings() == [[str(x) for x in r] for r in a]
+    assert [ma[i, j] for i in range(n) for j in range(m)] == [x for r in a for x in r]
+    assert ma.row(n - 1) == tuple(a[-1]) and ma.col(m - 1) == tuple(r[-1] for r in a)
+    assert (ma == mb) == (a == b)
+    assert rank(ma) == ref_rank(a)
+
+
+@given(st.data(), dims, dims)
+@settings(max_examples=80, deadline=None)
+def test_rowreducer_agrees_with_fraction_reference(data, n, width):
+    rows = data.draw(fraction_tables(n, width))
+    # dependent rows too: combinations of rows offered earlier
+    coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    rows.append([sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(width)])
+    probes = data.draw(fraction_tables(3, width)) + [rows[-1], [Fraction(0)] * width]
+    fast, ref = RowReducer(width), FractionRowReducer(width)
+    for row in rows:
+        assert fast.offer(row) == ref.offer(row)
+    assert fast.rank == len(ref._rows) == ref_rank(rows)
+    for vec in rows + probes:
+        assert fast.coordinates(vec) == ref.coordinates(vec)
+
+
+def test_canonical_form_and_hash():
+    half = Matrix([["2/4"]])
+    assert half == Matrix([[Fraction(1, 2)]]) == Matrix([["1/2"]])
+    assert hash(half) == hash(Matrix([[Fraction(1, 2)]]))
+    assert (half.num, half.den) == (((1,),), 2)
+    ints = Matrix([[1, -2], [0, 3]])
+    twin = Matrix([[Fraction(1, 1), Fraction(-2, 1)], [Fraction(0), Fraction(3)]])
+    assert ints == twin and hash(ints) == hash(twin)
+    assert ints.den == 1
+    mixed = Matrix([["1/6", "1/4"], [1, "-3/2"]])
+    assert (mixed.num, mixed.den) == (((2, 3), (12, -18)), 12)
+    assert repr(mixed) == "Matrix[1/6 1/4; 1 -3/2]"
+
+
+def test_zero_results_have_denominator_one():
+    a = Matrix([["1/3", "2/5"], ["-1/7", 1]])
+    for zero in (a - a, a.scale(0), 0 * a, a + (-a), a.kron(Matrix([[0]]))):
+        assert zero == Matrix.zeros(zero.nrows, zero.ncols)
+        assert zero.den == 1
+
+
+def test_rows_is_read_only():
+    m = Matrix([[1, "1/2"]])
+    with pytest.raises(AttributeError):
+        m.rows = ((Fraction(1),),)
+    assert m.rows == ((Fraction(1), Fraction(1, 2)),)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False, Decimal("0.5"), None])
+def test_inexact_entries_are_type_errors(bad):
+    with pytest.raises(TypeError):
+        Matrix([[1, bad]])
+    with pytest.raises(TypeError):
+        Matrix([[1]]).scale(bad)
+    reducer = RowReducer(2)
+    with pytest.raises(TypeError):
+        reducer.offer([1, bad])
+    reducer.offer([1, 0])
+    with pytest.raises(TypeError):
+        reducer.coordinates([bad, 0])
+
+
+@pytest.mark.parametrize("bad", ["0.5", "1e3", "1/0", "", "1/-2", " 1", "½", "0x10"])
+def test_malformed_rational_strings_are_value_errors(bad):
+    with pytest.raises(ValueError):
+        Matrix([[bad]])
+    with pytest.raises(ValueError):
+        Matrix([[1]]).scale(bad)
+    with pytest.raises(ValueError):
+        RowReducer(1).offer([bad])
+
+
+def test_rational_strings_are_exact_entries():
+    assert Matrix([["-7/21", "4"]]) == Matrix([[Fraction(-1, 3), 4]])
+    assert Matrix([[2]]).scale("3/4") == Matrix([["3/2"]])
+    reducer = RowReducer(2)
+    assert reducer.offer(["1/2", "1"])
+    assert reducer.coordinates(["3/2", "3"]) == [Fraction(3)]

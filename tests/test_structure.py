@@ -2,6 +2,9 @@
 order, only at module top level, and shared helpers are defined once."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hopfwords"
@@ -68,3 +71,18 @@ def test_same_alphabet_is_defined_once():
         if isinstance(node, ast.FunctionDef) and node.name == "_same_alphabet"
     ]
     assert found == ["freealg"]
+
+
+def test_importing_the_package_pulls_in_no_numeric_dependency():
+    # the library promises zero dependencies: numpy and sympy may be
+    # installed, but importing hopfwords or its CLI must not load them
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = (
+        "import sys, hopfwords, hopfwords.cli; "
+        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -16,6 +16,7 @@ from hopfwords import (
     LinRep,
     MatRep,
     Matrix,
+    NCPoly,
     RecognizableSeries,
     behavior_table,
     conv_rep,
@@ -624,3 +625,63 @@ def test_reps_equal_dim_8_plus_8_is_fast(ab):
     assert not reps_equal(r, scale_rep(twin, 2))
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0, f"dim 8+8 reps_equal took {elapsed:.2f}s"
+
+
+finite_supports = st.dictionaries(
+    st.text("ab", max_size=4),
+    st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
+    max_size=4,
+)
+
+
+@given(finite_supports, st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_finite_support_hankel_equals_oracle_path(ab_terms, p, s):
+    ab = Alphabet.from_decl("a:L,b:L")
+    f = FiniteSupportSeries(NCPoly(ab, {ab.word(w): c for w, c in ab_terms.items()}))
+    window = hankel(f, p, s)
+    assert window == hankel(f.coeff, p, s, alphabet=ab)
+    assert hankel_rank(f, p, s) == hankel_rank(f.coeff, p, s, alphabet=ab)
+
+
+def test_finite_support_hankel_asks_only_the_suffix_states(ab, monkeypatch):
+    f = FiniteSupportSeries.from_text(ab, "2*ab - 1/3*bba + a")
+    calls = []
+    coeff = FiniteSupportSeries.coeff
+
+    def counting(self, w):
+        calls.append(w)
+        return coeff(self, w)
+
+    monkeypatch.setattr(FiniteSupportSeries, "coeff", counting)
+    assert hankel_rank(f, 4, 4) == 5
+    # one coefficient per suffix state (1, a, b, ab, ba, bba), not per entry
+    assert len(calls) == 6
+
+
+def test_kernels_do_no_fraction_arithmetic(ab, monkeypatch):
+    """learn, hankel_rank and reps_equal run on integers: Fractions are only
+    built at the edge, never added, subtracted, multiplied or divided."""
+    rows = {"a": [[-1, 0, 0, 0], [1, 0, -1, -1], [0, -1, 0, 0], [1, -1, 1, 0]],
+            "b": [[0, 1, -1, 1], [-1, 0, -1, -1], [-1, 1, 1, -1], [0, 1, -1, 0]]}
+    rep = LinRep(
+        ab,
+        4,
+        Matrix.row_vector([-1, 1, -1, 0]),
+        {l: Matrix(rows[l.symbol]) for l in ab.letters},
+        Matrix.col_vector([1, -1, 1, -1]),
+    )
+    f = RecognizableSeries(rep)
+
+    def refuse(self, other):
+        raise AssertionError("Fraction arithmetic in an integer kernel")
+
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(Fraction, op, refuse)
+    model = learn(f, 3)
+    assert model.dim == 4
+    assert hankel_rank(f, 4, 4) == 4
+    assert reps_equal(model, rep)
+    assert not reps_equal(model, scale_rep(rep, 2))
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) + Fraction(1, 3)
