@@ -255,13 +255,14 @@ class Matrix:
         return [[str(x) for x in r] for r in self.rows]
 
 
-def _stacked(vectors: Sequence[Matrix], as_columns: bool = False) -> Matrix:
+def _stacked(vectors: Sequence[Matrix]) -> Matrix:
     """The matrix whose rows are the entries of the given row or column
-    vectors (all of one length), or whose columns are with `as_columns`;
-    built on the numerators over the lcm of the vectors' denominators."""
+    vectors (all of one length), built on the numerators over the lcm of
+    the vectors' denominators."""
     den = lcm(*[v.den for v in vectors])
-    lines = [tuple([x * (den // v.den) for r in v.num for x in r]) for v in vectors]
-    return Matrix._from_ints(tuple(list(zip(*lines)) if as_columns else lines), den)
+    return Matrix._from_ints(
+        tuple([tuple([x * (den // v.den) for r in v.num for x in r]) for v in vectors]), den
+    )
 
 
 def tensor_scheme(a: Matrix, b: Matrix, group_like: bool) -> Matrix:

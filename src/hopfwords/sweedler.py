@@ -10,11 +10,11 @@ into rank-one factors, the transposed antipode and equality of
 representations.
 
 Where a representation is at hand it is used instead of word-by-word
-evaluation: the Hankel window of a recognizable series (and of a
-finite-support one, through its suffix automaton) is the product of its
-prefix rows lambda*mu(u) and suffix columns mu(v)*gamma, each computed once
-down the word tree, and equality of two representations is decided by
-propagating a basis of the reachable row space (polynomial time). Windows,
+evaluation: the Hankel window of a recognizable series is the product of
+its prefix rows lambda*mu(u) and suffix columns mu(v)*gamma, each computed
+once down the word tree, and equality of two representations is decided by
+propagating a basis of the reachable row space (polynomial time). The window
+of a finite-support series is filled straight from its support. Windows,
 ranks and row reduction run on the integer numerators of the matrices.
 """
 
@@ -23,9 +23,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
-from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, embed_finite
+from .dualforms import FiniteSupportSeries, RecognizableSeries, Series
 from .errors import DomainError, InconclusiveError, InternalInvariantError
 from .freealg import Alphabet, Letter, NCPoly, Word, _same_alphabet, conc
 from .linalg import Matrix, RowReducer, _stacked
@@ -125,22 +126,43 @@ def _coeff_fn(f, alphabet: Alphabet | None):
     raise TypeError(f"expected a Series or a coefficient oracle, got {type(f)!r}")
 
 
+def _finite_window(f: FiniteSupportSeries, p: int, s: int) -> HankelSlice:
+    """The window of a finite-support series, filled from its support: each
+    word w = uv with |u| <= p and |v| <= s sets the one entry (u, v), and
+    every other entry is zero. Costs the zero table plus the sum of |w|
+    over the support; no coefficient is looked up."""
+    alph = f.alphabet
+    rows = tuple(alph.words(p))
+    cols = tuple(alph.words(s))
+    row_index = {u.letters: i for i, u in enumerate(rows)}
+    col_index = {v.letters: j for j, v in enumerate(cols)}
+    terms = f.terms
+    den = lcm(*[c.denominator for c in terms.values()])
+    table = [[0] * len(cols) for _ in rows]
+    for w, c in terms.items():
+        x = c.numerator * (den // c.denominator)
+        letters = w.letters
+        n = len(letters)
+        for i in range(max(0, n - s), min(p, n) + 1):
+            table[row_index[letters[:i]]][col_index[letters[i:]]] = x
+    return HankelSlice(rows, cols, Matrix._from_ints(tuple([tuple(r) for r in table]), den))
+
+
 def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
     """The window with prefixes of length <= p and suffixes of length <= s.
 
     For a RecognizableSeries the window is the product of the prefix rows
     lambda*mu(u) and the suffix columns mu(v)*gamma, each computed once, so
     an entry costs one dot product of length dim. A finite-support series
-    takes the same route through its suffix automaton (embed_finite). Only a
-    bare coefficient oracle (which needs `alphabet`) is asked for f(uv)
-    entry by entry."""
+    fills its window from its support words. Only a bare coefficient oracle
+    (which needs `alphabet`) is asked for f(uv) entry by entry."""
     if isinstance(f, FiniteSupportSeries):
-        f = RecognizableSeries(embed_finite(f))
+        return _finite_window(f, p, s)
     if isinstance(f, RecognizableSeries):
         rows, row_vecs = zip(*_tree_vectors(f.rep, p, prefixes=True))
         cols, col_vecs = zip(*_tree_vectors(f.rep, s, prefixes=False))
         left = _stacked(row_vecs)
-        right = _stacked(col_vecs, as_columns=True)
+        right = _stacked(col_vecs).transpose()
         return HankelSlice(rows, cols, left * right)
     cf, alph = _coeff_fn(f, alphabet)
     rows = tuple(alph.words(p))
@@ -172,7 +194,7 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     recognizable with rank reached inside the window.
 
     f is a Series or, with `alphabet`, a bare coefficient oracle; a Series
-    gets the factored window of hankel(). The
+    gets the factored or support-filled window of hankel(). The
     InconclusiveError carries the two window ranks and the exploration
     length as attributes r_small, r_big and explore.
     """

@@ -88,8 +88,8 @@ def test_oversized_hankel_window_is_refused_before_enumeration():
 
 
 def test_finite_support_window_just_under_the_cap_is_fast():
-    # 1023 x 1023 words: the window goes through the suffix automaton of the
-    # support and one integer product, not one coefficient lookup per entry
+    # 1023 x 1023 words: the window is filled from the support words, not
+    # by one coefficient lookup per entry
     t0 = time.perf_counter()
     proc = run_cli(["rank", "--alphabet", "a:L,b:L", "--hankel", "9,9", "--series", "a"])
     assert time.perf_counter() - t0 < 10

@@ -644,7 +644,7 @@ def test_finite_support_hankel_equals_oracle_path(ab_terms, p, s):
     assert hankel_rank(f, p, s) == hankel_rank(f.coeff, p, s, alphabet=ab)
 
 
-def test_finite_support_hankel_asks_only_the_suffix_states(ab, monkeypatch):
+def test_finite_support_hankel_asks_no_coefficient(ab, monkeypatch):
     f = FiniteSupportSeries.from_text(ab, "2*ab - 1/3*bba + a")
     calls = []
     coeff = FiniteSupportSeries.coeff
@@ -655,8 +655,23 @@ def test_finite_support_hankel_asks_only_the_suffix_states(ab, monkeypatch):
 
     monkeypatch.setattr(FiniteSupportSeries, "coeff", counting)
     assert hankel_rank(f, 4, 4) == 5
-    # one coefficient per suffix state (1, a, b, ab, ba, bba), not per entry
-    assert len(calls) == 6
+    # the window is filled from the support words, not entry by entry
+    assert calls == []
+
+
+def test_finite_support_hankel_of_a_large_support_and_a_small_window(ab):
+    # 4,000 words of length 14 have tens of thousands of distinct suffixes;
+    # a 7 x 7 window costs the support's length, not that many states
+    rng = random.Random(5)
+    words = {"".join(rng.choice("ab") for _ in range(14)) for _ in range(4000)}
+    f = FiniteSupportSeries(NCPoly(ab, {ab.word(w): Fraction(1, 1 + len(w) % 3) for w in words}))
+    t0 = time.perf_counter()
+    window = hankel(f, 2, 2)
+    elapsed = time.perf_counter() - t0
+    assert window.entries == Matrix.zeros(7, 7)
+    assert elapsed < 1.0, f"7 x 7 window of a 4,000-word support took {elapsed:.2f}s"
+    short = FiniteSupportSeries(f.poly + NCPoly.from_text(ab, "1/2*abab + 3*b"))
+    assert hankel(short, 2, 2) == hankel(short.coeff, 2, 2, alphabet=ab)
 
 
 def test_kernels_do_no_fraction_arithmetic(ab, monkeypatch):
