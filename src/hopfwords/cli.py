@@ -63,8 +63,10 @@ EXIT_COUNTEREXAMPLE = 4
 
 _INLINE_LIMIT = 1024
 _MAXLEN_CAP = 7
-# most entries of a Hankel window (hankel, rank, learn), and most terms of a
-# coproduct before merging (coprod), checked before any word is enumerated
+# most entries of a Hankel window (hankel, rank, learn), most terms of a
+# coproduct before merging (coprod), and most letter-matrix entries of the
+# automaton of a finite-support operand (split, dualS, mixed conv), checked
+# before any word is enumerated or any matrix built
 _WINDOW_CAP = 1 << 20
 
 
@@ -88,80 +90,22 @@ def _add_common(p: argparse.ArgumentParser):
     )
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The argument parser with every subcommand, or with `command` alone.
+    A run needs only the subparser its first argument names: the top-level
+    usage names SUBCOMMAND rather than listing the choices, so usage, help
+    and error text are the same either way. The one text that lists the
+    choices, the invalid-choice error, comes from a run whose first argument
+    names no subcommand, which gets the full parser."""
     parser = _Parser(prog="hopfwords", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
-
-    def cmd(name, help_, **kwargs):
-        p = sub.add_parser(name, help=help_, **kwargs)
+    names = _COMMANDS if command is None else (command,)
+    for name in names:
+        _, help_, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
         _add_common(p)
-        return p
-
-    p = cmd("coprod", "coproduct of a polynomial, as a sum of word pairs")
-    p.add_argument("poly")
-
-    p = cmd("mul", "concatenation product of two polynomials")
-    p.add_argument("poly")
-    p.add_argument("poly2")
-
-    p = cmd("counit", "counit of a polynomial (a rational)")
-    p.add_argument("poly")
-
-    p = cmd("antipode", "antipode of a polynomial (all letters must be primitive)")
-    p.add_argument("poly")
-
-    p = cmd("pair", "pairing <series, polynomial>")
-    p.add_argument("--series", action="append", default=[], metavar="S")
-    p.add_argument("poly")
-
-    p = cmd("conv", "convolution product of two series")
-    p.add_argument("--series", action="append", default=[], metavar="S")
-
-    p = cmd("tensor", "tensor product of two matrix representations")
-    p.add_argument("--rep", action="append", default=[], metavar="R")
-
-    p = cmd("dsum", "direct sum of two matrix representations")
-    p.add_argument("--rep", action="append", default=[], metavar="R")
-
-    p = cmd("eval", "evaluate a matrix representation on a polynomial")
-    p.add_argument("--rep", action="append", default=[], metavar="R")
-    p.add_argument("poly")
-
-    p = cmd("hankel", "finite Hankel window of a series")
-    p.add_argument("--series", action="append", default=[], metavar="S")
-    p.add_argument("--hankel", metavar="P,S", help="prefix/suffix length bounds")
-
-    p = cmd("rank", "exact rank of a Hankel window")
-    p.add_argument("--series", action="append", default=[], metavar="S")
-    p.add_argument("--hankel", metavar="P,S", help="prefix/suffix length bounds")
-
-    p = cmd("learn", "learn a minimal linear representation from a series")
-    p.add_argument("--series", action="append", default=[], metavar="S")
-    p.add_argument("--explore", type=int, metavar="L", help="exploration length")
-
-    p = cmd("split", "rank-one splitting f(xy) = sum g_i(x) h_i(y) of a series")
-    p.add_argument("--series", action="append", default=[], metavar="S")
-
-    p = cmd("dualS", "transposed antipode of a recognizable series")
-    p.add_argument("--series", action="append", default=[], metavar="S")
-
-    for name, help_ in (
-        ("check-coassoc", "verify coassociativity on all words up to --maxlen"),
-        ("check-antipode", "verify the antipode identity on all words up to --maxlen"),
-        (
-            "check-dual-assoc",
-            "verify associativity of the convolution of indicator series "
-            "(indicators of words up to length 2, targets up to --maxlen)",
-        ),
-        (
-            "check-conv-oracle",
-            "verify the representation-level convolution against the "
-            "subword-splitting formula on reference series, words up to --maxlen",
-        ),
-    ):
-        p = cmd(name, help_)
-        p.add_argument("--maxlen", type=int, metavar="N", help="word length bound (<= 7)")
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -203,7 +147,9 @@ def _load_json_rep(args, content: str, cls: type[MatRep]) -> MatRep:
         data = json.loads(
             content, parse_float=_reject_json_number, parse_constant=_reject_json_number
         )
-    except json.JSONDecodeError as exc:
+    # ValueError covers JSONDecodeError and an integer of more digits than
+    # int() converts; RecursionError, arrays or objects nested too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON operand: {exc}") from exc
     rep = cls.from_json_dict(data)
     if args.alphabet and Alphabet.from_decl(args.alphabet) != rep.alphabet:
@@ -271,6 +217,37 @@ def _preflight_window(alphabet: Alphabet, p: int, s: int):
         raise ParseError(
             f"Hankel window of {shape} words (prefixes <= {p}, suffixes <= {s} "
             f"over {n} letter(s)) exceeds the cap of {_WINDOW_CAP} entries"
+        )
+
+
+def _suffix_states(f: FiniteSupportSeries) -> int:
+    """Number of distinct suffixes of the support words, the empty word
+    included: the states of embed_finite. Counted as the nodes of the trie
+    of the reversed words, in the support's total length."""
+    root: dict = {}
+    n = 1
+    for w in f.terms:
+        node = root
+        for ch in reversed(w.symbols()):
+            child = node.get(ch)
+            if child is None:
+                child = node[ch] = {}
+                n += 1
+            node = child
+    return n
+
+
+def _preflight_embed(f: Series):
+    """Refuse a finite-support operand whose automaton (embed_finite) has
+    more than _WINDOW_CAP letter-matrix entries: n^2 per letter for n
+    states. A recognizable operand passes."""
+    if not isinstance(f, FiniteSupportSeries):
+        return
+    n, k = _suffix_states(f), len(f.alphabet.letters)
+    if n * n * k > _WINDOW_CAP:
+        raise ParseError(
+            f"automaton of {n} states over {k} letter(s) has {n * n * k} letter-matrix "
+            f"entries, which exceeds the cap of {_WINDOW_CAP} entries"
         )
 
 
@@ -382,6 +359,9 @@ def _cmd_pair(args):
 
 def _cmd_conv(args):
     f, h = _series_args(args, 2)
+    if not (isinstance(f, FiniteSupportSeries) and isinstance(h, FiniteSupportSeries)):
+        _preflight_embed(f)
+        _preflight_embed(h)
     result = convolve(f, h)
     if isinstance(result, FiniteSupportSeries):
         return _out_poly(args, result.poly)
@@ -436,6 +416,7 @@ def _cmd_learn(args):
 
 def _cmd_split(args):
     (f,) = _series_args(args, 1)
+    _preflight_embed(f)
     pairs = split(_to_linrep(f))
     obj = {
         "pairs": [
@@ -447,6 +428,7 @@ def _cmd_split(args):
 
 def _cmd_dualS(args):
     (f,) = _series_args(args, 1)
+    _preflight_embed(f)
     return _out_rep(args, transpose_antipode(_to_linrep(f)))
 
 
@@ -538,33 +520,73 @@ def _cmd_check_conv_oracle(args):
     return _run_check(args, "conv-oracle", _need_alphabet(args), _conv_oracle_cases)
 
 
-_HANDLERS = {
-    "coprod": _cmd_coprod,
-    "mul": _cmd_mul,
-    "counit": _cmd_counit,
-    "antipode": _cmd_antipode,
-    "pair": _cmd_pair,
-    "conv": _cmd_conv,
-    "tensor": _cmd_tensor,
-    "dsum": _cmd_dsum,
-    "eval": _cmd_eval,
-    "hankel": _cmd_hankel,
-    "rank": _cmd_rank,
-    "learn": _cmd_learn,
-    "split": _cmd_split,
-    "dualS": _cmd_dualS,
-    "check-coassoc": _cmd_check_coassoc,
-    "check-antipode": _cmd_check_antipode,
-    "check-dual-assoc": _cmd_check_dual_assoc,
-    "check-conv-oracle": _cmd_check_conv_oracle,
+_POLY = (("poly",), {})
+_SERIES = (("--series",), {"action": "append", "default": [], "metavar": "S"})
+_REP = (("--rep",), {"action": "append", "default": [], "metavar": "R"})
+_HANKEL = (("--hankel",), {"metavar": "P,S", "help": "prefix/suffix length bounds"})
+_EXPLORE = (("--explore",), {"type": int, "metavar": "L", "help": "exploration length"})
+_MAXLEN = (("--maxlen",), {"type": int, "metavar": "N", "help": "word length bound (<= 7)"})
+
+# subcommand -> (handler, help, arguments after the common ones), in --help order
+_COMMANDS = {
+    "coprod": (_cmd_coprod, "coproduct of a polynomial, as a sum of word pairs", [_POLY]),
+    "mul": (_cmd_mul, "concatenation product of two polynomials", [_POLY, (("poly2",), {})]),
+    "counit": (_cmd_counit, "counit of a polynomial (a rational)", [_POLY]),
+    "antipode": (
+        _cmd_antipode,
+        "antipode of a polynomial (all letters must be primitive)",
+        [_POLY],
+    ),
+    "pair": (_cmd_pair, "pairing <series, polynomial>", [_SERIES, _POLY]),
+    "conv": (_cmd_conv, "convolution product of two series", [_SERIES]),
+    "tensor": (_cmd_tensor, "tensor product of two matrix representations", [_REP]),
+    "dsum": (_cmd_dsum, "direct sum of two matrix representations", [_REP]),
+    "eval": (_cmd_eval, "evaluate a matrix representation on a polynomial", [_REP, _POLY]),
+    "hankel": (_cmd_hankel, "finite Hankel window of a series", [_SERIES, _HANKEL]),
+    "rank": (_cmd_rank, "exact rank of a Hankel window", [_SERIES, _HANKEL]),
+    "learn": (
+        _cmd_learn,
+        "learn a minimal linear representation from a series",
+        [_SERIES, _EXPLORE],
+    ),
+    "split": (
+        _cmd_split,
+        "rank-one splitting f(xy) = sum g_i(x) h_i(y) of a series",
+        [_SERIES],
+    ),
+    "dualS": (_cmd_dualS, "transposed antipode of a recognizable series", [_SERIES]),
+    "check-coassoc": (
+        _cmd_check_coassoc,
+        "verify coassociativity on all words up to --maxlen",
+        [_MAXLEN],
+    ),
+    "check-antipode": (
+        _cmd_check_antipode,
+        "verify the antipode identity on all words up to --maxlen",
+        [_MAXLEN],
+    ),
+    "check-dual-assoc": (
+        _cmd_check_dual_assoc,
+        "verify associativity of the convolution of indicator series "
+        "(indicators of words up to length 2, targets up to --maxlen)",
+        [_MAXLEN],
+    ),
+    "check-conv-oracle": (
+        _cmd_check_conv_oracle,
+        "verify the representation-level convolution against the "
+        "subword-splitting formula on reference series, words up to --maxlen",
+        [_MAXLEN],
+    ),
 }
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        out, code = _HANDLERS[args.command](args)
+        out, code = _COMMANDS[args.command][0](args)
     except ParseError as exc:
         print(f"hopfwords: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -131,23 +131,27 @@ def _merges(u: Word, v: Word) -> Iterator[Word]:
     once per splitting: primitive letters interleave freely while group-like
     letters must match pairwise and appear once."""
     alphabet = u.alphabet
+    a, b = u.letters, v.letters
+    sa, sb = u._symbols, v._symbols
+    na, nb = len(a), len(b)
 
-    def rec(a, b):
-        if not a and not b:
-            yield ()
+    def rec(i, j):
+        """(letters, symbols) of every merge of a[i:] and b[j:]."""
+        if i == na and j == nb:
+            yield (), ""
             return
-        if a and not a[0].group_like:
-            for rest in rec(a[1:], b):
-                yield (a[0],) + rest
-        if b and not b[0].group_like:
-            for rest in rec(a, b[1:]):
-                yield (b[0],) + rest
-        if a and b and a[0].group_like and b[0].group_like and a[0] == b[0]:
-            for rest in rec(a[1:], b[1:]):
-                yield (a[0],) + rest
+        if i < na and not a[i].group_like:
+            for rest, text in rec(i + 1, j):
+                yield (a[i],) + rest, sa[i] + text
+        if j < nb and not b[j].group_like:
+            for rest, text in rec(i, j + 1):
+                yield (b[j],) + rest, sb[j] + text
+        if i < na and j < nb and a[i].group_like and b[j].group_like and a[i] == b[j]:
+            for rest, text in rec(i + 1, j + 1):
+                yield (a[i],) + rest, sa[i] + text
 
-    for letters in rec(u.letters, v.letters):
-        yield Word(alphabet, letters)
+    for letters, text in rec(0, 0):
+        yield Word(alphabet, letters, text)
 
 
 def convolve(f: Series, h: Series) -> Series:
@@ -178,22 +182,27 @@ def dual_unit(alphabet: Alphabet) -> RecognizableSeries:
 
 def embed_finite(f: FiniteSupportSeries) -> LinRep:
     """Automaton whose states are the suffix closure of the support; its
-    behavior equals f on every word of every length."""
+    behavior equals f on every word of every length.
+
+    State a.v moves to state v on the letter a, so each letter matrix has
+    at most one nonzero entry per row and is built from those entries."""
     alph = f.alphabet
     suffixes = {alph.unit_word()}
     for w in f.terms:
-        for k in range(len(w.letters) + 1):
-            suffixes.add(Word(alph, w.letters[k:]))
+        letters, text = w.letters, w._symbols
+        for k in range(len(letters)):
+            suffixes.add(Word(alph, letters[k:], text[k:]))
     states = sorted(suffixes, key=shortlex_key)
-    pos = {w: i for i, w in enumerate(states)}
     n = len(states)
-    mu = {}
-    for letter in alph.letters:
-        m = [[0] * n for _ in range(n)]
-        for w, i in pos.items():
-            if w.letters and w.letters[0] == letter:
-                m[i][pos[Word(alph, w.letters[1:])]] = 1
-        mu[letter] = Matrix(m)
+    pos = {w._symbols: i for i, w in enumerate(states)}
+    zero = (0,) * n
+    rows = {letter: [zero] * n for letter in alph.letters}
+    for i, w in enumerate(states):
+        if w.letters:
+            row = [0] * n
+            row[pos[w._symbols[1:]]] = 1
+            rows[w.letters[0]][i] = tuple(row)
+    mu = {letter: Matrix._from_ints(tuple(m)) for letter, m in rows.items()}
     lam = Matrix.row_vector([f.coeff(w) for w in states])
     gamma = Matrix.col_vector([1 if not w.letters else 0 for w in states])
     return LinRep(alph, n, lam, mu, gamma)

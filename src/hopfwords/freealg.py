@@ -18,7 +18,6 @@ only int and Fraction are accepted, anything else is a TypeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import product as _cartesian
@@ -36,60 +35,87 @@ class LetterKind(Enum):
 _RESERVED = set("0123456789+-*/():,⊗")
 
 
-@dataclass(frozen=True)
-class Letter:
+class _Frozen:
+    """Base of the immutable value types: the slots are set once by
+    __init__ and every later assignment or deletion raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__
+
+
+class Letter(_Frozen):
     """A single alphabet symbol together with its coproduct tag."""
 
-    symbol: str
-    kind: LetterKind
+    __slots__ = ("symbol", "kind")
 
-    def __post_init__(self):
-        s = self.symbol
-        if len(s) != 1 or not (33 <= ord(s) <= 126):
+    def __init__(self, symbol: str, kind: LetterKind):
+        if len(symbol) != 1 or not (33 <= ord(symbol) <= 126):
             raise ParseError(
-                f"letter symbol must be a single printable ASCII character, got {s!r}"
+                f"letter symbol must be a single printable ASCII character, got {symbol!r}"
             )
-        if s in _RESERVED:
-            raise ParseError(f"letter symbol {s!r} collides with the expression grammar")
+        if symbol in _RESERVED:
+            raise ParseError(f"letter symbol {symbol!r} collides with the expression grammar")
+        _set(self, "symbol", symbol)
+        _set(self, "kind", kind)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbol == other.symbol and self.kind == other.kind
 
     def __hash__(self) -> int:
         return hash(self.symbol)
+
+    def __repr__(self) -> str:
+        return f"Letter(symbol={self.symbol!r}, kind={self.kind!r})"
+
+    def __reduce__(self):
+        return Letter, (self.symbol, self.kind)
 
     @property
     def group_like(self) -> bool:
         return self.kind is LetterKind.GROUP_LIKE
 
 
-@dataclass(frozen=True, eq=False)
-class Alphabet:
+class Alphabet(_Frozen):
     """Ordered finite set of tagged letters; the G/L partition is the tags.
 
     The hash, the letter set and the letter subsets below are computed once
     at construction. The hash is never pickled (see __reduce__)."""
 
-    letters: tuple[Letter, ...]
-    _letter_set: frozenset = field(init=False, repr=False)
-    sorted_letters: tuple[Letter, ...] = field(init=False, repr=False)
-    group_like: tuple[Letter, ...] = field(init=False, repr=False)
-    primitive: tuple[Letter, ...] = field(init=False, repr=False)
-    has_group_like: bool = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    __slots__ = (
+        "letters",
+        "_letter_set",
+        "sorted_letters",
+        "group_like",
+        "primitive",
+        "has_group_like",
+        "_hash",
+    )
 
-    def __post_init__(self):
+    def __init__(self, letters: tuple[Letter, ...]):
         seen = set()
-        for letter in self.letters:
+        for letter in letters:
             if letter.symbol in seen:
                 raise ParseError(f"duplicate letter {letter.symbol!r} in alphabet")
             seen.add(letter.symbol)
-        group_like = tuple(l for l in self.letters if l.group_like)
-        cache = object.__setattr__
-        cache(self, "_letter_set", frozenset(self.letters))
+        group_like = tuple(l for l in letters if l.group_like)
+        _set(self, "letters", letters)
+        _set(self, "_letter_set", frozenset(letters))
         # ascending symbol-code order; used for word enumeration
-        cache(self, "sorted_letters", tuple(sorted(self.letters, key=lambda l: l.symbol)))
-        cache(self, "group_like", group_like)
-        cache(self, "primitive", tuple(l for l in self.letters if not l.group_like))
-        cache(self, "has_group_like", bool(group_like))
-        cache(self, "_hash", hash(self.letters))
+        _set(self, "sorted_letters", tuple(sorted(letters, key=lambda l: l.symbol)))
+        _set(self, "group_like", group_like)
+        _set(self, "primitive", tuple(l for l in letters if not l.group_like))
+        _set(self, "has_group_like", bool(group_like))
+        _set(self, "_hash", hash(letters))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -100,6 +126,9 @@ class Alphabet:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Alphabet(letters={self.letters!r})"
 
     def __reduce__(self):
         return Alphabet, (self.letters,)
@@ -128,7 +157,7 @@ class Alphabet:
         return None
 
     def unit_word(self) -> "Word":
-        return Word(self, ())
+        return Word(self, (), "")
 
     def word(self, text: str) -> "Word":
         """Parse a word: "1" is the empty word, otherwise one letter per character."""
@@ -140,18 +169,19 @@ class Alphabet:
             if letter is None:
                 raise ParseError(f"unknown letter {ch!r} at position {i} in {text!r}")
             letters.append(letter)
-        return Word(self, tuple(letters))
+        return Word(self, tuple(letters), text)
 
     def words(self, max_len: int) -> Iterator["Word"]:
         """All words of length <= max_len in ascending shortlex order."""
         base = self.sorted_letters
+        symbols = [l.symbol for l in base]
         for n in range(max_len + 1):
-            for combo in _cartesian(base, repeat=n):
-                yield Word(self, combo)
+            texts = map("".join, _cartesian(symbols, repeat=n))
+            for combo, text in zip(_cartesian(base, repeat=n), texts):
+                yield Word(self, combo, text)
 
 
-@dataclass(frozen=True, eq=False)
-class Word:
+class Word(_Frozen):
     """A finite string of letters; the empty word is the multiplicative unit.
 
     Key contract: the hash is the hash of the symbol string, computed once at
@@ -159,21 +189,28 @@ class Word:
     alphabets are equal (so "a" over a:L,b:L and "a" over a:L,b:L,g:G are
     distinct keys). str hashes are salted per process, so the hash is never
     pickled: a word is rebuilt from (alphabet, letters) when loaded.
+
+    `Word(alphabet, letters)` checks every letter against the alphabet. The
+    library passes `_symbols`, the symbol string of `letters`, only for
+    letters already known to be in the alphabet: taken from words of the
+    same alphabet (subwords, reversals, concatenations, suffixes) or from
+    the alphabet itself (parsing, enumeration). Such a word skips the check
+    and the join.
     """
 
-    alphabet: Alphabet
-    letters: tuple[Letter, ...]
-    _symbols: str = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ("alphabet", "letters", "_symbols", "_hash")
 
-    def __post_init__(self):
-        allowed = self.alphabet._letter_set
-        for letter in self.letters:
-            if letter not in allowed:
-                raise DomainError(f"letter {letter.symbol!r} is not in the alphabet")
-        symbols = "".join(l.symbol for l in self.letters)
-        object.__setattr__(self, "_symbols", symbols)
-        object.__setattr__(self, "_hash", hash(symbols))
+    def __init__(self, alphabet: Alphabet, letters: tuple[Letter, ...], _symbols=None):
+        if _symbols is None:
+            allowed = alphabet._letter_set
+            for letter in letters:
+                if letter not in allowed:
+                    raise DomainError(f"letter {letter.symbol!r} is not in the alphabet")
+            _symbols = "".join([l.symbol for l in letters])
+        _set_alphabet(self, alphabet)
+        _set_letters(self, letters)
+        _set_symbols(self, _symbols)
+        _set_hash(self, hash(_symbols))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -207,11 +244,23 @@ class Word:
         return f"Word({self})"
 
     def reverse(self) -> "Word":
-        return Word(self.alphabet, self.letters[::-1])
+        return Word(self.alphabet, self.letters[::-1], self._symbols[::-1])
 
     def subword(self, positions: Sequence[int]) -> "Word":
         """Letters at the given (increasing) positions, in order."""
-        return Word(self.alphabet, tuple(self.letters[i] for i in positions))
+        letters, symbols = self.letters, self._symbols
+        return Word(
+            self.alphabet,
+            tuple([letters[i] for i in positions]),
+            "".join([symbols[i] for i in positions]),
+        )
+
+
+# the slot setters themselves, which bypass _Frozen.__setattr__; cheaper
+# than object.__setattr__ on the most frequently built value
+_set_alphabet, _set_letters, _set_symbols, _set_hash = (
+    Word.__dict__[name].__set__ for name in Word.__slots__
+)
 
 
 def shortlex_key(w: Word):
@@ -480,7 +529,7 @@ class Tensor3:
 def conc(u: Word, v: Word) -> Word:
     """Juxtaposition uv."""
     _same_alphabet(u.alphabet, v.alphabet)
-    return Word(u.alphabet, u.letters + v.letters)
+    return Word(u.alphabet, u.letters + v.letters, u._symbols + v._symbols)
 
 
 def poly_mul(p: NCPoly, q: NCPoly) -> NCPoly:
@@ -610,13 +659,20 @@ class _Cursor:
         raise ParseError(f"{msg} at position {self.pos} in {self.text!r}")
 
 
+# ASCII only: str.isdigit also accepts digits such as "²" that int() refuses
+_DIGITS = frozenset("0123456789")
+
+
 def _parse_uint(cur: _Cursor) -> int:
     start = cur.pos
-    while cur.peek().isdigit():
+    while cur.peek() in _DIGITS:
         cur.advance()
     if cur.pos == start:
         cur.fail("expected digits")
-    return int(cur.text[start : cur.pos])
+    try:
+        return int(cur.text[start : cur.pos])
+    except ValueError:  # more digits than int() converts
+        cur.fail(f"number of {cur.pos - start} digits is too long")
 
 
 def _parse_rational(cur: _Cursor) -> Fraction:
@@ -635,6 +691,7 @@ def _parse_word_opt(cur: _Cursor, alphabet: Alphabet):
     if cur.peek() == "1":
         cur.advance()
         return alphabet.unit_word()
+    start = cur.pos
     letters = []
     while True:
         letter = alphabet.find(cur.peek()) if cur.peek() else None
@@ -644,12 +701,12 @@ def _parse_word_opt(cur: _Cursor, alphabet: Alphabet):
         letters.append(letter)
     if not letters:
         return None
-    return Word(alphabet, tuple(letters))
+    return Word(alphabet, tuple(letters), cur.text[start : cur.pos])
 
 
 def _parse_poly_term(cur: _Cursor, alphabet: Alphabet):
     cur.skip_ws()
-    if cur.peek().isdigit():
+    if cur.peek() in _DIGITS:
         coeff = _parse_rational(cur)
         cur.skip_ws()
         if cur.peek() == "*":
@@ -681,7 +738,7 @@ def _parse_tensor_term(cur: _Cursor, alphabet: Alphabet, arity: int):
     cur.skip_ws()
     coeff = Fraction(1)
     first = None
-    if cur.peek().isdigit():
+    if cur.peek() in _DIGITS:
         start = cur.pos
         num = _parse_rational(cur)
         cur.skip_ws()

@@ -89,7 +89,10 @@ class MatRep:
         """Inverse of to_json_dict. `dim` must be an integer and every matrix
         entry a rational string "p" or "p/q"; anything else is a ParseError."""
         try:
-            alphabet = Alphabet.from_decl(data["alphabet"])
+            decl = data["alphabet"]
+            if not isinstance(decl, str):
+                raise TypeError(f"alphabet must be a declaration string, got {decl!r}")
+            alphabet = Alphabet.from_decl(decl)
             dim = data["dim"]
             if type(dim) is not int:
                 raise ValueError(f"dim must be an integer, got {dim!r}")

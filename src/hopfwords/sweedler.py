@@ -21,14 +21,13 @@ ranks and row reduction run on the integer numerators of the matrices.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from . import linalg
 from .dualforms import FiniteSupportSeries, RecognizableSeries, Series
 from .errors import DomainError, InconclusiveError, InternalInvariantError
-from .freealg import Alphabet, Letter, NCPoly, Word, _same_alphabet, conc
+from .freealg import Alphabet, Letter, NCPoly, Word, _Frozen, _same_alphabet, conc
 from .linalg import Matrix, RowReducer, _stacked
 from .rep import LinRep, eval_word, rep_sum, scale_rep, zero_rep
 
@@ -44,15 +43,23 @@ def _tree_vectors(rep: LinRep, max_len: int, prefixes: bool) -> list[tuple[Word,
     letters = alphabet.sorted_letters
     mu = rep.mu
     out: list[tuple[Word, Matrix]] = []
-    level = [((), rep.lam if prefixes else rep.gamma)]
+    level = [((), "", rep.lam if prefixes else rep.gamma)]
     for n in range(max_len + 1):
-        out.extend((Word(alphabet, key), vec) for key, vec in level)
+        out.extend((Word(alphabet, key, text), vec) for key, text, vec in level)
         if n == max_len:
             break
         if prefixes:
-            level = [(key + (a,), vec * mu[a]) for key, vec in level for a in letters]
+            level = [
+                (key + (a,), text + a.symbol, vec * mu[a])
+                for key, text, vec in level
+                for a in letters
+            ]
         else:
-            level = [((a,) + key, mu[a] * vec) for a in letters for key, vec in level]
+            level = [
+                ((a,) + key, a.symbol + text, mu[a] * vec)
+                for a in letters
+                for key, text, vec in level
+            ]
     return out
 
 
@@ -74,7 +81,7 @@ def shift_right(f: Series, s: Word) -> Series:
     if isinstance(f, FiniteSupportSeries):
         k = len(s.letters)
         terms = {
-            Word(f.alphabet, w.letters[k:]): c
+            Word(f.alphabet, w.letters[k:], w._symbols[k:]): c
             for w, c in f.terms.items()
             if w.letters[:k] == s.letters
         }
@@ -91,7 +98,7 @@ def shift_left(f: Series, s: Word) -> Series:
     if isinstance(f, FiniteSupportSeries):
         k = len(s.letters)
         terms = {
-            Word(f.alphabet, w.letters[: len(w.letters) - k]): c
+            Word(f.alphabet, w.letters[: len(w) - k], w._symbols[: len(w) - k]): c
             for w, c in f.terms.items()
             if k <= len(w.letters) and (k == 0 or w.letters[-k:] == s.letters)
         }
@@ -106,14 +113,33 @@ def shift_left(f: Series, s: Word) -> Series:
 # Hankel windows
 
 
-@dataclass(frozen=True)
-class HankelSlice:
+class HankelSlice(_Frozen):
     """Finite window of the Hankel matrix: entry(u, v) = f(uv), prefixes and
     suffixes enumerated in ascending shortlex order."""
 
-    rows: tuple[Word, ...]
-    cols: tuple[Word, ...]
-    entries: Matrix
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: tuple[Word, ...], cols: tuple[Word, ...], entries: Matrix):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
+
+    def _fields(self):
+        return self.rows, self.cols, self.entries
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"HankelSlice(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
+
+    def __reduce__(self):
+        return HankelSlice, self._fields()
 
 
 def _coeff_fn(f, alphabet: Alphabet | None):
@@ -232,7 +258,7 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     for letter in alph.letters:
         rows = []
         for w in basis_words:
-            extended = Word(alph, w.letters + (letter,))
+            extended = Word(alph, w.letters + (letter,), w._symbols + letter.symbol)
             coords = reducer.coordinates(num[index[extended]])
             if coords is None:
                 raise InternalInvariantError("hankel row escaped the selected basis")

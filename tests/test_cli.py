@@ -6,10 +6,19 @@ import pytest
 
 from cli_cases import CASES, GOLDEN, regen_requested, run_cli
 from hopfwords import Alphabet, NCPoly, Tensor2
-from hopfwords.cli import run
+from hopfwords.cli import _COMMANDS, build_parser, run
 
 
-@pytest.mark.parametrize("name,args", CASES, ids=[c[0] for c in CASES])
+# finite-support operands turned into an automaton by embed_finite; kept
+# out of CASES, the table the benchmark replays
+EMBED_CASES = [
+    ("split_finite", ["split", "--alphabet", "a:L,b:L", "--series", "ab + 2*b"]),
+    ("dualS_finite", ["dualS", "--alphabet", "a:L,b:L", "--series", "ab - 1/2*ba"]),
+    ("conv_mixed", ["conv", "--alphabet", "a:L", "--series", "3*aa - a", "--series", "geo2.json"]),
+]
+
+
+@pytest.mark.parametrize("name,args", CASES + EMBED_CASES, ids=[c[0] for c in CASES + EMBED_CASES])
 def test_golden_invocation(name, args):
     proc = run_cli(args)
     assert proc.returncode == 0, proc.stderr.decode()
@@ -109,6 +118,64 @@ def test_oversized_coproduct_is_refused_before_enumeration():
     proc = run_cli(["coprod", "--alphabet", mixed.decl(), "abgbaggabba"])
     assert proc.returncode == 0
     assert sum(Tensor2.from_text(mixed, proc.stdout.decode().strip()).terms.values()) == 256
+
+
+def test_oversized_finite_support_automaton_is_refused_before_embedding(tmp_path):
+    # 300 words of length 14 have about 2,000 distinct suffixes: about 8e6
+    # letter-matrix entries over two letters, counted, never built
+    rng = random.Random(7)
+    words = ["".join(rng.choice("ab") for _ in range(14)) for _ in range(300)]
+    support = tmp_path / "support.txt"
+    support.write_text(" + ".join(words))
+    states = len({w[k:] for w in words for k in range(len(w) + 1)})
+    entries = str(states * states * 2).encode()
+    geo = tmp_path / "geo.json"
+    geo.write_text(
+        '{"alphabet": "a:L,b:L", "dim": 1, "lambda": ["1"], '
+        '"mu": {"a": [["2"]], "b": [["2"]]}, "gamma": [["1"]]}'
+    )
+    for args in (
+        ["split", "--alphabet", "a:L,b:L", "--series", str(support)],
+        ["dualS", "--alphabet", "a:L,b:L", "--series", str(support)],
+        ["conv", "--alphabet", "a:L,b:L", "--series", str(support), "--series", str(geo)],
+        ["conv", "--alphabet", "a:L,b:L", "--series", str(geo), "--series", str(support)],
+    ):
+        t0 = time.perf_counter()
+        proc = run_cli(args)
+        assert time.perf_counter() - t0 < 10
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert f"automaton of {states} states".encode() in proc.stderr
+        assert entries in proc.stderr
+
+
+def _outcome(capsys, call):
+    """(stdout, stderr, exit code) of a CLI call that may exit through argparse."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["coprod", "--help"], ["frobnicate"], ["coprod", "--alphabet", "a:L"], []],
+    ids=["help", "coprod-help", "unknown", "missing-operand", "empty"],
+)
+def test_per_run_parser_matches_the_full_parser(capsys, argv):
+    per_run = _outcome(capsys, lambda: run(list(argv)))
+    full = _outcome(capsys, lambda: build_parser().parse_args(list(argv)))
+    assert per_run == full
+    assert per_run[2] == (0 if "--help" in argv else 1)
+
+
+def test_each_subcommand_parser_alone_matches_the_full_parser(capsys):
+    for name in _COMMANDS:
+        alone = _outcome(capsys, lambda: build_parser(name).parse_args([name, "--help"]))
+        full = _outcome(capsys, lambda: build_parser().parse_args([name, "--help"]))
+        assert alone == full, name
 
 
 def test_json_number_operand_is_parse_error():

@@ -75,11 +75,12 @@ def test_same_alphabet_is_defined_once():
 
 def test_importing_the_package_pulls_in_no_numeric_dependency():
     # the library promises zero dependencies: numpy and sympy may be
-    # installed, but importing hopfwords or its CLI must not load them
+    # installed, but importing hopfwords or its CLI must not load them;
+    # nor dataclasses and inspect, which cost every CLI run about 10 ms
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     probe = (
-        "import sys, hopfwords, hopfwords.cli; "
-        "print(sorted(m for m in ('numpy', 'sympy') if m in sys.modules))"
+        "import sys, hopfwords, hopfwords.cli; print(sorted(m for m in "
+        "('numpy', 'sympy', 'dataclasses', 'inspect') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
