@@ -24,6 +24,7 @@ from .dualforms import (
     FiniteSupportSeries,
     RecognizableSeries,
     Series,
+    _merge_count,
     _to_linrep,
     convolve,
     embed_finite,
@@ -32,8 +33,8 @@ from .dualforms import (
 from .errors import DomainError, InconclusiveError, ParseError
 from .freealg import (
     Alphabet,
+    LinComb,
     NCPoly,
-    Tensor2,
     Word,
     antipode,
     coassoc_lhs,
@@ -64,9 +65,11 @@ EXIT_COUNTEREXAMPLE = 4
 _INLINE_LIMIT = 1024
 _MAXLEN_CAP = 7
 # most entries of a Hankel window (hankel, rank, learn), most terms of a
-# coproduct before merging (coprod), and most letter-matrix entries of the
-# automaton of a finite-support operand (split, dualS, mixed conv), checked
-# before any word is enumerated or any matrix built
+# coproduct before merging (coprod), most letter-matrix entries of the
+# automaton of a finite-support operand (split, dualS, conv) and of a
+# convolution's representation, and most merged words of a convolution of
+# two finite supports, checked before any word is enumerated or any matrix
+# built
 _WINDOW_CAP = 1 << 20
 
 
@@ -237,17 +240,43 @@ def _suffix_states(f: FiniteSupportSeries) -> int:
     return n
 
 
-def _preflight_embed(f: Series):
+def _preflight_embed(f: Series) -> int:
     """Refuse a finite-support operand whose automaton (embed_finite) has
     more than _WINDOW_CAP letter-matrix entries: n^2 per letter for n
-    states. A recognizable operand passes."""
+    states. Returns the dimension of the operand's representation: n, or
+    the dimension of a recognizable operand, which passes."""
     if not isinstance(f, FiniteSupportSeries):
-        return
+        return f.rep.dim
     n, k = _suffix_states(f), len(f.alphabet.letters)
     if n * n * k > _WINDOW_CAP:
         raise ParseError(
             f"automaton of {n} states over {k} letter(s) has {n * n * k} letter-matrix "
             f"entries, which exceeds the cap of {_WINDOW_CAP} entries"
+        )
+    return n
+
+
+def _preflight_conv(f: Series, h: Series):
+    """Refuse a convolution that would enumerate more than _WINDOW_CAP
+    merged words (two finite supports), or whose representation (dimension
+    d1*d2) would have more than _WINDOW_CAP letter-matrix entries."""
+    if isinstance(f, FiniteSupportSeries) and isinstance(h, FiniteSupportSeries):
+        total = 0
+        for u in f.terms:
+            for v in h.terms:
+                total += _merge_count(u, v)
+                if total > _WINDOW_CAP:
+                    raise ParseError(
+                        f"convolution of the finite supports merges {total} or more "
+                        f"words, which exceeds the cap of {_WINDOW_CAP} words"
+                    )
+        return
+    d1, d2 = _preflight_embed(f), _preflight_embed(h)
+    d, k = d1 * d2, len(f.alphabet.letters)
+    if d * d * k > _WINDOW_CAP:
+        raise ParseError(
+            f"convolution of dimension {d1} x {d2} = {d} over {k} letter(s) has "
+            f"{d * d * k} letter-matrix entries, which exceeds the cap of {_WINDOW_CAP} entries"
         )
 
 
@@ -270,23 +299,14 @@ def _finish(args, text: str, json_obj) -> tuple[str, int]:
     return text + "\n", EXIT_OK
 
 
-def _poly_json(p: NCPoly):
-    return {
-        "alphabet": p.alphabet.decl(),
-        "terms": [[str(w), str(c)] for w, c in p.terms.items()],
-    }
-
-
-def _out_poly(args, p: NCPoly):
-    return _finish(args, str(p), _poly_json(p))
-
-
-def _out_tensor2(args, t: Tensor2):
+def _out_terms(args, x: LinComb):
+    """A polynomial or tensor: its text, or JSON rows of the words of each
+    term followed by the coefficient."""
     obj = {
-        "alphabet": t.alphabet.decl(),
-        "terms": [[str(u), str(v), str(c)] for (u, v), c in t.terms.items()],
+        "alphabet": x.alphabet.decl(),
+        "terms": [[*map(str, x._factors(k)), str(c)] for k, c in x.terms.items()],
     }
-    return _finish(args, str(t), obj)
+    return _finish(args, str(x), obj)
 
 
 def _out_rational(args, c: Fraction):
@@ -333,14 +353,14 @@ def _cmd_coprod(args):
         raise ParseError(
             f"coproduct of {count} terms before merging exceeds the cap of {_WINDOW_CAP} terms"
         )
-    return _out_tensor2(args, coproduct(p))
+    return _out_terms(args, coproduct(p))
 
 
 def _cmd_mul(args):
     alph = _need_alphabet(args)
     p = _load_poly(args, args.poly, alph)
     q = _load_poly(args, args.poly2, alph)
-    return _out_poly(args, poly_mul(p, q))
+    return _out_terms(args, poly_mul(p, q))
 
 
 def _cmd_counit(args):
@@ -348,7 +368,7 @@ def _cmd_counit(args):
 
 
 def _cmd_antipode(args):
-    return _out_poly(args, antipode(_load_poly(args, args.poly)))
+    return _out_terms(args, antipode(_load_poly(args, args.poly)))
 
 
 def _cmd_pair(args):
@@ -359,12 +379,10 @@ def _cmd_pair(args):
 
 def _cmd_conv(args):
     f, h = _series_args(args, 2)
-    if not (isinstance(f, FiniteSupportSeries) and isinstance(h, FiniteSupportSeries)):
-        _preflight_embed(f)
-        _preflight_embed(h)
+    _preflight_conv(f, h)
     result = convolve(f, h)
     if isinstance(result, FiniteSupportSeries):
-        return _out_poly(args, result.poly)
+        return _out_terms(args, result.poly)
     return _out_rep(args, result.rep)
 
 

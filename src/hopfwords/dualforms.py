@@ -11,6 +11,7 @@ are combined at the representation level.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterator
 
 from .freealg import Alphabet, NCPoly, Word, _same_alphabet, shortlex_key
@@ -152,6 +153,36 @@ def _merges(u: Word, v: Word) -> Iterator[Word]:
 
     for letters, text in rec(0, 0):
         yield Word(alphabet, letters, text)
+
+
+def _merge_count(u: Word, v: Word) -> int:
+    """How many words _merges(u, v) emits, counted in O(|u| + |v|). Its
+    recursion moves primitive letters of either word freely and group-like
+    letters only in equal pairs, so there is no merge unless the group-like
+    letters of u and v agree in order; then the primitive runs between
+    them interleave independently, C(p + q, p) ways for runs of p and q."""
+    (gu, ru), (gv, rv) = _runs(u), _runs(v)
+    if gu != gv:
+        return 0
+    total = 1
+    for p, q in zip(ru, rv):
+        total *= comb(p + q, p)
+    return total
+
+
+def _runs(w: Word):
+    """The group-like letters of w in order, and the lengths of the runs of
+    primitive letters before, between and after them."""
+    group_like, runs, n = [], [], 0
+    for letter in w.letters:
+        if letter.group_like:
+            group_like.append(letter)
+            runs.append(n)
+            n = 0
+        else:
+            n += 1
+    runs.append(n)
+    return group_like, runs
 
 
 def convolve(f: Series, h: Series) -> Series:

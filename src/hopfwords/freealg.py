@@ -1,9 +1,11 @@
 """The free algebra over a partitioned alphabet.
 
-Words under concatenation, noncommutative polynomials with exact rational
-coefficients, the subword coproduct driven by the group-like/primitive
-partition of the letters, the counit, and the antipode (which exists exactly
-when every letter is primitive).
+Words under concatenation; finite linear combinations with exact rational
+coefficients of words and of tensors of words (one type, LinComb, whose
+subclasses NCPoly, Tensor2 and Tensor3 fix the number of tensor factors);
+the subword coproduct driven by the group-like/primitive partition of the
+letters, the counit, and the antipode (which exists exactly when every
+letter is primitive).
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so everything here is safe to share across threads.
@@ -285,16 +287,18 @@ def _exact(c) -> Fraction:
     raise TypeError(f"coefficient must be an int or a Fraction, got {c!r}")
 
 
-def _canonical(alphabet: Alphabet, terms, component_words) -> dict:
+def _canonical(alphabet: Alphabet, terms, arity: int) -> dict:
     """Validate, merge and sort terms; drop zero coefficients.
 
+    A key is a Word at arity 1 and a tuple of `arity` words otherwise.
     Terms are ordered component by component, by length descending, then
     symbols ascending; symbols are single characters, so comparing symbol
     strings compares the symbol sequences."""
+    single = arity == 1
     acc: dict = {}
     items = terms.items() if isinstance(terms, Mapping) else terms
     for key, c in items:
-        for w in component_words(key):
+        for w in (key,) if single else key:
             if w.alphabet is not alphabet:
                 _same_alphabet(w.alphabet, alphabet)
         if c.__class__ is not Fraction:
@@ -304,7 +308,7 @@ def _canonical(alphabet: Alphabet, terms, component_words) -> dict:
     clean = [kv for kv in acc.items() if kv[1]]
     def sort_key(kv):
         out = []
-        for w in component_words(kv[0]):
+        for w in (kv[0],) if single else kv[0]:
             out.append(-len(w.letters))
             out.append(w._symbols)
         return out
@@ -312,84 +316,74 @@ def _canonical(alphabet: Alphabet, terms, component_words) -> dict:
     return dict(clean)
 
 
-def _term_text(c: Fraction, body: str) -> str:
-    mag = abs(c)
-    return body if mag == 1 else f"{mag}*{body}"
+class LinComb:
+    """Finite Q-linear combination of tensors of `arity` words: an element
+    of A, A (x) A or A (x) A (x) A. Use the subclasses NCPoly, Tensor2 and
+    Tensor3, which fix the arity.
 
-
-def _render_terms(items) -> str:
-    parts = []
-    for c, body in items:
-        text = _term_text(c, body)
-        if not parts:
-            parts.append(text if c > 0 else "-" + text)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + text)
-    return " ".join(parts)
-
-
-class NCPoly:
-    """Noncommutative polynomial: a finite Q-linear combination of words.
-
-    Terms are kept without zero coefficients and ordered by word length
-    descending then symbols ascending; printing and iteration follow that
-    order, so output is deterministic and parse(str(p)) == p.
+    A term's key is a Word at arity 1 and a tuple of words otherwise. Terms
+    are kept without zero coefficients and ordered component by component,
+    by word length descending then symbols ascending; printing and iteration
+    follow that order, so output is deterministic and parse(str(x)) == x.
+    Values of different arity never compare equal, add or multiply.
     """
 
     __slots__ = ("alphabet", "terms")
+    arity: int
 
     def __init__(self, alphabet: Alphabet, terms=()):
         self.alphabet = alphabet
-        self.terms: dict[Word, Fraction] = _canonical(alphabet, terms, lambda w: (w,))
+        self.terms: dict = _canonical(alphabet, terms, self.arity)
 
     @classmethod
-    def zero(cls, alphabet: Alphabet) -> "NCPoly":
-        return cls(alphabet)
+    def one(cls, alphabet: Alphabet):
+        u = alphabet.unit_word()
+        return cls(alphabet, {u if cls.arity == 1 else (u,) * cls.arity: 1})
 
     @classmethod
-    def one(cls, alphabet: Alphabet) -> "NCPoly":
-        return cls(alphabet, {alphabet.unit_word(): 1})
-
-    @classmethod
-    def from_word(cls, w: Word, coeff=1) -> "NCPoly":
-        return cls(w.alphabet, {w: coeff})
-
-    @classmethod
-    def from_text(cls, alphabet: Alphabet, text: str) -> "NCPoly":
-        cur = _Cursor(text)
+    def from_text(cls, alphabet: Alphabet, text: str):
         acc: dict = {}
-        for c, w in _parse_sum(cur, lambda c: _parse_poly_term(c, alphabet)):
-            _bump(acc, w, c)
+        for c, key in _parse_sum(_Cursor(text), alphabet, cls.arity):
+            _bump(acc, key, c)
         return cls(alphabet, acc)
 
-    def coeff(self, w: Word) -> Fraction:
-        return self.terms.get(w, Fraction(0))
+    def _factors(self, key) -> tuple:
+        """The words of a term key, one per tensor factor."""
+        return (key,) if self.arity == 1 else key
+
+    def coeff(self, *words: Word) -> Fraction:
+        """The coefficient of the term with these words, one per factor."""
+        if len(words) != self.arity:
+            raise TypeError(f"coeff of a {type(self).__name__} takes {self.arity} word(s)")
+        return self.terms.get(words[0] if self.arity == 1 else words, Fraction(0))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, NCPoly)
+            other.__class__ is self.__class__
             and self.alphabet == other.alphabet
             and self.terms == other.terms
         )
 
-    def __add__(self, other: "NCPoly") -> "NCPoly":
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         _same_alphabet(self.alphabet, other.alphabet)
         acc = dict(self.terms)
-        for w, c in other.terms.items():
-            _bump(acc, w, c)
-        return NCPoly(self.alphabet, acc)
+        for k, c in other.terms.items():
+            _bump(acc, k, c)
+        return self.__class__(self.alphabet, acc)
 
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(self.alphabet, {w: -c for w, c in self.terms.items()})
+    def __neg__(self):
+        return self.__class__(self.alphabet, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, NCPoly):
+        if other.__class__ is self.__class__:
             return poly_mul(self, other)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
@@ -400,126 +394,54 @@ class NCPoly:
             return self.scale(other)
         return NotImplemented
 
-    def scale(self, c) -> "NCPoly":
+    def scale(self, c):
         c = _exact(c)
-        return NCPoly(self.alphabet, {w: c * v for w, v in self.terms.items()})
+        return self.__class__(self.alphabet, {k: c * v for k, v in self.terms.items()})
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return _render_terms((c, str(w)) for w, c in self.terms.items())
+        single = self.arity == 1
+        parts = []
+        for k, c in self.terms.items():
+            body = str(k) if single else "(x)".join(map(str, k))
+            mag = abs(c)
+            text = body if mag == 1 else f"{mag}*{body}"
+            if parts:
+                parts.append(("+ " if c > 0 else "- ") + text)
+            else:
+                parts.append(text if c > 0 else "-" + text)
+        return " ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
-        return f"NCPoly({self})"
+        return f"{type(self).__name__}({self})"
 
 
-class Tensor2:
+class NCPoly(LinComb):
+    """Noncommutative polynomial: a finite Q-linear combination of words."""
+
+    __slots__ = ()
+    arity = 1
+
+    @classmethod
+    def zero(cls, alphabet: Alphabet) -> "NCPoly":
+        return cls(alphabet)
+
+    @classmethod
+    def from_word(cls, w: Word, coeff=1) -> "NCPoly":
+        return cls(w.alphabet, {w: coeff})
+
+
+class Tensor2(LinComb):
     """Finite Q-linear combination of word pairs: an element of A (x) A."""
 
-    __slots__ = ("alphabet", "terms")
-
-    def __init__(self, alphabet: Alphabet, terms=()):
-        self.alphabet = alphabet
-        self.terms: dict[tuple[Word, Word], Fraction] = _canonical(
-            alphabet, terms, lambda k: k
-        )
-
-    @classmethod
-    def one(cls, alphabet: Alphabet) -> "Tensor2":
-        u = alphabet.unit_word()
-        return cls(alphabet, {(u, u): 1})
-
-    @classmethod
-    def from_text(cls, alphabet: Alphabet, text: str) -> "Tensor2":
-        cur = _Cursor(text)
-        acc: dict = {}
-        for c, key in _parse_sum(cur, lambda c: _parse_tensor_term(c, alphabet, 2)):
-            _bump(acc, key, c)
-        return cls(alphabet, acc)
-
-    def coeff(self, u: Word, v: Word) -> Fraction:
-        return self.terms.get((u, v), Fraction(0))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tensor2)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "Tensor2") -> "Tensor2":
-        _same_alphabet(self.alphabet, other.alphabet)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            _bump(acc, k, c)
-        return Tensor2(self.alphabet, acc)
-
-    def __sub__(self, other: "Tensor2") -> "Tensor2":
-        return self + other.scale(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor2):
-            return tensor2_mul(self, other)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "Tensor2":
-        c = _exact(c)
-        return Tensor2(self.alphabet, {k: c * v for k, v in self.terms.items()})
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return _render_terms(
-            (c, f"{u}(x){v}") for (u, v), c in self.terms.items()
-        )
-
-    def __repr__(self) -> str:
-        return f"Tensor2({self})"
+    __slots__ = ()
+    arity = 2
 
 
-class Tensor3:
+class Tensor3(LinComb):
     """Finite Q-linear combination of word triples: an element of A (x) A (x) A."""
 
-    __slots__ = ("alphabet", "terms")
-
-    def __init__(self, alphabet: Alphabet, terms=()):
-        self.alphabet = alphabet
-        self.terms: dict[tuple[Word, Word, Word], Fraction] = _canonical(
-            alphabet, terms, lambda k: k
-        )
-
-    def coeff(self, u: Word, v: Word, w: Word) -> Fraction:
-        return self.terms.get((u, v, w), Fraction(0))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Tensor3)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return _render_terms(
-            (c, f"{u}(x){v}(x){w}") for (u, v, w), c in self.terms.items()
-        )
-
-    def __repr__(self) -> str:
-        return f"Tensor3({self})"
+    __slots__ = ()
+    arity = 3
 
 
 # ---------------------------------------------------------------------------
@@ -532,14 +454,23 @@ def conc(u: Word, v: Word) -> Word:
     return Word(u.alphabet, u.letters + v.letters, u._symbols + v._symbols)
 
 
-def poly_mul(p: NCPoly, q: NCPoly) -> NCPoly:
-    """Bilinear extension of concatenation."""
-    _same_alphabet(p.alphabet, q.alphabet)
+def poly_mul(x: LinComb, y: LinComb) -> LinComb:
+    """Bilinear extension of concatenation, componentwise on tensors:
+    (u1 (x) v1)(u2 (x) v2) = u1u2 (x) v1v2. Operands of different arity
+    are a TypeError."""
+    if x.__class__ is not y.__class__:
+        raise TypeError(f"cannot multiply {type(x).__name__} by {type(y).__name__}")
+    _same_alphabet(x.alphabet, y.alphabet)
+    single = x.arity == 1
     acc: dict = {}
-    for u, c in p.terms.items():
-        for v, d in q.terms.items():
-            _bump(acc, conc(u, v), c * d)
-    return NCPoly(p.alphabet, acc)
+    for k1, c in x.terms.items():
+        for k2, d in y.terms.items():
+            _bump(acc, conc(k1, k2) if single else tuple(map(conc, k1, k2)), c * d)
+    return x.__class__(x.alphabet, acc)
+
+
+# the product on A (x) A is the same componentwise product
+tensor2_mul = poly_mul
 
 
 def splittings(w: Word) -> Iterator[tuple[Word, Word]]:
@@ -592,44 +523,36 @@ def antipode(p: NCPoly) -> NCPoly:
     )
 
 
-def tensor2_mul(x: Tensor2, y: Tensor2) -> Tensor2:
-    """Componentwise concatenation product on A (x) A."""
-    _same_alphabet(x.alphabet, y.alphabet)
+def _resplit(p: NCPoly, first: bool) -> Tensor3:
+    """Split p, then split again the first or the second component."""
     acc: dict = {}
-    for (u1, v1), c in x.terms.items():
-        for (u2, v2), d in y.terms.items():
-            _bump(acc, (conc(u1, u2), conc(v1, v2)), c * d)
-    return Tensor2(x.alphabet, acc)
+    for (u, v), c in coproduct(p).terms.items():
+        for (x, y), d in coproduct_word(u if first else v).terms.items():
+            _bump(acc, (x, y, v) if first else (u, x, y), c * d)
+    return Tensor3(p.alphabet, acc)
 
 
 def coassoc_lhs(p: NCPoly) -> Tensor3:
     """Split, then resplit the first component."""
-    acc: dict = {}
-    for (u, v), c in coproduct(p).terms.items():
-        for (u1, u2), d in coproduct_word(u).terms.items():
-            _bump(acc, (u1, u2, v), c * d)
-    return Tensor3(p.alphabet, acc)
+    return _resplit(p, True)
 
 
 def coassoc_rhs(p: NCPoly) -> Tensor3:
     """Split, then resplit the second component."""
-    acc: dict = {}
-    for (u, v), c in coproduct(p).terms.items():
-        for (v1, v2), d in coproduct_word(v).terms.items():
-            _bump(acc, (u, v1, v2), c * d)
-    return Tensor3(p.alphabet, acc)
+    return _resplit(p, False)
 
 
 # ---------------------------------------------------------------------------
 # text grammar
 #
-#   poly   := ["+"|"-"] term (("+"|"-") term)*
-#   term   := [rational "*"?]? word
+#   sum    := ["+"|"-"] term (("+"|"-") term)*
+#   term   := [rational "*"?]? word ("(x)" word)*    (arity - 1 separators)
 #   rational := int | int "/" posint
 #   word   := "1" | letter+
 #
-# Tensor terms replace the single word by words joined with "(x)"; the
-# Unicode tensor sign is accepted on input only.
+# At arity 1 a bare rational is a coefficient of the unit word; in a tensor
+# only the bare token "1" stands for the unit word. The Unicode tensor sign
+# is accepted in place of "(x)" on input only.
 
 
 class _Cursor:
@@ -704,66 +627,41 @@ def _parse_word_opt(cur: _Cursor, alphabet: Alphabet):
     return Word(alphabet, tuple(letters), cur.text[start : cur.pos])
 
 
-def _parse_poly_term(cur: _Cursor, alphabet: Alphabet):
+def _parse_term(cur: _Cursor, alphabet: Alphabet, arity: int):
+    """One term: its coefficient and its key (a Word at arity 1, a tuple of
+    `arity` words otherwise)."""
     cur.skip_ws()
-    if cur.peek() in _DIGITS:
-        coeff = _parse_rational(cur)
-        cur.skip_ws()
-        if cur.peek() == "*":
-            cur.advance()
-            w = _parse_word_opt(cur, alphabet)
-            if w is None:
-                cur.fail("expected a word after '*'")
-            return coeff, w
-        w = _parse_word_opt(cur, alphabet)
-        return coeff, (w if w is not None else alphabet.unit_word())
-    w = _parse_word_opt(cur, alphabet)
-    if w is None:
-        cur.fail("expected a term")
-    return Fraction(1), w
-
-
-def _parse_tensor_sep(cur: _Cursor) -> bool:
-    cur.skip_ws()
-    if cur.peek() == "⊗":
-        cur.advance()
-        return True
-    if cur.text.startswith("(x)", cur.pos):
-        cur.pos += 3
-        return True
-    return False
-
-
-def _parse_tensor_term(cur: _Cursor, alphabet: Alphabet, arity: int):
-    cur.skip_ws()
-    coeff = Fraction(1)
-    first = None
     if cur.peek() in _DIGITS:
         start = cur.pos
-        num = _parse_rational(cur)
+        coeff = _parse_rational(cur)
         cur.skip_ws()
-        if cur.peek() == "*":
+        starred = cur.peek() == "*"
+        if starred:
             cur.advance()
-            first = _parse_word_opt(cur, alphabet)
-            if first is None:
+        first = _parse_word_opt(cur, alphabet)
+        if first is None:
+            if starred:
                 cur.fail("expected a word after '*'")
-            coeff = num
-        else:
-            w = _parse_word_opt(cur, alphabet)
-            if w is not None:
-                coeff, first = num, w
-            elif cur.text[start : cur.pos].strip() == "1":
-                # the bare token "1" was the unit word, not a coefficient
-                first = alphabet.unit_word()
-            else:
+            # a bare rational is the coefficient of the unit word; in a
+            # tensor only the bare token "1" is the unit word
+            if arity > 1 and cur.text[start : cur.pos].strip() != "1":
                 cur.fail("expected a word")
+            first = alphabet.unit_word()
     else:
+        coeff = Fraction(1)
         first = _parse_word_opt(cur, alphabet)
         if first is None:
             cur.fail("expected a term")
+    if arity == 1:
+        return coeff, first
     comps = [first]
     for _ in range(arity - 1):
-        if not _parse_tensor_sep(cur):
+        cur.skip_ws()
+        if cur.peek() == "⊗":
+            cur.advance()
+        elif cur.text.startswith("(x)", cur.pos):
+            cur.pos += 3
+        else:
             cur.fail("expected '(x)'")
         w = _parse_word_opt(cur, alphabet)
         if w is None:
@@ -772,7 +670,7 @@ def _parse_tensor_term(cur: _Cursor, alphabet: Alphabet, arity: int):
     return coeff, tuple(comps)
 
 
-def _parse_sum(cur: _Cursor, parse_term):
+def _parse_sum(cur: _Cursor, alphabet: Alphabet, arity: int):
     if cur.done():
         cur.fail("empty expression")
     sign = 1
@@ -780,7 +678,7 @@ def _parse_sum(cur: _Cursor, parse_term):
     if cur.peek() in "+-":
         sign = -1 if cur.advance() == "-" else 1
     while True:
-        c, key = parse_term(cur)
+        c, key = _parse_term(cur, alphabet, arity)
         yield sign * c, key
         if cur.done():
             return

@@ -149,6 +149,61 @@ def test_oversized_finite_support_automaton_is_refused_before_embedding(tmp_path
         assert entries in proc.stderr
 
 
+def test_oversized_finite_convolution_is_refused_before_enumeration():
+    # a^20 and b^20 merge C(40, 20), about 1.4e11, ways: counted pair by
+    # pair, never enumerated
+    t0 = time.perf_counter()
+    proc = run_cli(["conv", "--alphabet", "a:L,b:L", "--series", "a" * 20, "--series", "b" * 20])
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert b"137846528820" in proc.stderr
+    # group-like letters merge pairwise: g^20 with g^20 has one merge
+    proc = run_cli(["conv", "--alphabet", "a:L,g:G", "--series", "g" * 20, "--series", "g" * 20])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"g" * 20 + b"\n"
+
+
+def _rep_json(dim: int, letters: str) -> str:
+    """A dim x dim representation over the primitive letters: lambda and
+    gamma the first unit vectors, every letter the identity."""
+    unit = [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]
+    return json.dumps({
+        "alphabet": ",".join(f"{l}:L" for l in letters),
+        "dim": dim,
+        "lambda": [row[0] for row in unit],
+        "mu": {l: unit for l in letters},
+        "gamma": [[row[0]] for row in unit],
+    })
+
+
+def test_oversized_convolution_representation_is_refused(tmp_path):
+    # the result has dimension d1 * d2 and (d1 * d2)^2 entries per letter;
+    # each operand alone is far under the cap
+    rng = random.Random(11)
+    words = ["".join(rng.choice("ab") for _ in range(9)) for _ in range(60)]
+    states = len({w[k:] for w in words for k in range(len(w) + 1)})
+    assert 200 <= states <= 300 and states * states * 2 < 1 << 20
+    support = tmp_path / "support.txt"
+    support.write_text(" + ".join(words))
+    rep4, rep40 = tmp_path / "rep4.json", tmp_path / "rep40.json"
+    rep4.write_text(_rep_json(4, "ab"))
+    rep40.write_text(_rep_json(40, "ab"))
+    for args, dims in (
+        (["--series", str(support), "--series", str(rep4)], (states, 4)),
+        (["--series", str(rep4), "--series", str(support)], (4, states)),
+        (["--series", str(rep40), "--series", str(rep40)], (40, 40)),
+    ):
+        t0 = time.perf_counter()
+        proc = run_cli(["conv", "--alphabet", "a:L,b:L", *args])
+        assert time.perf_counter() - t0 < 10
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        d = dims[0] * dims[1]
+        assert f"dimension {dims[0]} x {dims[1]} = {d}".encode() in proc.stderr
+        assert str(d * d * 2).encode() in proc.stderr
+
+
 def _outcome(capsys, call):
     """(stdout, stderr, exit code) of a CLI call that may exit through argparse."""
     try:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import geometric_rep
 from hopfwords import (
+    Alphabet,
     FiniteSupportSeries,
     NCPoly,
     RecognizableSeries,
@@ -16,6 +17,7 @@ from hopfwords import (
     embed_finite,
     pair,
 )
+from hopfwords.dualforms import _merge_count, _merges
 from hopfwords.errors import DomainError
 
 
@@ -80,6 +82,17 @@ def test_convolve_group_like_synchronizes(grouponly):
     assert convolve(xg, indicator(grouponly, "1")) == FiniteSupportSeries.zero(
         grouponly
     )
+
+
+_TWO_GROUP_LIKE = Alphabet.from_decl("a:L,b:L,g:G,h:G")
+_words = st.text(alphabet="abgh", max_size=6).map(lambda s: _TWO_GROUP_LIKE.word(s or "1"))
+
+
+@given(_words, _words)
+@settings(max_examples=300, deadline=None)
+def test_merge_count_counts_the_enumeration(u, v):
+    # the CLI's conv preflight counts merges instead of enumerating them
+    assert _merge_count(u, v) == sum(1 for _ in _merges(u, v))
 
 
 def test_convolve_longer_words_against_oracle(mixed):

@@ -17,6 +17,7 @@ from hopfwords import (
     LetterKind,
     NCPoly,
     Tensor2,
+    Tensor3,
     Word,
     antipode,
     coassoc_lhs,
@@ -485,6 +486,81 @@ def test_tensor2_text_round_trip(ab):
     )
 
 
+# ---------------------------------------------------------------------------
+# one linear-combination type: NCPoly, Tensor2 and Tensor3 differ only in
+# the number of words in a key
+
+_CLASSES = {1: NCPoly, 2: Tensor2, 3: Tensor3}
+_MIXED = Alphabet.from_decl("a:L,b:L,g:G")
+_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+def _lincomb_terms(arity: int):
+    word = st.sampled_from(list(_MIXED.words(2)))
+    key = word if arity == 1 else st.tuples(*[word] * arity)
+    return st.dictionaries(key, _coeffs, max_size=5)
+
+
+def _nonzero(d: dict) -> dict:
+    return {k: c for k, c in d.items() if c}
+
+
+def _merged(d1: dict, d2: dict, sign: int) -> dict:
+    out = dict(d1)
+    for k, c in d2.items():
+        out[k] = out.get(k, 0) + sign * c
+    return out
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_linear_combination_body_against_a_dict(data):
+    arity = data.draw(st.integers(min_value=1, max_value=3))
+    cls = _CLASSES[arity]
+    d1, d2 = data.draw(_lincomb_terms(arity)), data.draw(_lincomb_terms(arity))
+    c = data.draw(_coeffs)
+    x, y = cls(_MIXED, d1), cls(_MIXED, d2)
+    assert x.terms == _nonzero(d1)
+    # the zero tensor prints as "0", which the tensor grammar refuses; see
+    # the zero-tensor entry in CHANGES.md
+    if x or arity == 1:
+        assert cls.from_text(_MIXED, str(x)) == x
+    assert (x + y).terms == _nonzero(_merged(d1, d2, 1))
+    assert (x - y).terms == _nonzero(_merged(d1, d2, -1))
+    assert (-x).terms == _nonzero({k: -v for k, v in d1.items()})
+    assert x.scale(c).terms == _nonzero({k: c * v for k, v in d1.items()})
+    assert c * x == x * c == x.scale(c)
+    for k, v in d1.items():
+        assert x.coeff(*((k,) if arity == 1 else k)) == v
+    other = _CLASSES[arity % 3 + 1]
+    assert x != other(_MIXED, {}) and NCPoly.zero(_MIXED) != Tensor2(_MIXED)
+    with pytest.raises(TypeError):
+        x * other.one(_MIXED)
+    with pytest.raises(TypeError):
+        x + other.one(_MIXED)
+
+
+def test_mixed_arity_product_is_a_type_error(ab):
+    p, t = NCPoly.from_text(ab, "a"), Tensor2.from_text(ab, "a(x)b")
+    with pytest.raises(TypeError):
+        p * t
+    with pytest.raises(TypeError):
+        t * p
+    with pytest.raises(TypeError):
+        poly_mul(p, t)
+    with pytest.raises(TypeError):
+        t.coeff(ab.word("a"))
+
+
+def test_tensor3_parses_adds_and_multiplies(mixed):
+    lhs = coassoc_lhs(NCPoly.from_text(mixed, "ab - 2*g"))
+    assert Tensor3.from_text(mixed, str(lhs)) == lhs
+    assert lhs - coassoc_rhs(NCPoly.from_text(mixed, "ab - 2*g")) == Tensor3(mixed)
+    assert str(Tensor3.one(mixed)) == "1(x)1(x)1"
+    x = Tensor3.from_text(mixed, "a(x)1⊗g + 1/2*1(x)b(x)1")
+    assert str(x * x) == "aa(x)1(x)gg + a(x)b(x)g + 1/4*1(x)bb(x)1"
+
+
 def test_coassociativity_small_cases(mixed):
     a = coassoc_lhs(NCPoly.from_text(mixed, "a"))
     assert str(a) == "a(x)1(x)1 + 1(x)a(x)1 + 1(x)1(x)a"
@@ -516,6 +592,39 @@ def test_parse_errors_name_position(ab):
         NCPoly.from_text(ab, "a ++ b")
     with pytest.raises(ParseError):
         NCPoly.from_text(ab, "xy")
+
+
+@pytest.mark.parametrize(
+    "cls,text,result",
+    [
+        (NCPoly, "3", "3*1"),
+        (NCPoly, "1/2", "1/2*1"),
+        (Tensor2, "1(x)a", "1(x)a"),
+        (Tensor2, "1 (x) 1", "1(x)1"),
+        (Tensor2, "2 *1(x)g", "2*1(x)g"),
+    ],
+)
+def test_term_grammar_boundary_values(mixed, cls, text, result):
+    assert str(cls.from_text(mixed, text)) == result
+
+
+@pytest.mark.parametrize(
+    "cls,text,message",
+    [
+        (Tensor2, "3", "expected a word at position 1 in '3'"),
+        (Tensor2, "1/2", "expected a word at position 3 in '1/2'"),
+        (Tensor2, "2(x)a", "expected a word at position 1 in '2(x)a'"),
+        (NCPoly, "2(x)a", "expected '+' or '-', found '(' at position 1 in '2(x)a'"),
+        (NCPoly, "1(x)a", "expected '+' or '-', found '(' at position 1 in '1(x)a'"),
+        (NCPoly, "3*", "expected a word after '*' at position 2 in '3*'"),
+        (Tensor2, "3*", "expected a word after '*' at position 2 in '3*'"),
+        (Tensor3, "a(x)b", "expected '(x)' at position 5 in 'a(x)b'"),
+    ],
+)
+def test_term_grammar_boundary_errors(mixed, cls, text, message):
+    with pytest.raises(ParseError) as info:
+        cls.from_text(mixed, text)
+    assert str(info.value) == message
 
 
 def test_alphabet_validation():

@@ -8,7 +8,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hopfwords import Alphabet, LinRep, MatRep, NCPoly, Tensor2
+from hopfwords import Alphabet, LinRep, MatRep, NCPoly, Tensor2, Tensor3
 from hopfwords.cli import _load_json_rep
 from hopfwords.errors import ParseError
 from hopfwords.linalg import _parse_rational
@@ -59,12 +59,14 @@ def test_polynomial_text(text):
 @given(expr_text)
 @example("a(x)" + LONG_NUMBER)
 @example("1 (x) 1")
+@example("2*a(x)1⊗g - 1 (x) 1 (x) " + LONG_NUMBER)
 def test_tensor_text(text):
-    try:
-        t = Tensor2.from_text(MIXED, text)
-    except ParseError:
-        return
-    assert Tensor2.from_text(MIXED, str(t)) == t
+    for cls in (Tensor2, Tensor3):
+        try:
+            t = cls.from_text(MIXED, text)
+        except ParseError:
+            continue
+        assert cls.from_text(MIXED, str(t)) == t
 
 
 @FUZZ

@@ -73,6 +73,20 @@ def test_same_alphabet_is_defined_once():
     assert found == ["freealg"]
 
 
+def test_linear_combinations_share_one_body():
+    # NCPoly, Tensor2 and Tensor3 differ only in their arity: construction,
+    # arithmetic and printing are written once, as is the term parser
+    tree = _trees()["freealg"]
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    shared = {"__init__", "__eq__", "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "scale", "__str__"}
+    for name in ("NCPoly", "Tensor2", "Tensor3"):
+        defined = {node.name for node in classes[name].body if isinstance(node, ast.FunctionDef)}
+        assert not defined & shared, f"{name} defines {sorted(defined & shared)}"
+    functions = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert functions.count("_canonical") == 1
+    assert [f for f in functions if f.startswith("_parse") and f.endswith("term")] == ["_parse_term"]
+
+
 def test_importing_the_package_pulls_in_no_numeric_dependency():
     # the library promises zero dependencies: numpy and sympy may be
     # installed, but importing hopfwords or its CLI must not load them;
