@@ -36,6 +36,7 @@ from .freealg import (
     LinComb,
     NCPoly,
     Word,
+    _check_antipode_domain,
     antipode,
     coassoc_lhs,
     coassoc_rhs,
@@ -293,33 +294,38 @@ def _maxlen(args) -> int:
 # output formatting
 
 
-def _finish(args, text: str, json_obj) -> tuple[str, int]:
-    if args.format == "json":
-        return json.dumps(json_obj) + "\n", EXIT_OK
-    return text + "\n", EXIT_OK
+def _finish(args, text, json_obj) -> tuple[str, int]:
+    """The rendering --format asks for, text() or json_obj() as JSON; both
+    are callables, so the other rendering is never built."""
+    body = json.dumps(json_obj()) if args.format == "json" else text()
+    return body + "\n", EXIT_OK
+
+
+def _out_json(obj) -> tuple[str, int]:
+    """A result whose text rendering is its JSON document, so both formats
+    print the same."""
+    return json.dumps(obj) + "\n", EXIT_OK
 
 
 def _out_terms(args, x: LinComb):
     """A polynomial or tensor: its text, or JSON rows of the words of each
     term followed by the coefficient."""
-    obj = {
-        "alphabet": x.alphabet.decl(),
-        "terms": [[*map(str, x._factors(k)), str(c)] for k, c in x.terms.items()],
-    }
-    return _finish(args, str(x), obj)
+
+    def json_obj():
+        return {
+            "alphabet": x.alphabet.decl(),
+            "terms": [[*map(str, x._factors(k)), str(c)] for k, c in x.terms.items()],
+        }
+
+    return _finish(args, x.__str__, json_obj)
 
 
 def _out_rational(args, c: Fraction):
-    return _finish(args, str(c), {"value": str(c)})
+    return _finish(args, lambda: str(c), lambda: {"value": str(c)})
 
 
 def _out_matrix(args, m: Matrix):
-    return _finish(args, json.dumps(m.to_strings()), {"matrix": m.to_strings()})
-
-
-def _out_rep(args, rep: MatRep):
-    obj = rep.to_json_dict()
-    return _finish(args, json.dumps(obj), obj)
+    return _finish(args, lambda: json.dumps(m.to_strings()), lambda: {"matrix": m.to_strings()})
 
 
 def _out_check(args, name: str, maxlen: int, checked: int, counterexample=None):
@@ -383,17 +389,17 @@ def _cmd_conv(args):
     result = convolve(f, h)
     if isinstance(result, FiniteSupportSeries):
         return _out_terms(args, result.poly)
-    return _out_rep(args, result.rep)
+    return _out_json(result.rep.to_json_dict())
 
 
 def _cmd_tensor(args):
     r1, r2 = _rep_args(args, 2)
-    return _out_rep(args, tensor_rep(r1, r2))
+    return _out_json(tensor_rep(r1, r2).to_json_dict())
 
 
 def _cmd_dsum(args):
     r1, r2 = _rep_args(args, 2)
-    return _out_rep(args, direct_sum(r1, r2))
+    return _out_json(direct_sum(r1, r2).to_json_dict())
 
 
 def _cmd_eval(args):
@@ -412,7 +418,7 @@ def _cmd_hankel(args):
         "cols": [str(w) for w in slice_.cols],
         "entries": slice_.entries.to_strings(),
     }
-    return _finish(args, json.dumps(obj), obj)
+    return _out_json(obj)
 
 
 def _cmd_rank(args):
@@ -420,7 +426,7 @@ def _cmd_rank(args):
     p, s = _window(args)
     _preflight_window(f.alphabet, p, s)
     r = hankel_rank(f, p, s)
-    return _finish(args, str(r), {"rank": r})
+    return _finish(args, lambda: str(r), lambda: {"rank": r})
 
 
 def _cmd_learn(args):
@@ -429,7 +435,7 @@ def _cmd_learn(args):
     if explore is None or explore < 0:
         raise ParseError("--explore L (nonnegative) is required")
     _preflight_window(f.alphabet, explore + 1, explore + 1)
-    return _out_rep(args, learn(f, explore))
+    return _out_json(learn(f, explore).to_json_dict())
 
 
 def _cmd_split(args):
@@ -441,13 +447,13 @@ def _cmd_split(args):
             {"g": g.rep.to_json_dict(), "h": h.rep.to_json_dict()} for g, h in pairs
         ]
     }
-    return _finish(args, json.dumps(obj), obj)
+    return _out_json(obj)
 
 
 def _cmd_dualS(args):
     (f,) = _series_args(args, 1)
     _preflight_embed(f)
-    return _out_rep(args, transpose_antipode(_to_linrep(f)))
+    return _out_json(transpose_antipode(_to_linrep(f)).to_json_dict())
 
 
 def _run_check(args, name: str, alph: Alphabet, cases):
@@ -503,7 +509,7 @@ def _conv_oracle_cases(alph: Alphabet, maxlen: int):
         ("indicator(1)", embed_finite(FiniteSupportSeries.indicator(alph.unit_word())))
     )
     for letter in alph.sorted_letters:
-        w = Word(alph, (letter,))
+        w = Word(alph, letter.symbol)
         refs.append((f"indicator({letter.symbol})", embed_finite(FiniteSupportSeries.indicator(w))))
 
     tables = {name: behavior_table(rep, maxlen) for name, rep in refs}
@@ -525,8 +531,7 @@ def _cmd_check_coassoc(args):
 
 def _cmd_check_antipode(args):
     alph = _need_alphabet(args)
-    if alph.has_group_like:
-        raise DomainError("no antipode: group-like letters present")
+    _check_antipode_domain(alph)
     return _run_check(args, "antipode", alph, _antipode_cases)
 
 

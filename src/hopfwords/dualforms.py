@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-from .freealg import Alphabet, NCPoly, Word, _same_alphabet, shortlex_key
+from .freealg import Alphabet, NCPoly, Word, _same_alphabet
 from .linalg import Matrix
 from .rep import LinRep, conv_rep, rep_sum, scale_rep, trivial_rep
 
@@ -132,27 +132,27 @@ def _merges(u: Word, v: Word) -> Iterator[Word]:
     once per splitting: primitive letters interleave freely while group-like
     letters must match pairwise and appear once."""
     alphabet = u.alphabet
-    a, b = u.letters, v.letters
-    sa, sb = u._symbols, v._symbols
+    group_like = alphabet.group_like_symbols
+    a, b = u.symbols(), v.symbols()
     na, nb = len(a), len(b)
 
     def rec(i, j):
-        """(letters, symbols) of every merge of a[i:] and b[j:]."""
+        """The symbol string of every merge of a[i:] and b[j:]."""
         if i == na and j == nb:
-            yield (), ""
+            yield ""
             return
-        if i < na and not a[i].group_like:
-            for rest, text in rec(i + 1, j):
-                yield (a[i],) + rest, sa[i] + text
-        if j < nb and not b[j].group_like:
-            for rest, text in rec(i, j + 1):
-                yield (b[j],) + rest, sb[j] + text
-        if i < na and j < nb and a[i].group_like and b[j].group_like and a[i] == b[j]:
-            for rest, text in rec(i + 1, j + 1):
-                yield (a[i],) + rest, sa[i] + text
+        if i < na and a[i] not in group_like:
+            for rest in rec(i + 1, j):
+                yield a[i] + rest
+        if j < nb and b[j] not in group_like:
+            for rest in rec(i, j + 1):
+                yield b[j] + rest
+        if i < na and j < nb and a[i] in group_like and a[i] == b[j]:
+            for rest in rec(i + 1, j + 1):
+                yield a[i] + rest
 
-    for letters, text in rec(0, 0):
-        yield Word(alphabet, letters, text)
+    for text in rec(0, 0):
+        yield Word(alphabet, text)
 
 
 def _merge_count(u: Word, v: Word) -> int:
@@ -173,10 +173,11 @@ def _merge_count(u: Word, v: Word) -> int:
 def _runs(w: Word):
     """The group-like letters of w in order, and the lengths of the runs of
     primitive letters before, between and after them."""
+    group_like_symbols = w.alphabet.group_like_symbols
     group_like, runs, n = [], [], 0
-    for letter in w.letters:
-        if letter.group_like:
-            group_like.append(letter)
+    for ch in w.symbols():
+        if ch in group_like_symbols:
+            group_like.append(ch)
             runs.append(n)
             n = 0
         else:
@@ -218,24 +219,24 @@ def embed_finite(f: FiniteSupportSeries) -> LinRep:
     State a.v moves to state v on the letter a, so each letter matrix has
     at most one nonzero entry per row and is built from those entries."""
     alph = f.alphabet
-    suffixes = {alph.unit_word()}
-    for w in f.terms:
-        letters, text = w.letters, w._symbols
-        for k in range(len(letters)):
-            suffixes.add(Word(alph, letters[k:], text[k:]))
-    states = sorted(suffixes, key=shortlex_key)
+    coeffs = {w.symbols(): c for w, c in f.terms.items()}
+    suffixes = {""}
+    for text in coeffs:
+        suffixes.update(text[k:] for k in range(len(text)))
+    # shortlex order of the suffix strings
+    states = sorted(suffixes, key=lambda text: (len(text), text))
     n = len(states)
-    pos = {w._symbols: i for i, w in enumerate(states)}
+    pos = {text: i for i, text in enumerate(states)}
     zero = (0,) * n
-    rows = {letter: [zero] * n for letter in alph.letters}
-    for i, w in enumerate(states):
-        if w.letters:
+    rows = {letter.symbol: [zero] * n for letter in alph.letters}
+    for i, text in enumerate(states):
+        if text:
             row = [0] * n
-            row[pos[w._symbols[1:]]] = 1
-            rows[w.letters[0]][i] = tuple(row)
-    mu = {letter: Matrix._from_ints(tuple(m)) for letter, m in rows.items()}
-    lam = Matrix.row_vector([f.coeff(w) for w in states])
-    gamma = Matrix.col_vector([1 if not w.letters else 0 for w in states])
+            row[pos[text[1:]]] = 1
+            rows[text[0]][i] = tuple(row)
+    mu = {alph.find(symbol): Matrix._from_ints(tuple(m)) for symbol, m in rows.items()}
+    lam = Matrix.row_vector([coeffs.get(text, 0) for text in states])
+    gamma = Matrix.col_vector([0 if text else 1 for text in states])
     return LinRep(alph, n, lam, mu, gamma)
 
 

@@ -90,31 +90,38 @@ class Letter(_Frozen):
 class Alphabet(_Frozen):
     """Ordered finite set of tagged letters; the G/L partition is the tags.
 
-    The hash, the letter set and the letter subsets below are computed once
-    at construction. The hash is never pickled (see __reduce__)."""
+    The hash, the symbol-to-letter map and the letter subsets below are
+    computed once at construction. The hash is never pickled (see
+    __reduce__)."""
 
     __slots__ = (
         "letters",
         "_letter_set",
+        "_by_symbol",
+        "_symbol_set",
         "sorted_letters",
         "group_like",
+        "group_like_symbols",
         "primitive",
         "has_group_like",
         "_hash",
     )
 
     def __init__(self, letters: tuple[Letter, ...]):
-        seen = set()
+        by_symbol = {}
         for letter in letters:
-            if letter.symbol in seen:
+            if letter.symbol in by_symbol:
                 raise ParseError(f"duplicate letter {letter.symbol!r} in alphabet")
-            seen.add(letter.symbol)
+            by_symbol[letter.symbol] = letter
         group_like = tuple(l for l in letters if l.group_like)
         _set(self, "letters", letters)
         _set(self, "_letter_set", frozenset(letters))
+        _set(self, "_by_symbol", by_symbol)
+        _set(self, "_symbol_set", frozenset(by_symbol))
         # ascending symbol-code order; used for word enumeration
         _set(self, "sorted_letters", tuple(sorted(letters, key=lambda l: l.symbol)))
         _set(self, "group_like", group_like)
+        _set(self, "group_like_symbols", frozenset(l.symbol for l in group_like))
         _set(self, "primitive", tuple(l for l in letters if not l.group_like))
         _set(self, "has_group_like", bool(group_like))
         _set(self, "_hash", hash(letters))
@@ -153,66 +160,57 @@ class Alphabet(_Frozen):
         return ",".join(f"{l.symbol}:{l.kind.value}" for l in self.letters)
 
     def find(self, symbol: str):
-        for letter in self.letters:
-            if letter.symbol == symbol:
-                return letter
-        return None
+        return self._by_symbol.get(symbol)
 
     def unit_word(self) -> "Word":
-        return Word(self, (), "")
+        return Word(self, "")
 
     def word(self, text: str) -> "Word":
         """Parse a word: "1" is the empty word, otherwise one letter per character."""
         if text == "1":
             return self.unit_word()
-        letters = []
-        for i, ch in enumerate(text):
-            letter = self.find(ch)
-            if letter is None:
-                raise ParseError(f"unknown letter {ch!r} at position {i} in {text!r}")
-            letters.append(letter)
-        return Word(self, tuple(letters), text)
+        if not self._symbol_set.issuperset(text):
+            i = next(i for i, ch in enumerate(text) if ch not in self._symbol_set)
+            raise ParseError(f"unknown letter {text[i]!r} at position {i} in {text!r}")
+        return Word(self, text)
 
     def words(self, max_len: int) -> Iterator["Word"]:
         """All words of length <= max_len in ascending shortlex order."""
-        base = self.sorted_letters
-        symbols = [l.symbol for l in base]
+        symbols = [l.symbol for l in self.sorted_letters]
         for n in range(max_len + 1):
-            texts = map("".join, _cartesian(symbols, repeat=n))
-            for combo, text in zip(_cartesian(base, repeat=n), texts):
-                yield Word(self, combo, text)
+            for text in map("".join, _cartesian(symbols, repeat=n)):
+                yield Word(self, text)
 
 
 class Word(_Frozen):
     """A finite string of letters; the empty word is the multiplicative unit.
+
+    A word is stored as its alphabet and its symbol string, one character
+    per letter; `letters` is read off the string through the alphabet.
+    `Word(alphabet, letters)` takes either a sequence of Letter or the
+    symbol string, and checks every letter against the alphabet either way.
 
     Key contract: the hash is the hash of the symbol string, computed once at
     construction; two words are equal when their symbol strings and their
     alphabets are equal (so "a" over a:L,b:L and "a" over a:L,b:L,g:G are
     distinct keys). str hashes are salted per process, so the hash is never
     pickled: a word is rebuilt from (alphabet, letters) when loaded.
-
-    `Word(alphabet, letters)` checks every letter against the alphabet. The
-    library passes `_symbols`, the symbol string of `letters`, only for
-    letters already known to be in the alphabet: taken from words of the
-    same alphabet (subwords, reversals, concatenations, suffixes) or from
-    the alphabet itself (parsing, enumeration). Such a word skips the check
-    and the join.
     """
 
-    __slots__ = ("alphabet", "letters", "_symbols", "_hash")
+    __slots__ = ("alphabet", "_symbols", "_hash")
 
-    def __init__(self, alphabet: Alphabet, letters: tuple[Letter, ...], _symbols=None):
-        if _symbols is None:
-            allowed = alphabet._letter_set
-            for letter in letters:
-                if letter not in allowed:
-                    raise DomainError(f"letter {letter.symbol!r} is not in the alphabet")
-            _symbols = "".join([l.symbol for l in letters])
+    def __init__(self, alphabet: Alphabet, letters: str | Sequence[Letter]):
+        if isinstance(letters, str):
+            symbols, allowed = letters, alphabet._symbol_set
+        else:
+            letters = tuple(letters)
+            symbols, allowed = "".join([l.symbol for l in letters]), alphabet._letter_set
+        if not allowed.issuperset(letters):
+            bad = next(x for x in letters if x not in allowed)
+            raise DomainError(f"letter {bad!r} is not in the alphabet")
         _set_alphabet(self, alphabet)
-        _set_letters(self, letters)
-        _set_symbols(self, _symbols)
-        _set_hash(self, hash(_symbols))
+        _set_symbols(self, symbols)
+        _set_hash(self, hash(symbols))
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -230,44 +228,39 @@ class Word(_Frozen):
         return Word, (self.alphabet, self.letters)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._symbols)
+
+    @property
+    def letters(self) -> tuple[Letter, ...]:
+        return tuple(map(self.alphabet._by_symbol.__getitem__, self._symbols))
 
     @property
     def is_unit(self) -> bool:
-        return not self.letters
+        return not self._symbols
 
     def symbols(self) -> str:
         return self._symbols
 
     def __str__(self) -> str:
-        return self._symbols if self.letters else "1"
+        return self._symbols or "1"
 
     def __repr__(self) -> str:
         return f"Word({self})"
 
     def reverse(self) -> "Word":
-        return Word(self.alphabet, self.letters[::-1], self._symbols[::-1])
+        return Word(self.alphabet, self._symbols[::-1])
 
     def subword(self, positions: Sequence[int]) -> "Word":
         """Letters at the given (increasing) positions, in order."""
-        letters, symbols = self.letters, self._symbols
-        return Word(
-            self.alphabet,
-            tuple([letters[i] for i in positions]),
-            "".join([symbols[i] for i in positions]),
-        )
+        symbols = self._symbols
+        return Word(self.alphabet, "".join([symbols[i] for i in positions]))
 
 
 # the slot setters themselves, which bypass _Frozen.__setattr__; cheaper
 # than object.__setattr__ on the most frequently built value
-_set_alphabet, _set_letters, _set_symbols, _set_hash = (
+_set_alphabet, _set_symbols, _set_hash = (
     Word.__dict__[name].__set__ for name in Word.__slots__
 )
-
-
-def shortlex_key(w: Word):
-    """Ascending enumeration order: by length, then by symbols."""
-    return (len(w.letters), w._symbols)
 
 
 def _same_alphabet(a: Alphabet, b: Alphabet):
@@ -309,7 +302,7 @@ def _canonical(alphabet: Alphabet, terms, arity: int) -> dict:
     def sort_key(kv):
         out = []
         for w in (kv[0],) if single else kv[0]:
-            out.append(-len(w.letters))
+            out.append(-len(w._symbols))
             out.append(w._symbols)
         return out
     clean.sort(key=sort_key)
@@ -451,7 +444,7 @@ class Tensor3(LinComb):
 def conc(u: Word, v: Word) -> Word:
     """Juxtaposition uv."""
     _same_alphabet(u.alphabet, v.alphabet)
-    return Word(u.alphabet, u.letters + v.letters, u._symbols + v._symbols)
+    return Word(u.alphabet, u._symbols + v._symbols)
 
 
 def poly_mul(x: LinComb, y: LinComb) -> LinComb:
@@ -477,8 +470,9 @@ def splittings(w: Word) -> Iterator[tuple[Word, Word]]:
     """All 2^k two-sided subword splittings of w, k the number of primitive
     positions. Group-like positions are kept on both sides; repeated letters
     make repeated pairs, one per splitting."""
-    idx_g = [i for i, l in enumerate(w.letters) if l.group_like]
-    idx_l = [i for i, l in enumerate(w.letters) if not l.group_like]
+    group_like = w.alphabet.group_like_symbols
+    idx_g = [i for i, ch in enumerate(w._symbols) if ch in group_like]
+    idx_l = [i for i, ch in enumerate(w._symbols) if ch not in group_like]
     k = len(idx_l)
     for mask in range((1 << k) - 1, -1, -1):
         left = sorted(idx_g + [idx_l[i] for i in range(k) if mask >> i & 1])
@@ -488,10 +482,7 @@ def splittings(w: Word) -> Iterator[tuple[Word, Word]]:
 
 def coproduct_word(w: Word) -> Tensor2:
     """Coproduct of a single word by the subword-splitting formula."""
-    acc: dict = {}
-    for pair in splittings(w):
-        _bump(acc, pair, Fraction(1))
-    return Tensor2(w.alphabet, acc)
+    return coproduct(NCPoly.from_word(w))
 
 
 def coproduct(p: NCPoly) -> Tensor2:
@@ -506,17 +497,23 @@ def coproduct(p: NCPoly) -> Tensor2:
 def counit(p: NCPoly) -> Fraction:
     """1 on words of group-like letters only (the empty word included),
     0 elsewhere, extended linearly."""
+    group_like = p.alphabet.group_like_symbols
     total = Fraction(0)
     for w, c in p.terms.items():
-        if all(l.group_like for l in w.letters):
+        if group_like.issuperset(w._symbols):
             total += c
     return total
 
 
+def _check_antipode_domain(alphabet: Alphabet):
+    """The antipode exists exactly when every letter is primitive."""
+    if alphabet.has_group_like:
+        raise DomainError("no antipode: group-like letters present")
+
+
 def antipode(p: NCPoly) -> NCPoly:
     """Sign-reversed word reversal, defined only when no letter is group-like."""
-    if p.alphabet.has_group_like:
-        raise DomainError("no antipode: group-like letters present")
+    _check_antipode_domain(p.alphabet)
     return NCPoly(
         p.alphabet,
         {w.reverse(): (c if len(w) % 2 == 0 else -c) for w, c in p.terms.items()},
@@ -527,8 +524,8 @@ def _resplit(p: NCPoly, first: bool) -> Tensor3:
     """Split p, then split again the first or the second component."""
     acc: dict = {}
     for (u, v), c in coproduct(p).terms.items():
-        for (x, y), d in coproduct_word(u if first else v).terms.items():
-            _bump(acc, (x, y, v) if first else (u, x, y), c * d)
+        for x, y in splittings(u if first else v):
+            _bump(acc, (x, y, v) if first else (u, x, y), c)
     return Tensor3(p.alphabet, acc)
 
 
@@ -550,9 +547,10 @@ def coassoc_rhs(p: NCPoly) -> Tensor3:
 #   rational := int | int "/" posint
 #   word   := "1" | letter+
 #
-# At arity 1 a bare rational is a coefficient of the unit word; in a tensor
-# only the bare token "1" stands for the unit word. The Unicode tensor sign
-# is accepted in place of "(x)" on input only.
+# At arity 1 a bare rational is a coefficient of the unit word. In a tensor
+# the bare token "1" stands for the unit word and the bare token "0" is a
+# whole term, the zero element, so the zero of every arity prints and parses
+# as "0". The Unicode tensor sign is accepted in place of "(x)" on input only.
 
 
 class _Cursor:
@@ -614,17 +612,14 @@ def _parse_word_opt(cur: _Cursor, alphabet: Alphabet):
     if cur.peek() == "1":
         cur.advance()
         return alphabet.unit_word()
-    start = cur.pos
-    letters = []
-    while True:
-        letter = alphabet.find(cur.peek()) if cur.peek() else None
-        if letter is None:
-            break
-        cur.advance()
-        letters.append(letter)
-    if not letters:
+    text, start, end = cur.text, cur.pos, cur.pos
+    symbols = alphabet._symbol_set
+    while end < len(text) and text[end] in symbols:
+        end += 1
+    if end == start:
         return None
-    return Word(alphabet, tuple(letters), cur.text[start : cur.pos])
+    cur.pos = end
+    return Word(alphabet, text[start:end])
 
 
 def _parse_term(cur: _Cursor, alphabet: Alphabet, arity: int):
@@ -643,8 +638,12 @@ def _parse_term(cur: _Cursor, alphabet: Alphabet, arity: int):
             if starred:
                 cur.fail("expected a word after '*'")
             # a bare rational is the coefficient of the unit word; in a
-            # tensor only the bare token "1" is the unit word
-            if arity > 1 and cur.text[start : cur.pos].strip() != "1":
+            # tensor the bare token "1" is the unit word and the bare token
+            # "0" the whole term, zero
+            token = cur.text[start : cur.pos].strip()
+            if arity > 1 and token == "0":
+                return coeff, (alphabet.unit_word(),) * arity
+            if arity > 1 and token != "1":
                 cur.fail("expected a word")
             first = alphabet.unit_word()
     else:

@@ -26,6 +26,7 @@ from .freealg import (
     Letter,
     NCPoly,
     Word,
+    _check_antipode_domain,
     _same_alphabet,
     antipode,
     coproduct,
@@ -258,8 +259,7 @@ def _as_col(x, dim: int) -> Matrix:
 
 def dual_action(r: MatRep, g: NCPoly, psi) -> Matrix:
     """Left action on the dual through the antipode: psi . rho(S(g))."""
-    if r.alphabet.has_group_like:
-        raise DomainError("no antipode: group-like letters present")
+    _check_antipode_domain(r.alphabet)
     _same_alphabet(r.alphabet, g.alphabet)
     row = _as_row(psi, r.dim)
     return row * eval_rep(r, antipode(g))
@@ -274,8 +274,7 @@ def pairing_invariance_check(
     <g_(1) acting on psi, g_(2) acting on x> over the coproduct of g, and
     counit(g) * <psi, x>.
     """
-    if r.alphabet.has_group_like:
-        raise DomainError("no antipode: group-like letters present")
+    _check_antipode_domain(r.alphabet)
     _same_alphabet(r.alphabet, g.alphabet)
     row = _as_row(psi, r.dim)
     col = _as_col(x, r.dim)

@@ -26,8 +26,8 @@ from math import lcm
 
 from . import linalg
 from .dualforms import FiniteSupportSeries, RecognizableSeries, Series
-from .errors import DomainError, InconclusiveError, InternalInvariantError
-from .freealg import Alphabet, Letter, NCPoly, Word, _Frozen, _same_alphabet, conc
+from .errors import InconclusiveError, InternalInvariantError
+from .freealg import Alphabet, Letter, NCPoly, Word, _Frozen, _check_antipode_domain, _same_alphabet, conc
 from .linalg import Matrix, RowReducer, _stacked
 from .rep import LinRep, eval_word, rep_sum, scale_rep, zero_rep
 
@@ -39,28 +39,19 @@ def _tree_vectors(rep: LinRep, max_len: int, prefixes: bool) -> list[tuple[Word,
     a word one letter shorter, row(u a) = row(u) mu(a) and
     col(a v) = mu(a) col(v), so shared prefixes (suffixes) are multiplied
     once."""
-    alphabet = rep.alphabet
-    letters = alphabet.sorted_letters
+    letters = rep.alphabet.sorted_letters
     mu = rep.mu
-    out: list[tuple[Word, Matrix]] = []
-    level = [((), "", rep.lam if prefixes else rep.gamma)]
-    for n in range(max_len + 1):
-        out.extend((Word(alphabet, key, text), vec) for key, text, vec in level)
-        if n == max_len:
-            break
+    level = [rep.lam if prefixes else rep.gamma]
+    vectors = list(level)
+    # each level comes out in shortlex order: extending the words of a
+    # level by a last (a first) letter keeps them sorted
+    for _ in range(max_len):
         if prefixes:
-            level = [
-                (key + (a,), text + a.symbol, vec * mu[a])
-                for key, text, vec in level
-                for a in letters
-            ]
+            level = [vec * mu[a] for vec in level for a in letters]
         else:
-            level = [
-                ((a,) + key, a.symbol + text, mu[a] * vec)
-                for a in letters
-                for key, text, vec in level
-            ]
-    return out
+            level = [mu[a] * vec for a in letters for vec in level]
+        vectors.extend(level)
+    return list(zip(rep.alphabet.words(max_len), vectors))
 
 
 def behavior_table(rep: LinRep, max_len: int) -> dict[Word, Fraction]:
@@ -79,11 +70,11 @@ def shift_right(f: Series, s: Word) -> Series:
     """f_s with f_s(x) = f(s x)."""
     _same_alphabet(f.alphabet, s.alphabet)
     if isinstance(f, FiniteSupportSeries):
-        k = len(s.letters)
+        prefix, k = s.symbols(), len(s)
         terms = {
-            Word(f.alphabet, w.letters[k:], w._symbols[k:]): c
+            Word(f.alphabet, w.symbols()[k:]): c
             for w, c in f.terms.items()
-            if w.letters[:k] == s.letters
+            if w.symbols().startswith(prefix)
         }
         return FiniteSupportSeries(NCPoly(f.alphabet, terms))
     rep = f.rep
@@ -96,11 +87,11 @@ def shift_left(f: Series, s: Word) -> Series:
     """The mirror shift: (shift_left(f, s))(x) = f(x s)."""
     _same_alphabet(f.alphabet, s.alphabet)
     if isinstance(f, FiniteSupportSeries):
-        k = len(s.letters)
+        suffix, k = s.symbols(), len(s)
         terms = {
-            Word(f.alphabet, w.letters[: len(w) - k], w._symbols[: len(w) - k]): c
+            Word(f.alphabet, w.symbols()[: len(w) - k]): c
             for w, c in f.terms.items()
-            if k <= len(w.letters) and (k == 0 or w.letters[-k:] == s.letters)
+            if w.symbols().endswith(suffix)
         }
         return FiniteSupportSeries(NCPoly(f.alphabet, terms))
     rep = f.rep
@@ -160,17 +151,17 @@ def _finite_window(f: FiniteSupportSeries, p: int, s: int) -> HankelSlice:
     alph = f.alphabet
     rows = tuple(alph.words(p))
     cols = tuple(alph.words(s))
-    row_index = {u.letters: i for i, u in enumerate(rows)}
-    col_index = {v.letters: j for j, v in enumerate(cols)}
+    row_index = {u.symbols(): i for i, u in enumerate(rows)}
+    col_index = {v.symbols(): j for j, v in enumerate(cols)}
     terms = f.terms
     den = lcm(*[c.denominator for c in terms.values()])
     table = [[0] * len(cols) for _ in rows]
     for w, c in terms.items():
         x = c.numerator * (den // c.denominator)
-        letters = w.letters
-        n = len(letters)
+        text = w.symbols()
+        n = len(text)
         for i in range(max(0, n - s), min(p, n) + 1):
-            table[row_index[letters[:i]]][col_index[letters[i:]]] = x
+            table[row_index[text[:i]]][col_index[text[i:]]] = x
     return HankelSlice(rows, cols, Matrix._from_ints(tuple([tuple(r) for r in table]), den))
 
 
@@ -234,7 +225,10 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     n_small = sum(1 for w in window.rows if len(w) <= explore)
     small = Matrix(row[:n_small] for row in num[:n_small])
     r_small = linalg.rank(small)
-    r_big = linalg.rank(window.entries)
+    # one elimination of the whole window gives its rank and the basis
+    reducer = RowReducer(len(window.cols))
+    basis = [i for i, row in enumerate(num) if reducer.offer(row)]
+    r_big = reducer.rank
     if r_small != r_big:
         raise InconclusiveError(
             f"hankel rank not stabilized: {r_small} at window {explore}, "
@@ -245,9 +239,7 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
         )
     if r_big == 0:
         return zero_rep(alph)
-    index = {w: i for i, w in enumerate(window.rows)}
-    reducer = RowReducer(len(window.cols))
-    basis = [i for i, row in enumerate(num) if reducer.offer(row)]
+    index = {w.symbols(): i for i, w in enumerate(window.rows)}
     basis_words = [window.rows[i] for i in basis]
     if any(len(w) > explore for w in basis_words):
         raise InternalInvariantError("stabilized basis contains a maximal-length row")
@@ -258,8 +250,7 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     for letter in alph.letters:
         rows = []
         for w in basis_words:
-            extended = Word(alph, w.letters + (letter,), w._symbols + letter.symbol)
-            coords = reducer.coordinates(num[index[extended]])
+            coords = reducer.coordinates(num[index[w.symbols() + letter.symbol]])
             if coords is None:
                 raise InternalInvariantError("hankel row escaped the selected basis")
             rows.append(coords)
@@ -290,8 +281,7 @@ def split(rep: LinRep) -> list[tuple[RecognizableSeries, RecognizableSeries]]:
 def transpose_antipode(rep: LinRep) -> LinRep:
     """Representation of w -> (-1)^len(w) * f(reverse(w)), the antipode
     transported to the dual; only defined when no letter is group-like."""
-    if rep.alphabet.has_group_like:
-        raise DomainError("no antipode: group-like letters present")
+    _check_antipode_domain(rep.alphabet)
     mu = {l: (-rep.mu[l]).transpose() for l in rep.alphabet.letters}
     return LinRep(
         rep.alphabet, rep.dim, rep.gamma.transpose(), mu, rep.lam.transpose()

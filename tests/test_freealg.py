@@ -521,10 +521,7 @@ def test_linear_combination_body_against_a_dict(data):
     c = data.draw(_coeffs)
     x, y = cls(_MIXED, d1), cls(_MIXED, d2)
     assert x.terms == _nonzero(d1)
-    # the zero tensor prints as "0", which the tensor grammar refuses; see
-    # the zero-tensor entry in CHANGES.md
-    if x or arity == 1:
-        assert cls.from_text(_MIXED, str(x)) == x
+    assert cls.from_text(_MIXED, str(x)) == x
     assert (x + y).terms == _nonzero(_merged(d1, d2, 1))
     assert (x - y).terms == _nonzero(_merged(d1, d2, -1))
     assert (-x).terms == _nonzero({k: -v for k, v in d1.items()})
@@ -602,6 +599,8 @@ def test_parse_errors_name_position(ab):
         (Tensor2, "1(x)a", "1(x)a"),
         (Tensor2, "1 (x) 1", "1(x)1"),
         (Tensor2, "2 *1(x)g", "2*1(x)g"),
+        (Tensor2, "0", "0"),
+        (Tensor3, "0", "0"),
     ],
 )
 def test_term_grammar_boundary_values(mixed, cls, text, result):

@@ -73,6 +73,13 @@ def test_same_alphabet_is_defined_once():
     assert found == ["freealg"]
 
 
+def test_antipode_domain_guard_is_written_once():
+    # freealg, rep, sweedler and cli refuse the antipode through one helper
+    message = "no antipode: group-like letters present"
+    found = [path.stem for path in PACKAGE.glob("*.py") if message in path.read_text()]
+    assert found == ["freealg"]
+
+
 def test_linear_combinations_share_one_body():
     # NCPoly, Tensor2 and Tensor3 differ only in their arity: construction,
     # arithmetic and printing are written once, as is the term parser
@@ -85,6 +92,26 @@ def test_linear_combinations_share_one_body():
     functions = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert functions.count("_canonical") == 1
     assert [f for f in functions if f.startswith("_parse") and f.endswith("term")] == ["_parse_term"]
+
+
+def test_only_freealg_reads_the_stored_symbol_string():
+    # a Word stores its symbol string once; every other module goes through
+    # Word(alphabet, letters), which checks, and reads w.symbols() or w.letters
+    for name, tree in _trees().items():
+        if name == "freealg":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_symbols":
+                raise AssertionError(f"{name}.py line {node.lineno} reads ._symbols")
+
+
+def test_word_has_one_stored_form_and_one_constructor():
+    from hopfwords.freealg import Word
+
+    assert Word.__slots__ == ("alphabet", "_symbols", "_hash")
+    code = Word.__init__.__code__
+    assert code.co_varnames[: code.co_argcount] == ("self", "alphabet", "letters")
+    assert not Word.__init__.__defaults__
 
 
 def test_importing_the_package_pulls_in_no_numeric_dependency():

@@ -1,7 +1,7 @@
 """The immutable value types (Letter, Alphabet, Word, HankelSlice) and the
-words the library derives from other words without re-checking their
-letters: each derived word must equal, and hash like, the same letters
-passed through the checked constructor Word(alphabet, letters)."""
+words the library derives from other words as symbol strings: each derived
+word must equal, and hash like, the same letters passed to the constructor
+Word(alphabet, letters) as a sequence of Letter."""
 
 import copy
 import pickle
@@ -107,6 +107,18 @@ def test_constructors_still_check_their_input():
         Word(MIXED, (Letter("a", LetterKind.GROUP_LIKE),))
     with pytest.raises(DomainError):
         Word(Alphabet.from_decl("a:L"), MIXED.word("ab").letters)
+
+
+def test_word_accepts_its_symbol_string():
+    ab = Alphabet.from_decl("a:L,b:L")
+    for text in ("ax", "1", "a+", "g"):
+        with pytest.raises(DomainError, match="is not in the alphabet"):
+            Word(ab, text)
+    word = Word(ab, "ab")
+    assert word == ab.word("ab") == Word(ab, ab.word("ab").letters)
+    assert hash(word) == hash(ab.word("ab")) == hash(Word(ab, ab.word("ab").letters))
+    assert word.letters == (ab.find("a"), ab.find("b")) and len(word) == 2
+    assert Word(ab, "") == ab.unit_word() == Word(ab, ()) and str(Word(ab, "")) == "1"
 
 
 def test_pickled_word_keeps_its_letters_checked():
