@@ -474,15 +474,20 @@ def _coassoc_cases(alph: Alphabet, maxlen: int):
 
 
 def _antipode_cases(alph: Alphabet, maxlen: int):
+    def add(acc: dict, p: NCPoly, c):
+        for x, d in p.terms.items():
+            acc[x] = acc.get(x, 0) + c * d
+
     for w in alph.words(maxlen):
         target = NCPoly.one(alph).scale(counit(NCPoly.from_word(w)))
-        left = NCPoly.zero(alph)
-        right = NCPoly.zero(alph)
+        # each side's terms summed in one dict, made an NCPoly once
+        left: dict = {}
+        right: dict = {}
         for (u, v), c in coproduct_word(w).terms.items():
             up, vp = NCPoly.from_word(u), NCPoly.from_word(v)
-            left = left + poly_mul(antipode(up), vp).scale(c)
-            right = right + poly_mul(up, antipode(vp)).scale(c)
-        yield w, left == target and right == target
+            add(left, poly_mul(antipode(up), vp), c)
+            add(right, poly_mul(up, antipode(vp)), c)
+        yield w, NCPoly(alph, left) == target and NCPoly(alph, right) == target
 
 
 def _dual_assoc_cases(alph: Alphabet, maxlen: int):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterator
 
-from .freealg import Alphabet, NCPoly, Word, _same_alphabet
+from .freealg import Alphabet, NCPoly, Word, _lift, _numerators, _same_alphabet
 from .linalg import Matrix
 from .rep import LinRep, conv_rep, rep_sum, scale_rep, trivial_rep
 
@@ -127,12 +127,11 @@ def pair(f: Series, p: NCPoly) -> Fraction:
     return total
 
 
-def _merges(u: Word, v: Word) -> Iterator[Word]:
-    """Every word that admits (u, v) among its subword splittings, emitted
-    once per splitting: primitive letters interleave freely while group-like
-    letters must match pairwise and appear once."""
-    alphabet = u.alphabet
-    group_like = alphabet.group_like_symbols
+def _merges(u: Word, v: Word) -> Iterator[str]:
+    """The symbol string of every word that admits (u, v) among its subword
+    splittings, emitted once per splitting: primitive letters interleave
+    freely while group-like letters must match pairwise and appear once."""
+    group_like = u.alphabet.group_like_symbols
     a, b = u.symbols(), v.symbols()
     na, nb = len(a), len(b)
 
@@ -151,8 +150,7 @@ def _merges(u: Word, v: Word) -> Iterator[Word]:
             for rest in rec(i + 1, j + 1):
                 yield a[i] + rest
 
-    for text in rec(0, 0):
-        yield Word(alphabet, text)
+    return rec(0, 0)
 
 
 def _merge_count(u: Word, v: Word) -> int:
@@ -195,12 +193,17 @@ def convolve(f: Series, h: Series) -> Series:
     """
     _same_alphabet(f.alphabet, h.alphabet)
     if isinstance(f, FiniteSupportSeries) and isinstance(h, FiniteSupportSeries):
-        acc: dict[Word, Fraction] = {}
-        for u, cu in f.terms.items():
-            for v, cv in h.terms.items():
-                for w in _merges(u, v):
-                    acc[w] = acc.get(w, Fraction(0)) + cu * cv
-        return FiniteSupportSeries(NCPoly(f.alphabet, acc))
+        # integer numerators on symbol strings; each distinct one becomes a
+        # Word once, in _lift
+        (fs, df), (hs, dh) = _numerators(f.terms), _numerators(h.terms)
+        acc: dict[str, int] = {}
+        get = acc.get
+        for u, cu in fs:
+            for v, cv in hs:
+                c = cu * cv
+                for text in _merges(u, v):
+                    acc[text] = get(text, 0) + c
+        return FiniteSupportSeries(_lift(NCPoly, f.alphabet, acc, df * dh))
     return RecognizableSeries(conv_rep(_to_linrep(f), _to_linrep(h)))
 
 

@@ -20,10 +20,12 @@ only int and Fraction are accepted, anything else is a TypeError.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from itertools import product as _cartesian
-from typing import Iterator, Mapping, Sequence
+from math import lcm
+from typing import Iterator, Sequence
 
 from .errors import DomainError, ParseError
 
@@ -280,16 +282,21 @@ def _exact(c) -> Fraction:
     raise TypeError(f"coefficient must be an int or a Fraction, got {c!r}")
 
 
-def _canonical(alphabet: Alphabet, terms, arity: int) -> dict:
-    """Validate, merge and sort terms; drop zero coefficients.
+def _text_order(text: str) -> tuple:
+    """Sort key of one tensor factor: length descending, then symbols
+    ascending; symbols are single characters, so comparing symbol strings
+    compares the symbol sequences. Terms are ordered factor by factor."""
+    return (-len(text), text)
 
-    A key is a Word at arity 1 and a tuple of `arity` words otherwise.
-    Terms are ordered component by component, by length descending, then
-    symbols ascending; symbols are single characters, so comparing symbol
-    strings compares the symbol sequences."""
+
+def _canonical(alphabet: Alphabet, terms, arity: int) -> dict:
+    """Validate, merge and sort terms (see _text_order); drop zero
+    coefficients. A key is a Word at arity 1 and a tuple of `arity` words
+    otherwise."""
     single = arity == 1
     acc: dict = {}
-    items = terms.items() if isinstance(terms, Mapping) else terms
+    get = acc.get
+    items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
     for key, c in items:
         for w in (key,) if single else key:
             if w.alphabet is not alphabet:
@@ -297,15 +304,14 @@ def _canonical(alphabet: Alphabet, terms, arity: int) -> dict:
         if c.__class__ is not Fraction:
             c = _exact(c)
         if c:
-            _bump(acc, key, c)
+            old = get(key)
+            acc[key] = c if old is None else old + c
     clean = [kv for kv in acc.items() if kv[1]]
-    def sort_key(kv):
-        out = []
-        for w in (kv[0],) if single else kv[0]:
-            out.append(-len(w._symbols))
-            out.append(w._symbols)
-        return out
-    clean.sort(key=sort_key)
+    if len(clean) > 1:
+        if single:
+            clean.sort(key=lambda kv: _text_order(kv[0]._symbols))
+        else:
+            clean.sort(key=lambda kv: [_text_order(w._symbols) for w in kv[0]])
     return dict(clean)
 
 
@@ -327,6 +333,16 @@ class LinComb:
     def __init__(self, alphabet: Alphabet, terms=()):
         self.alphabet = alphabet
         self.terms: dict = _canonical(alphabet, terms, self.arity)
+
+    @classmethod
+    def _of_sorted(cls, alphabet: Alphabet, terms: dict):
+        """The value with these terms, which are already checked, merged,
+        nonzero and in canonical order: built by _lift, or the terms of a
+        value scaled by a nonzero coefficient."""
+        out = cls.__new__(cls)
+        out.alphabet = alphabet
+        out.terms = terms
+        return out
 
     @classmethod
     def one(cls, alphabet: Alphabet):
@@ -373,7 +389,7 @@ class LinComb:
         return self + (-other)
 
     def __neg__(self):
-        return self.__class__(self.alphabet, {k: -c for k, c in self.terms.items()})
+        return self._of_sorted(self.alphabet, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if other.__class__ is self.__class__:
@@ -389,7 +405,9 @@ class LinComb:
 
     def scale(self, c):
         c = _exact(c)
-        return self.__class__(self.alphabet, {k: c * v for k, v in self.terms.items()})
+        if not c:
+            return self.__class__(self.alphabet)
+        return self._of_sorted(self.alphabet, {k: c * v for k, v in self.terms.items()})
 
     def __str__(self) -> str:
         single = self.arity == 1
@@ -447,6 +465,40 @@ def conc(u: Word, v: Word) -> Word:
     return Word(u.alphabet, u._symbols + v._symbols)
 
 
+def _numerators(terms: dict) -> tuple[list, int]:
+    """The coefficients of a LinComb's terms as integer numerators over one
+    common denominator: ([(key, numerator)], denominator). The kernels below
+    add these ints, which is far cheaper than adding Fractions, and _lift
+    divides once per output term."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()], den
+
+
+def _lift(cls, alphabet: Alphabet, acc: dict, den: int) -> LinComb:
+    """The LinComb of class cls with the nonzero terms of acc, which maps
+    symbol strings (a str at arity 1, a tuple of str otherwise) to integer
+    numerators over den. Each distinct string becomes a Word once, through
+    the checked constructor, and the terms are sorted by the ranks of their
+    strings in _text_order, which is the order _canonical gives them."""
+    items = [kv for kv in acc.items() if kv[1]]
+    single = cls.arity == 1
+    texts = sorted(
+        {k for k, _ in items} if single else {t for k, _ in items for t in k},
+        key=_text_order,
+    )
+    rank = {text: i for i, text in enumerate(texts)}
+    words = [Word(alphabet, text) for text in texts]
+    coeffs = {n: Fraction(n, den) for n in {n for _, n in items}}
+    if single:
+        ranked = sorted([(rank[k], n) for k, n in items])
+        terms = {words[r]: coeffs[n] for r, n in ranked}
+    else:
+        get = rank.__getitem__
+        ranked = sorted([(tuple(map(get, k)), n) for k, n in items])
+        terms = {tuple(map(words.__getitem__, r)): coeffs[n] for r, n in ranked}
+    return cls._of_sorted(alphabet, terms)
+
+
 def poly_mul(x: LinComb, y: LinComb) -> LinComb:
     """Bilinear extension of concatenation, componentwise on tensors:
     (u1 (x) v1)(u2 (x) v2) = u1u2 (x) v1v2. Operands of different arity
@@ -454,30 +506,75 @@ def poly_mul(x: LinComb, y: LinComb) -> LinComb:
     if x.__class__ is not y.__class__:
         raise TypeError(f"cannot multiply {type(x).__name__} by {type(y).__name__}")
     _same_alphabet(x.alphabet, y.alphabet)
-    single = x.arity == 1
+    (left, dx), (right, dy) = _numerators(x.terms), _numerators(y.terms)
     acc: dict = {}
-    for k1, c in x.terms.items():
-        for k2, d in y.terms.items():
-            _bump(acc, conc(k1, k2) if single else tuple(map(conc, k1, k2)), c * d)
-    return x.__class__(x.alphabet, acc)
+    get = acc.get
+    if x.arity == 1:
+        right = [(w._symbols, d) for w, d in right]
+        for w, c in left:
+            s = w._symbols
+            for t, d in right:
+                key = s + t
+                acc[key] = get(key, 0) + c * d
+    else:
+        right = [(tuple([w._symbols for w in k]), d) for k, d in right]
+        for k, c in left:
+            s = tuple([w._symbols for w in k])
+            for t, d in right:
+                key = tuple(map(str.__add__, s, t))
+                acc[key] = get(key, 0) + c * d
+    return _lift(x.__class__, x.alphabet, acc, dx * dy)
 
 
 # the product on A (x) A is the same componentwise product
 tensor2_mul = poly_mul
 
 
+def _split_table(text: str, group_like, memo: dict) -> list:
+    """The (left, right) symbol-string pairs of every splitting of text, in
+    the order splittings yields them, read down the word tree: a primitive
+    letter a gives D(ua) = D(u)(a (x) 1) + D(u)(1 (x) a), and a run G of
+    group-like letters gives D(uG) = D(u)(G (x) G).
+
+    memo holds the table of every prefix that ends in a primitive letter,
+    and of every text asked for, so one memo per call expands each shared
+    prefix and each repeated subword once. A text of k primitive letters
+    adds fewer than 3 * 2^k pairs to it, against the 2^k of its own table."""
+    table = memo.get(text)
+    if table is not None:
+        return table
+    ends = [i + 1 for i, ch in enumerate(text) if ch not in group_like]
+    # resume from the longest prefix already expanded
+    done = len(ends)
+    while done and (table := memo.get(text[: ends[done - 1]])) is None:
+        done -= 1
+    if table is None:
+        table, pos = [("", "")], 0
+    else:
+        pos = ends[done - 1]
+    for end in ends[done:]:
+        run = text[pos : end - 1]
+        ran = run + text[end - 1]
+        table = [(l + ran, r + run) for l, r in table] + [(l + run, r + ran) for l, r in table]
+        memo[text[:end]] = table
+        pos = end
+    if pos < len(text) or not ends:
+        run = text[pos:]
+        table = [(l + run, r + run) for l, r in table]
+        memo[text] = table
+    return table
+
+
 def splittings(w: Word) -> Iterator[tuple[Word, Word]]:
     """All 2^k two-sided subword splittings of w, k the number of primitive
     positions. Group-like positions are kept on both sides; repeated letters
-    make repeated pairs, one per splitting."""
-    group_like = w.alphabet.group_like_symbols
-    idx_g = [i for i, ch in enumerate(w._symbols) if ch in group_like]
-    idx_l = [i for i, ch in enumerate(w._symbols) if ch not in group_like]
-    k = len(idx_l)
-    for mask in range((1 << k) - 1, -1, -1):
-        left = sorted(idx_g + [idx_l[i] for i in range(k) if mask >> i & 1])
-        right = sorted(idx_g + [idx_l[i] for i in range(k) if not mask >> i & 1])
-        yield w.subword(left), w.subword(right)
+    make repeated pairs, one per splitting. Each distinct subword is built
+    once per call."""
+    alphabet = w.alphabet
+    table = _split_table(w._symbols, alphabet.group_like_symbols, {})
+    words = {text: Word(alphabet, text) for text in {t for pair in table for t in pair}}
+    for left, right in table:
+        yield words[left], words[right]
 
 
 def coproduct_word(w: Word) -> Tensor2:
@@ -485,13 +582,22 @@ def coproduct_word(w: Word) -> Tensor2:
     return coproduct(NCPoly.from_word(w))
 
 
+def _split_all(p: NCPoly, memo: dict) -> tuple[dict, int]:
+    """The coproduct of p on symbol-string pairs, as integer numerators over
+    one denominator (see _numerators), zero pairs included."""
+    group_like = p.alphabet.group_like_symbols
+    terms, den = _numerators(p.terms)
+    acc: dict = {}
+    get = acc.get
+    for w, c in terms:
+        for pair in _split_table(w._symbols, group_like, memo):
+            acc[pair] = get(pair, 0) + c
+    return acc, den
+
+
 def coproduct(p: NCPoly) -> Tensor2:
     """Linear extension of the word coproduct."""
-    acc: dict = {}
-    for w, c in p.terms.items():
-        for pair in splittings(w):
-            _bump(acc, pair, c)
-    return Tensor2(p.alphabet, acc)
+    return _lift(Tensor2, p.alphabet, *_split_all(p, {}))
 
 
 def counit(p: NCPoly) -> Fraction:
@@ -522,11 +628,21 @@ def antipode(p: NCPoly) -> NCPoly:
 
 def _resplit(p: NCPoly, first: bool) -> Tensor3:
     """Split p, then split again the first or the second component."""
+    group_like = p.alphabet.group_like_symbols
+    memo: dict = {}
+    pairs, den = _split_all(p, memo)
     acc: dict = {}
-    for (u, v), c in coproduct(p).terms.items():
-        for x, y in splittings(u if first else v):
-            _bump(acc, (x, y, v) if first else (u, x, y), c)
-    return Tensor3(p.alphabet, acc)
+    get = acc.get
+    for (u, v), c in pairs.items():
+        if not c:
+            continue
+        if first:
+            keys = [(x, y, v) for x, y in _split_table(u, group_like, memo)]
+        else:
+            keys = [(u, x, y) for x, y in _split_table(v, group_like, memo)]
+        for key in keys:
+            acc[key] = get(key, 0) + c
+    return _lift(Tensor3, p.alphabet, acc, den)
 
 
 def coassoc_lhs(p: NCPoly) -> Tensor3:

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .dualforms import FiniteSupportSeries, RecognizableSeries, Series
 from .errors import InconclusiveError, InternalInvariantError
-from .freealg import Alphabet, Letter, NCPoly, Word, _Frozen, _check_antipode_domain, _same_alphabet, conc
+from .freealg import Alphabet, Letter, NCPoly, Word, _Frozen, _check_antipode_domain, _numerators, _same_alphabet, conc
 from .linalg import Matrix, RowReducer, _stacked
 from .rep import LinRep, eval_word, rep_sum, scale_rep, zero_rep
 
@@ -153,11 +152,9 @@ def _finite_window(f: FiniteSupportSeries, p: int, s: int) -> HankelSlice:
     cols = tuple(alph.words(s))
     row_index = {u.symbols(): i for i, u in enumerate(rows)}
     col_index = {v.symbols(): j for j, v in enumerate(cols)}
-    terms = f.terms
-    den = lcm(*[c.denominator for c in terms.values()])
+    numerators, den = _numerators(f.terms)
     table = [[0] * len(cols) for _ in rows]
-    for w, c in terms.items():
-        x = c.numerator * (den // c.denominator)
+    for w, x in numerators:
         text = w.symbols()
         n = len(text)
         for i in range(max(0, n - s), min(p, n) + 1):

@@ -36,6 +36,28 @@ def test_identical_invocations_are_byte_identical():
     assert first.stdout == second.stdout
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["coprod", "--alphabet", "a:L,b:L,g:G", "abgab - 2*bagba + 1/2*gaab"],
+        ["mul", "--alphabet", "a:L,b:L,g:G", "a + bg - 2*ab + gg", "ga - 1/3*b + ab + 1"],
+        ["check-coassoc", "--alphabet", "a:L,b:L,g:G", "--maxlen", "3"],
+        ["conv", "--alphabet", "a:L,b:L,g:G", "--series", "ab - g + 2*ba", "--series", "ga + 1/2*b + ab"],
+    ],
+    ids=["coprod", "mul", "check_coassoc", "conv_finite"],
+)
+def test_output_does_not_depend_on_the_hash_seed(args, monkeypatch):
+    # the kernels accumulate on str keys, whose hashes are salted per
+    # process; no dict or set order may leak into the output
+    outputs = []
+    for seed in ("1", "2"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        proc = run_cli(args)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] and outputs[0]
+
+
 def test_parse_error_exit_code_and_silence():
     proc = run_cli(["coprod", "--alphabet", "a:L,b:L", "ab +"])
     assert proc.returncode == 1

@@ -10,6 +10,7 @@ from hopfwords import (
     FiniteSupportSeries,
     NCPoly,
     RecognizableSeries,
+    Word,
     coefficients_agree,
     convolve,
     coproduct_word,
@@ -93,6 +94,50 @@ _words = st.text(alphabet="abgh", max_size=6).map(lambda s: _TWO_GROUP_LIKE.word
 def test_merge_count_counts_the_enumeration(u, v):
     # the CLI's conv preflight counts merges instead of enumerating them
     assert _merge_count(u, v) == sum(1 for _ in _merges(u, v))
+
+
+def word_keyed_convolve(f, h):
+    """Oracle: the finite-support convolution keyed by Word, one Word and one
+    Fraction sum per merge."""
+    acc = {}
+    for u, cu in f.terms.items():
+        for v, cv in h.terms.items():
+            for text in _merges(u, v):
+                w = Word(f.alphabet, text)
+                acc[w] = acc.get(w, Fraction(0)) + cu * cv
+    return FiniteSupportSeries(NCPoly(f.alphabet, acc))
+
+
+_MIXED = Alphabet.from_decl("a:L,b:L,g:G")
+# ±1 and ±2 often cancel
+_small_coeffs = st.sampled_from([Fraction(n, d) for n in (1, -1, 2, -2) for d in (1, 1, 3)])
+
+
+@st.composite
+def finite_series(draw):
+    """Finite-support series over a:L,b:L,g:G whose words are often
+    rearrangements of one word, so that their merges collide and often
+    cancel."""
+    base = draw(st.text(alphabet="abg", max_size=3))
+    word = st.one_of(st.permutations(base).map("".join), st.text(alphabet="abg", max_size=3))
+    texts = draw(st.lists(word, min_size=1, max_size=4))
+    return FiniteSupportSeries(NCPoly(_MIXED, {_MIXED.word(t or "1"): draw(_small_coeffs) for t in texts}))
+
+
+@given(finite_series(), finite_series())
+@settings(max_examples=150, deadline=None)
+def test_finite_convolve_matches_the_word_keyed_oracle(f, h):
+    out, expected = convolve(f, h), word_keyed_convolve(f, h)
+    assert out == expected and list(out.terms.items()) == list(expected.terms.items())
+    assert all(out.terms.values())
+
+
+def test_finite_convolve_against_the_coproduct_pairing():
+    f = FiniteSupportSeries.from_text(_MIXED, "ab - ba + 2*g")
+    h = FiniteSupportSeries.from_text(_MIXED, "ba + ab - 1/2*a")
+    out = convolve(f, h)
+    for w in _MIXED.words(4):
+        assert out.coeff(w) == convolution_oracle(f, h, w)
 
 
 def test_convolve_longer_words_against_oracle(mixed):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -24,6 +25,7 @@ from hopfwords import (
     coassoc_rhs,
     conc,
     coproduct,
+    convolve,
     coproduct_word,
     counit,
     poly_mul,
@@ -570,6 +572,148 @@ def test_coassociativity(mixed):
     for w in mixed.words(4):
         p = NCPoly.from_word(w)
         assert coassoc_lhs(p) == coassoc_rhs(p)
+
+
+# ---------------------------------------------------------------------------
+# word-tree kernels against index-mask and Word-keyed oracles
+
+
+def mask_splittings(w):
+    """Oracle: the splittings of w by bit masks over its primitive positions,
+    highest mask first (bit i set puts the i-th primitive letter on the
+    left), each side cut out with Word.subword."""
+    group_like = w.alphabet.group_like_symbols
+    symbols = w.symbols()
+    idx_g = [i for i, ch in enumerate(symbols) if ch in group_like]
+    idx_l = [i for i, ch in enumerate(symbols) if ch not in group_like]
+    k = len(idx_l)
+    for mask in range((1 << k) - 1, -1, -1):
+        left = sorted(idx_g + [idx_l[i] for i in range(k) if mask >> i & 1])
+        right = sorted(idx_g + [idx_l[i] for i in range(k) if not mask >> i & 1])
+        yield w.subword(left), w.subword(right)
+
+
+def oracle_coproduct(p):
+    acc = {}
+    for w, c in p.terms.items():
+        for pair in mask_splittings(w):
+            acc[pair] = acc.get(pair, 0) + c
+    return Tensor2(p.alphabet, acc)
+
+
+def oracle_resplit(p, first):
+    acc = {}
+    for (u, v), c in oracle_coproduct(p).terms.items():
+        for x, y in mask_splittings(u if first else v):
+            key = (x, y, v) if first else (u, x, y)
+            acc[key] = acc.get(key, 0) + c
+    return Tensor3(p.alphabet, acc)
+
+
+def oracle_mul(x, y):
+    acc = {}
+    for k1, c in x.terms.items():
+        for k2, d in y.terms.items():
+            key = conc(k1, k2) if x.arity == 1 else tuple(map(conc, k1, k2))
+            acc[key] = acc.get(key, 0) + c * d
+    return x.__class__(x.alphabet, acc)
+
+
+def same(x, y) -> bool:
+    """Equal, with the terms in the same order."""
+    return x == y and list(x.terms.items()) == list(y.terms.items())
+
+
+# ±1 and ±2 often cancel
+_small_coeffs = st.sampled_from([Fraction(n, d) for n in (1, -1, 2, -2) for d in (1, 1, 3)])
+
+
+@st.composite
+def mixed_polys(draw, max_len=5):
+    """Polynomials over a:L,b:L,g:G whose words are often rearrangements of
+    one word, so that their splittings collide and often cancel."""
+    base = draw(st.text(alphabet="abg", max_size=max_len))
+    word = st.one_of(st.permutations(base).map("".join), st.text(alphabet="abg", max_size=max_len))
+    texts = draw(st.lists(word, min_size=1, max_size=4))
+    return NCPoly(_MIXED, {_MIXED.word(t or "1"): draw(_small_coeffs) for t in texts})
+
+
+@given(st.text(alphabet="abg", max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_splittings_match_the_index_mask_oracle_in_order(text):
+    w = _MIXED.word(text or "1")
+    assert list(splittings(w)) == list(mask_splittings(w))
+
+
+def test_splittings_match_the_oracle_on_every_short_word():
+    for w in _MIXED.words(5):
+        assert list(splittings(w)) == list(mask_splittings(w))
+
+
+@given(mixed_polys())
+@settings(max_examples=150, deadline=None)
+def test_coproduct_and_resplits_match_the_oracles(p):
+    assert same(coproduct(p), oracle_coproduct(p))
+    assert same(coassoc_lhs(p), oracle_resplit(p, True))
+    assert same(coassoc_rhs(p), oracle_resplit(p, False))
+
+
+def test_cancelled_pairs_leave_no_terms(mixed):
+    p = NCPoly.from_text(mixed, "ab - ba")
+    assert str(coproduct(p)) == "ab(x)1 - ba(x)1 + 1(x)ab - 1(x)ba"
+    for first in (True, False):
+        t = (coassoc_lhs if first else coassoc_rhs)(p)
+        assert same(t, oracle_resplit(p, first)) and all(t.terms.values())
+
+
+@given(mixed_polys(4), mixed_polys(4))
+@settings(max_examples=80, deadline=None)
+def test_products_match_the_oracle(p, q):
+    assert same(poly_mul(p, q), oracle_mul(p, q))
+    s, t = coproduct(p), coproduct(q)
+    assert same(tensor2_mul(s, t), oracle_mul(s, t))
+
+
+@given(mixed_polys(2), mixed_polys(2))
+@settings(max_examples=40, deadline=None)
+def test_tensor3_product_matches_the_oracle(p, q):
+    s, t = coassoc_lhs(p), coassoc_rhs(q)
+    assert same(s * t, oracle_mul(s, t))
+
+
+@contextmanager
+def counted_words():
+    """Counts the Words constructed inside the block."""
+    count = [0]
+    init = Word.__init__
+
+    def counting(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    Word.__init__ = counting
+    try:
+        yield count
+    finally:
+        Word.__init__ = init
+
+
+@pytest.mark.parametrize("kernel", ["coassoc_lhs", "coproduct", "convolve"])
+def test_kernels_build_each_distinct_word_once(kernel):
+    # repeated letters make repeated splittings and merges; each distinct
+    # word of the result is still built once
+    p = NCPoly.from_text(_MIXED, "aabgab - 2*abab + 1/2*bgaa")
+    f = FiniteSupportSeries.from_text(_MIXED, "ab + aa - 1/2*b")
+    h = FiniteSupportSeries.from_text(_MIXED, "ba + 2*a")
+    run = {
+        "coassoc_lhs": lambda: coassoc_lhs(p),
+        "coproduct": lambda: coproduct(p),
+        "convolve": lambda: convolve(f, h),
+    }[kernel]
+    with counted_words() as built:
+        result = run()
+    distinct = {w for k in result.terms for w in (k if isinstance(k, tuple) else (k,))}
+    assert distinct and built[0] <= len(distinct)
 
 
 # ---------------------------------------------------------------------------
