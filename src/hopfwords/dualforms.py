@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterator
 
 from .freealg import Alphabet, NCPoly, Word, _lift, _numerators, _same_alphabet
 from .linalg import Matrix
@@ -127,30 +126,30 @@ def pair(f: Series, p: NCPoly) -> Fraction:
     return total
 
 
-def _merges(u: Word, v: Word) -> Iterator[str]:
+def _merges(u: Word, v: Word) -> list[str]:
     """The symbol string of every word that admits (u, v) among its subword
-    splittings, emitted once per splitting: primitive letters interleave
-    freely while group-like letters must match pairwise and appear once."""
+    splittings, once per splitting: primitive letters interleave freely
+    while group-like letters must match pairwise and appear once. Built
+    row by row: entry j of row i holds the merges of a[:i] and b[:j], each
+    one letter longer than a merge to its left, above, or above-left."""
     group_like = u.alphabet.group_like_symbols
     a, b = u.symbols(), v.symbols()
-    na, nb = len(a), len(b)
-
-    def rec(i, j):
-        """The symbol string of every merge of a[i:] and b[j:]."""
-        if i == na and j == nb:
-            yield ""
-            return
-        if i < na and a[i] not in group_like:
-            for rest in rec(i + 1, j):
-                yield a[i] + rest
-        if j < nb and b[j] not in group_like:
-            for rest in rec(i, j + 1):
-                yield b[j] + rest
-        if i < na and j < nb and a[i] in group_like and a[i] == b[j]:
-            for rest in rec(i + 1, j + 1):
-                yield a[i] + rest
-
-    return rec(0, 0)
+    row = [[""]]
+    for y in b:
+        row.append([] if y in group_like else [m + y for m in row[-1]])
+    for x in a:
+        above, row = row, [[] if x in group_like else [m + x for m in row[0]]]
+        for j, y in enumerate(b):
+            if y not in group_like:
+                out = [m + y for m in row[j]]
+            elif x == y:
+                out = [m + x for m in above[j]]
+            else:
+                out = []
+            if x not in group_like:
+                out += [m + x for m in above[j + 1]]
+            row.append(out)
+    return row[-1]
 
 
 def _merge_count(u: Word, v: Word) -> int:
@@ -195,7 +194,7 @@ def convolve(f: Series, h: Series) -> Series:
     if isinstance(f, FiniteSupportSeries) and isinstance(h, FiniteSupportSeries):
         # integer numerators on symbol strings; each distinct one becomes a
         # Word once, in _lift
-        (fs, df), (hs, dh) = _numerators(f.terms), _numerators(h.terms)
+        (fs, df), (hs, dh) = _numerators(f.poly), _numerators(h.poly)
         acc: dict[str, int] = {}
         get = acc.get
         for u, cu in fs:

@@ -8,7 +8,8 @@ letters, the counit, and the antipode (which exists exactly when every
 letter is primitive).
 
 All values are immutable after construction and every operation is a pure
-function of its inputs, so everything here is safe to share across threads.
+function of its inputs, so everything here is safe to share across threads;
+the order of a LinComb's terms is fixed once, on the first read of `terms`.
 
 Words are the dict keys of every term map, so a key costs one str hash: a
 Word hashes as its symbol string, computed once at construction, and equals
@@ -41,9 +42,29 @@ _RESERVED = set("0123456789+-*/():,⊗")
 
 class _Frozen:
     """Base of the immutable value types: the slots are set once by
-    __init__ and every later assignment or deletion raises AttributeError."""
+    __init__ and every later assignment or deletion raises AttributeError.
+    Equality, hash, repr and pickling read the slots in order; a loaded
+    value is rebuilt through __init__."""
 
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -70,19 +91,8 @@ class Letter(_Frozen):
         _set(self, "symbol", symbol)
         _set(self, "kind", kind)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.symbol == other.symbol and self.kind == other.kind
-
     def __hash__(self) -> int:
         return hash(self.symbol)
-
-    def __repr__(self) -> str:
-        return f"Letter(symbol={self.symbol!r}, kind={self.kind!r})"
-
-    def __reduce__(self):
-        return Letter, (self.symbol, self.kind)
 
     @property
     def group_like(self) -> bool:
@@ -270,11 +280,6 @@ def _same_alphabet(a: Alphabet, b: Alphabet):
         raise DomainError("alphabet mismatch")
 
 
-def _bump(acc: dict, key, value: Fraction):
-    old = acc.get(key)
-    acc[key] = value if old is None else old + value
-
-
 def _exact(c) -> Fraction:
     """A coefficient as a Fraction; only int and Fraction are exact inputs."""
     if isinstance(c, Fraction) or (isinstance(c, int) and not isinstance(c, bool)):
@@ -282,17 +287,17 @@ def _exact(c) -> Fraction:
     raise TypeError(f"coefficient must be an int or a Fraction, got {c!r}")
 
 
-def _text_order(text: str) -> tuple:
+def _text_order(w: Word) -> tuple:
     """Sort key of one tensor factor: length descending, then symbols
     ascending; symbols are single characters, so comparing symbol strings
     compares the symbol sequences. Terms are ordered factor by factor."""
+    text = w._symbols
     return (-len(text), text)
 
 
 def _canonical(alphabet: Alphabet, terms, arity: int) -> dict:
-    """Validate, merge and sort terms (see _text_order); drop zero
-    coefficients. A key is a Word at arity 1 and a tuple of `arity` words
-    otherwise."""
+    """Validate and merge terms; drop zero coefficients. A key is a Word at
+    arity 1 and a tuple of `arity` words otherwise."""
     single = arity == 1
     acc: dict = {}
     get = acc.get
@@ -306,13 +311,7 @@ def _canonical(alphabet: Alphabet, terms, arity: int) -> dict:
         if c:
             old = get(key)
             acc[key] = c if old is None else old + c
-    clean = [kv for kv in acc.items() if kv[1]]
-    if len(clean) > 1:
-        if single:
-            clean.sort(key=lambda kv: _text_order(kv[0]._symbols))
-        else:
-            clean.sort(key=lambda kv: [_text_order(w._symbols) for w in kv[0]])
-    return dict(clean)
+    return {k: c for k, c in acc.items() if c}
 
 
 class LinComb:
@@ -320,29 +319,43 @@ class LinComb:
     of A, A (x) A or A (x) A (x) A. Use the subclasses NCPoly, Tensor2 and
     Tensor3, which fix the arity.
 
-    A term's key is a Word at arity 1 and a tuple of words otherwise. Terms
-    are kept without zero coefficients and ordered component by component,
-    by word length descending then symbols ascending; printing and iteration
-    follow that order, so output is deterministic and parse(str(x)) == x.
+    A term's key is a Word at arity 1 and a tuple of words otherwise. The
+    nonzero terms are kept unordered in _terms; the first read of `terms`
+    orders them component by component, by word length descending then
+    symbols ascending, so output is deterministic and parse(str(x)) == x.
     Values of different arity never compare equal, add or multiply.
     """
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ("alphabet", "_terms", "_ordered")
     arity: int
 
     def __init__(self, alphabet: Alphabet, terms=()):
         self.alphabet = alphabet
-        self.terms: dict = _canonical(alphabet, terms, self.arity)
+        self._terms: dict = _canonical(alphabet, terms, self.arity)
+        self._ordered = False
 
     @classmethod
-    def _of_sorted(cls, alphabet: Alphabet, terms: dict):
-        """The value with these terms, which are already checked, merged,
-        nonzero and in canonical order: built by _lift, or the terms of a
-        value scaled by a nonzero coefficient."""
+    def _of_checked(cls, alphabet: Alphabet, terms: dict):
+        """The value with these terms, which are already checked, merged and
+        nonzero: built by _lift, a sum, or the terms of a value negated or
+        scaled by a nonzero coefficient."""
         out = cls.__new__(cls)
         out.alphabet = alphabet
-        out.terms = terms
+        out._terms = terms
+        out._ordered = False
         return out
+
+    @property
+    def terms(self) -> dict:
+        """The terms in canonical order, fixed on the first read, which stores
+        the whole ordered dict before it marks the value ordered."""
+        if not self._ordered:
+            factors = self._factors
+            self._terms = dict(
+                sorted(self._terms.items(), key=lambda kv: list(map(_text_order, factors(kv[0]))))
+            )
+            self._ordered = True
+        return self._terms
 
     @classmethod
     def one(cls, alphabet: Alphabet):
@@ -351,10 +364,7 @@ class LinComb:
 
     @classmethod
     def from_text(cls, alphabet: Alphabet, text: str):
-        acc: dict = {}
-        for c, key in _parse_sum(_Cursor(text), alphabet, cls.arity):
-            _bump(acc, key, c)
-        return cls(alphabet, acc)
+        return cls(alphabet, _parse_sum(_Cursor(text), alphabet, cls.arity))
 
     def _factors(self, key) -> tuple:
         """The words of a term key, one per tensor factor."""
@@ -364,32 +374,34 @@ class LinComb:
         """The coefficient of the term with these words, one per factor."""
         if len(words) != self.arity:
             raise TypeError(f"coeff of a {type(self).__name__} takes {self.arity} word(s)")
-        return self.terms.get(words[0] if self.arity == 1 else words, Fraction(0))
+        return self._terms.get(words[0] if self.arity == 1 else words, Fraction(0))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         return (
             other.__class__ is self.__class__
             and self.alphabet == other.alphabet
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __add__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         _same_alphabet(self.alphabet, other.alphabet)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            _bump(acc, k, c)
-        return self.__class__(self.alphabet, acc)
+        acc = dict(self._terms)
+        get = acc.get
+        for k, c in other._terms.items():
+            old = get(k)
+            acc[k] = c if old is None else old + c
+        return self._of_checked(self.alphabet, {k: c for k, c in acc.items() if c})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._of_sorted(self.alphabet, {k: -c for k, c in self.terms.items()})
+        return self._of_checked(self.alphabet, {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if other.__class__ is self.__class__:
@@ -407,7 +419,7 @@ class LinComb:
         c = _exact(c)
         if not c:
             return self.__class__(self.alphabet)
-        return self._of_sorted(self.alphabet, {k: c * v for k, v in self.terms.items()})
+        return self._of_checked(self.alphabet, {k: c * v for k, v in self._terms.items()})
 
     def __str__(self) -> str:
         single = self.arity == 1
@@ -465,11 +477,12 @@ def conc(u: Word, v: Word) -> Word:
     return Word(u.alphabet, u._symbols + v._symbols)
 
 
-def _numerators(terms: dict) -> tuple[list, int]:
-    """The coefficients of a LinComb's terms as integer numerators over one
-    common denominator: ([(key, numerator)], denominator). The kernels below
-    add these ints, which is far cheaper than adding Fractions, and _lift
-    divides once per output term."""
+def _numerators(x: LinComb) -> tuple[list, int]:
+    """The coefficients of x's terms as integer numerators over one common
+    denominator: ([(key, numerator)], denominator). The kernels below add
+    these ints, which is far cheaper than adding Fractions, and _lift
+    divides once per distinct numerator."""
+    terms = x._terms
     den = lcm(*[c.denominator for c in terms.values()])
     return [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()], den
 
@@ -478,25 +491,16 @@ def _lift(cls, alphabet: Alphabet, acc: dict, den: int) -> LinComb:
     """The LinComb of class cls with the nonzero terms of acc, which maps
     symbol strings (a str at arity 1, a tuple of str otherwise) to integer
     numerators over den. Each distinct string becomes a Word once, through
-    the checked constructor, and the terms are sorted by the ranks of their
-    strings in _text_order, which is the order _canonical gives them."""
+    the checked constructor, and each distinct numerator a Fraction once."""
     items = [kv for kv in acc.items() if kv[1]]
-    single = cls.arity == 1
-    texts = sorted(
-        {k for k, _ in items} if single else {t for k, _ in items for t in k},
-        key=_text_order,
-    )
-    rank = {text: i for i, text in enumerate(texts)}
-    words = [Word(alphabet, text) for text in texts]
     coeffs = {n: Fraction(n, den) for n in {n for _, n in items}}
-    if single:
-        ranked = sorted([(rank[k], n) for k, n in items])
-        terms = {words[r]: coeffs[n] for r, n in ranked}
+    if cls.arity == 1:
+        terms = {Word(alphabet, k): coeffs[n] for k, n in items}
     else:
-        get = rank.__getitem__
-        ranked = sorted([(tuple(map(get, k)), n) for k, n in items])
-        terms = {tuple(map(words.__getitem__, r)): coeffs[n] for r, n in ranked}
-    return cls._of_sorted(alphabet, terms)
+        words = {t: Word(alphabet, t) for t in {t for k, _ in items for t in k}}
+        get = words.__getitem__
+        terms = {tuple(map(get, k)): coeffs[n] for k, n in items}
+    return cls._of_checked(alphabet, terms)
 
 
 def poly_mul(x: LinComb, y: LinComb) -> LinComb:
@@ -506,7 +510,7 @@ def poly_mul(x: LinComb, y: LinComb) -> LinComb:
     if x.__class__ is not y.__class__:
         raise TypeError(f"cannot multiply {type(x).__name__} by {type(y).__name__}")
     _same_alphabet(x.alphabet, y.alphabet)
-    (left, dx), (right, dy) = _numerators(x.terms), _numerators(y.terms)
+    (left, dx), (right, dy) = _numerators(x), _numerators(y)
     acc: dict = {}
     get = acc.get
     if x.arity == 1:
@@ -586,7 +590,7 @@ def _split_all(p: NCPoly, memo: dict) -> tuple[dict, int]:
     """The coproduct of p on symbol-string pairs, as integer numerators over
     one denominator (see _numerators), zero pairs included."""
     group_like = p.alphabet.group_like_symbols
-    terms, den = _numerators(p.terms)
+    terms, den = _numerators(p)
     acc: dict = {}
     get = acc.get
     for w, c in terms:
@@ -605,7 +609,7 @@ def counit(p: NCPoly) -> Fraction:
     0 elsewhere, extended linearly."""
     group_like = p.alphabet.group_like_symbols
     total = Fraction(0)
-    for w, c in p.terms.items():
+    for w, c in p._terms.items():
         if group_like.issuperset(w._symbols):
             total += c
     return total
@@ -622,7 +626,7 @@ def antipode(p: NCPoly) -> NCPoly:
     _check_antipode_domain(p.alphabet)
     return NCPoly(
         p.alphabet,
-        {w.reverse(): (c if len(w) % 2 == 0 else -c) for w, c in p.terms.items()},
+        {w.reverse(): (c if len(w) % 2 == 0 else -c) for w, c in p._terms.items()},
     )
 
 
@@ -786,6 +790,7 @@ def _parse_term(cur: _Cursor, alphabet: Alphabet, arity: int):
 
 
 def _parse_sum(cur: _Cursor, alphabet: Alphabet, arity: int):
+    """The (key, coefficient) of each term, in the order written."""
     if cur.done():
         cur.fail("empty expression")
     sign = 1
@@ -794,7 +799,7 @@ def _parse_sum(cur: _Cursor, alphabet: Alphabet, arity: int):
         sign = -1 if cur.advance() == "-" else 1
     while True:
         c, key = _parse_term(cur, alphabet, arity)
-        yield sign * c, key
+        yield key, sign * c
         if cur.done():
             return
         ch = cur.peek()

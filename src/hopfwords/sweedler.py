@@ -114,23 +114,6 @@ class HankelSlice(_Frozen):
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
 
-    def _fields(self):
-        return self.rows, self.cols, self.entries
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return f"HankelSlice(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
-
-    def __reduce__(self):
-        return HankelSlice, self._fields()
-
 
 def _coeff_fn(f, alphabet: Alphabet | None):
     if isinstance(f, Series):
@@ -152,7 +135,7 @@ def _finite_window(f: FiniteSupportSeries, p: int, s: int) -> HankelSlice:
     cols = tuple(alph.words(s))
     row_index = {u.symbols(): i for i, u in enumerate(rows)}
     col_index = {v.symbols(): j for j, v in enumerate(cols)}
-    numerators, den = _numerators(f.terms)
+    numerators, den = _numerators(f.poly)
     table = [[0] * len(cols) for _ in rows]
     for w, x in numerators:
         text = w.symbols()
@@ -208,9 +191,12 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     recognizable with rank reached inside the window.
 
     f is a Series or, with `alphabet`, a bare coefficient oracle; a Series
-    gets the factored or support-filled window of hankel(). The
-    InconclusiveError carries the two window ranks and the exploration
-    length as attributes r_small, r_big and explore.
+    gets the factored or support-filled window of hankel(). A rank that
+    agrees between two windows may still grow, so a RecognizableSeries of
+    larger dimension than that rank has the model checked with reps_equal.
+    The InconclusiveError, raised when the ranks differ or the check fails,
+    carries the two window ranks and the exploration length as attributes
+    r_small, r_big and explore.
     """
     if explore < 0:
         raise ValueError("exploration length must be nonnegative")
@@ -235,26 +221,35 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
             explore=explore,
         )
     if r_big == 0:
-        return zero_rep(alph)
-    index = {w.symbols(): i for i, w in enumerate(window.rows)}
-    basis_words = [window.rows[i] for i in basis]
-    if any(len(w) > explore for w in basis_words):
-        raise InternalInvariantError("stabilized basis contains a maximal-length row")
-    lam = reducer.coordinates(num[0])
-    if lam is None:
-        raise InternalInvariantError("empty-word row escaped the selected basis")
-    mu: dict[Letter, Matrix] = {}
-    for letter in alph.letters:
-        rows = []
-        for w in basis_words:
-            coords = reducer.coordinates(num[index[w.symbols() + letter.symbol]])
-            if coords is None:
-                raise InternalInvariantError("hankel row escaped the selected basis")
-            rows.append(coords)
-        mu[letter] = Matrix(rows)
-    # column of the empty suffix holds f on the basis words
-    gamma = Matrix._from_ints(tuple((num[i][0],) for i in basis), window.entries.den)
-    return LinRep(alph, r_big, Matrix.row_vector(lam), mu, gamma)
+        model = zero_rep(alph)
+    else:
+        index = {w.symbols(): i for i, w in enumerate(window.rows)}
+        basis_words = [window.rows[i] for i in basis]
+        if any(len(w) > explore for w in basis_words):
+            raise InternalInvariantError("stabilized basis contains a maximal-length row")
+        lam = reducer.coordinates(num[0])
+        if lam is None:
+            raise InternalInvariantError("empty-word row escaped the selected basis")
+        mu: dict[Letter, Matrix] = {}
+        for letter in alph.letters:
+            rows = []
+            for w in basis_words:
+                coords = reducer.coordinates(num[index[w.symbols() + letter.symbol]])
+                if coords is None:
+                    raise InternalInvariantError("hankel row escaped the selected basis")
+                rows.append(coords)
+            mu[letter] = Matrix(rows)
+        # column of the empty suffix holds f on the basis words
+        gamma = Matrix._from_ints(tuple((num[i][0],) for i in basis), window.entries.den)
+        model = LinRep(alph, r_big, Matrix.row_vector(lam), mu, gamma)
+    if isinstance(f, RecognizableSeries) and r_big < f.rep.dim and not reps_equal(model, f.rep):
+        raise InconclusiveError(
+            f"learned model of dim {r_big} differs from the operand; raise the exploration length",
+            r_small=r_small,
+            r_big=r_big,
+            explore=explore,
+        )
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,30 @@ def test_inconclusive_exit_code():
     assert b"not stabilized" in proc.stderr
 
 
+def test_learn_from_a_representation_checks_the_model(tmp_path):
+    # conv of three dim-2 reps: the windows at explore 3 agree on rank 4,
+    # but the operand has rank 8, so the dim-4 model is refused
+    reps = []
+    for c in (2, 3, 5):
+        path = tmp_path / f"rep{c}.json"
+        m = [[str(c), "1"], ["0", "1"]]
+        data = {"alphabet": "a:L,b:L", "dim": 2, "lambda": ["1", "0"], "mu": {"a": m, "b": m},
+                "gamma": [["0"], ["1"]]}
+        path.write_text(json.dumps(data))
+        reps.append(str(path))
+    conv = tmp_path / "conv.json"
+    first = run_cli(["conv", "--series", reps[0], "--series", reps[1]])
+    assert first.returncode == 0
+    conv.write_bytes(first.stdout)
+    both = run_cli(["conv", "--series", str(conv), "--series", reps[2]])
+    assert both.returncode == 0
+    conv.write_bytes(both.stdout)
+    proc = run_cli(["learn", "--explore", "3", "--series", str(conv)])
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert b"differs from the operand" in proc.stderr
+
+
 def test_maxlen_out_of_range_is_usage_error():
     proc = run_cli(["check-coassoc", "--alphabet", "a:L", "--maxlen", "8"])
     assert proc.returncode == 1

@@ -85,6 +85,7 @@ def test_convolve_group_like_synchronizes(grouponly):
     )
 
 
+_MIXED = Alphabet.from_decl("a:L,b:L,g:G")
 _TWO_GROUP_LIKE = Alphabet.from_decl("a:L,b:L,g:G,h:G")
 _words = st.text(alphabet="abgh", max_size=6).map(lambda s: _TWO_GROUP_LIKE.word(s or "1"))
 
@@ -94,6 +95,40 @@ _words = st.text(alphabet="abgh", max_size=6).map(lambda s: _TWO_GROUP_LIKE.word
 def test_merge_count_counts_the_enumeration(u, v):
     # the CLI's conv preflight counts merges instead of enumerating them
     assert _merge_count(u, v) == sum(1 for _ in _merges(u, v))
+
+
+def recursive_merges(u, v):
+    """Oracle: the merges of u and v by recursion on their first letters,
+    one generator frame per letter of the merge."""
+    group_like = u.alphabet.group_like_symbols
+    a, b = u.symbols(), v.symbols()
+    na, nb = len(a), len(b)
+
+    def rec(i, j):
+        """The symbol string of every merge of a[i:] and b[j:]."""
+        if i == na and j == nb:
+            yield ""
+            return
+        if i < na and a[i] not in group_like:
+            for rest in rec(i + 1, j):
+                yield a[i] + rest
+        if j < nb and b[j] not in group_like:
+            for rest in rec(i, j + 1):
+                yield b[j] + rest
+        if i < na and j < nb and a[i] in group_like and a[i] == b[j]:
+            for rest in rec(i + 1, j + 1):
+                yield a[i] + rest
+
+    return rec(0, 0)
+
+
+_mixed_words = st.text(alphabet="abg", max_size=6).map(lambda s: _MIXED.word(s or "1"))
+
+
+@given(_mixed_words, _mixed_words)
+@settings(max_examples=300, deadline=None)
+def test_merges_match_the_recursive_oracle(u, v):
+    assert sorted(_merges(u, v)) == sorted(recursive_merges(u, v))
 
 
 def word_keyed_convolve(f, h):
@@ -108,7 +143,6 @@ def word_keyed_convolve(f, h):
     return FiniteSupportSeries(NCPoly(f.alphabet, acc))
 
 
-_MIXED = Alphabet.from_decl("a:L,b:L,g:G")
 # ±1 and ±2 often cancel
 _small_coeffs = st.sampled_from([Fraction(n, d) for n in (1, -1, 2, -2) for d in (1, 1, 3)])
 

@@ -681,6 +681,77 @@ def test_tensor3_product_matches_the_oracle(p, q):
     assert same(s * t, oracle_mul(s, t))
 
 
+# ---------------------------------------------------------------------------
+# term order, fixed on the first read of terms
+
+
+def canonical_key(key):
+    """The printed order, stated independently: factor by factor, longer
+    words first, then by their symbols in code order."""
+    factors = key if isinstance(key, tuple) else (key,)
+    return [(-len(w), [letter.symbol for letter in w.letters]) for w in factors]
+
+
+@given(mixed_polys(3), mixed_polys(3), _small_coeffs)
+@settings(max_examples=100, deadline=None)
+def test_terms_are_read_in_canonical_order(p, q, c):
+    f, h = FiniteSupportSeries(p), FiniteSupportSeries(q)
+    s, t = coproduct(p), coproduct(q)
+    for x in (
+        p + q, p - q, -p, p.scale(c), poly_mul(p, q),
+        s + t, s - t, -s, s.scale(c), poly_mul(s, t),
+        coassoc_lhs(p), coassoc_rhs(q), convolve(f, h).poly,
+    ):
+        keys = list(x.terms)
+        assert keys == sorted(keys, key=canonical_key)
+        assert list(x.terms) == keys
+
+
+@given(mixed_polys(3), mixed_polys(3))
+@settings(max_examples=60, deadline=None)
+def test_equality_and_coeff_do_not_depend_on_reading_terms(p, q):
+    def built():
+        """Pairs of equal values built by different routes, none read yet."""
+        return [
+            (p + q, q + p),
+            (p - q, p + (-q)),
+            (poly_mul(p, q), oracle_mul(p, q)),
+            (coproduct(p + q), coproduct(p) + coproduct(q)),
+        ]
+
+    missing = _MIXED.word("abgabgabg")
+    for read in (None, 0, 1):
+        for (x, y), (ref, _) in zip(built(), built()):
+            if read is not None:
+                (x, y)[read].terms
+            assert x == y and y == x
+            assert x != x + x.one(_MIXED)
+            for key, c in ref.terms.items():
+                factors = key if isinstance(key, tuple) else (key,)
+                assert x.coeff(*factors) == y.coeff(*factors) == c
+            assert x.coeff(*(missing,) * x.arity) == 0
+
+
+def test_sums_do_not_revalidate_their_operands(monkeypatch):
+    import hopfwords.freealg as freealg
+
+    p, q = NCPoly.from_text(_MIXED, "ab - 2*g + 1"), NCPoly.from_text(_MIXED, "2*g - ba")
+    s, t, zero = coproduct(p), coproduct(q), NCPoly.zero(_MIXED)
+    calls = []
+    canonical = freealg._canonical
+
+    def counting(*args):
+        calls.append(args)
+        return canonical(*args)
+
+    monkeypatch.setattr(freealg, "_canonical", counting)
+    assert str(p + q) == "ab - ba + 1"
+    assert s - t and p - p == zero
+    assert not calls
+    NCPoly(_MIXED, {_MIXED.word("a"): 1})
+    assert len(calls) == 1
+
+
 @contextmanager
 def counted_words():
     """Counts the Words constructed inside the block."""

@@ -94,6 +94,32 @@ def test_linear_combinations_share_one_body():
     assert [f for f in functions if f.startswith("_parse") and f.endswith("term")] == ["_parse_term"]
 
 
+def test_term_order_is_written_once():
+    # the canonical term order has one implementation, the first read of
+    # LinComb.terms; construction, sums and the kernels sort nothing
+    tree = _trees()["freealg"]
+    users = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name != "_text_order"
+        and any(isinstance(n, ast.Name) and n.id == "_text_order" for n in ast.walk(node))
+    ]
+    assert users == ["terms"]
+
+
+def test_only_freealg_reads_the_term_store():
+    # a LinComb keeps its terms unordered in _terms; every other module
+    # reads the ordered `terms`
+    readers = {
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+    }
+    assert readers == {"freealg"}
+
+
 def test_only_freealg_reads_the_stored_symbol_string():
     # a Word stores its symbol string once; every other module goes through
     # Word(alphabet, letters), which checks, and reads w.symbols() or w.letters

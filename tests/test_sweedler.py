@@ -214,6 +214,36 @@ def test_learn_inconclusive_error_carries_the_window_ranks(single):
     )
 
 
+def _three_rep_convolution(ab):
+    """conv of three dim-2 reps, mu(a) = mu(b) = [[c, 1], [0, 1]] for
+    c = 2, 3, 5: dimension and Hankel rank 8, while the windowed ranks are
+    4, 4, 6, 6, 8 at windows 3 to 7."""
+    lam, gamma = Matrix.row_vector([1, 0]), Matrix.col_vector([0, 1])
+    r2, r3, r5 = (
+        LinRep(ab, 2, lam, {l: Matrix([[c, 1], [0, 1]]) for l in ab.letters}, gamma)
+        for c in (2, 3, 5)
+    )
+    return conv_rep(conv_rep(r2, r3), r5)
+
+
+def test_learn_refuses_a_model_that_differs_from_its_representation(ab):
+    rep = _three_rep_convolution(ab)
+    assert rep.dim == 8
+    for explore, rank in ((3, 4), (5, 6)):
+        # the two windows agree, yet the model is smaller than the series
+        with pytest.raises(InconclusiveError, match="differs from the operand") as info:
+            learn(RecognizableSeries(rep), explore)
+        err = info.value
+        assert (err.r_small, err.r_big, err.explore) == (rank, rank, explore)
+    model = learn(RecognizableSeries(rep), 7)
+    assert model.dim == 8 and reps_equal(model, rep)
+    # a window of rank 0 is checked too: f(aaa) = 1 is zero on words of length <= 2
+    aaa = RecognizableSeries(embed_finite(FiniteSupportSeries.from_text(ab, "aaa")))
+    with pytest.raises(InconclusiveError, match="differs from the operand"):
+        learn(aaa, 0)
+    assert reps_equal(learn(aaa, 3), aaa.rep)
+
+
 def test_learn_oracle_input(single):
     model = learn(lambda w: Fraction(3) ** len(w), 2, alphabet=single)
     assert model.dim == 1
