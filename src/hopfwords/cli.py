@@ -8,8 +8,9 @@ Exit codes: 0 success, 1 parse/usage error, 2 domain error, 3 inconclusive
 
 Polynomial operands use the text grammar ("3*ab - 1/2*ba + 1"); series
 operands are either polynomial text (finite support) or a linear
-representation in JSON, inline or as a file path. Inline operands of 1024
-bytes or more must be passed as files.
+representation in JSON, inline or as a file path. An operand that is valid
+inline text for its position is inline; only otherwise is the file it names
+read. Inline operands of 1024 bytes or more must be passed as files.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .freealg import (
 from .linalg import Matrix
 from .rep import LinRep, MatRep, conv_rep, direct_sum, eval_rep, tensor_rep
 from .sweedler import (
+    _window_holds_support,
     behavior_table,
     hankel,
     hankel_rank,
@@ -117,16 +119,24 @@ def build_parser(command: str | None = None) -> _Parser:
 # operand loading
 
 
-def _read_operand(arg: str) -> str:
-    if os.path.isfile(arg):
-        try:
-            with open(arg, encoding="utf-8") as fh:
-                return fh.read()
-        except OSError as exc:
-            raise ParseError(f"cannot read operand file {arg!r}: {exc}") from exc
-    if len(arg.encode()) >= _INLINE_LIMIT:
-        raise ParseError("inline operand is 1024 bytes or larger; pass it as a file path")
-    return arg
+def _operand(arg: str, parse):
+    """parse() of an operand's stripped text. The operand is inline when
+    parse accepts it; only when it raises a ParseError and the operand names
+    an existing file is the file read instead, so a file never shadows valid
+    inline text (a path such as ./ab is never inline)."""
+    try:
+        if len(arg.encode()) >= _INLINE_LIMIT:
+            raise ParseError("inline operand is 1024 bytes or larger; pass it as a file path")
+        return parse(arg.strip())
+    except ParseError:
+        if not os.path.isfile(arg):
+            raise
+    try:
+        with open(arg, encoding="utf-8") as fh:
+            content = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read operand file {arg!r}: {exc}") from exc
+    return parse(content.strip())
 
 
 def _need_alphabet(args) -> Alphabet:
@@ -136,8 +146,7 @@ def _need_alphabet(args) -> Alphabet:
 
 
 def _load_poly(args, raw: str, alphabet: Alphabet | None = None) -> NCPoly:
-    content = _read_operand(raw).strip()
-    return NCPoly.from_text(alphabet or _need_alphabet(args), content)
+    return _operand(raw, lambda text: NCPoly.from_text(alphabet or _need_alphabet(args), text))
 
 
 def _reject_json_number(text: str):
@@ -161,31 +170,30 @@ def _load_json_rep(args, content: str, cls: type[MatRep]) -> MatRep:
     return rep
 
 
-def _load_series(args, raw: str) -> Series:
-    content = _read_operand(raw).strip()
-    if content.startswith("{"):
-        return RecognizableSeries(_load_json_rep(args, content, LinRep))
-    return FiniteSupportSeries.from_text(_need_alphabet(args), content)
+def _parse_series(args, text: str) -> Series:
+    if text.startswith("{"):
+        return RecognizableSeries(_load_json_rep(args, text, LinRep))
+    return FiniteSupportSeries.from_text(_need_alphabet(args), text)
 
 
 def _series_args(args, count: int) -> list[Series]:
     got = getattr(args, "series", [])
     if len(got) != count:
         raise ParseError(f"expected exactly {count} --series operand(s), got {len(got)}")
-    return [_load_series(args, raw) for raw in got]
+    return [_operand(raw, lambda text: _parse_series(args, text)) for raw in got]
 
 
 def _rep_args(args, count: int) -> list[MatRep]:
     got = getattr(args, "rep", [])
     if len(got) != count:
         raise ParseError(f"expected exactly {count} --rep operand(s), got {len(got)}")
-    reps = []
-    for raw in got:
-        content = _read_operand(raw).strip()
-        if not content.startswith("{"):
+
+    def parse(text: str) -> MatRep:
+        if not text.startswith("{"):
             raise ParseError("--rep operand must be representation JSON")
-        reps.append(_load_json_rep(args, content, MatRep))
-    return reps
+        return _load_json_rep(args, text, MatRep)
+
+    return [_operand(raw, parse) for raw in got]
 
 
 def _window(args) -> tuple[int, int]:
@@ -435,6 +443,10 @@ def _cmd_learn(args):
     if explore is None or explore < 0:
         raise ParseError("--explore L (nonnegative) is required")
     _preflight_window(f.alphabet, explore + 1, explore + 1)
+    # learn checks its model against the automaton of a support too long
+    # for the window to certify it
+    if isinstance(f, FiniteSupportSeries) and not _window_holds_support(f, explore):
+        _preflight_embed(f)
     return _out_json(learn(f, explore).to_json_dict())
 
 

@@ -16,6 +16,19 @@ once down the word tree, and equality of two representations is decided by
 propagating a basis of the reachable row space (polynomial time). The window
 of a finite-support series is filled straight from its support. Windows,
 ranks and row reduction run on the integer numerators of the matrices.
+
+hankel_rank and learn never need the whole window, only its rows restricted
+to a set C of suffix columns that spans its column space (the closed table
+of Beimel et al., "Learning functions represented as multiplicity
+automata"). Then H = H[:, C] T with T of full row rank, so the rows of H
+and of H[:, C] satisfy the same linear relations: the rank, the shortlex-first
+independent rows and every row's coordinates over them are those of the
+whole window. C is chosen greedily in shortlex order with the empty suffix
+first, so its columns of length <= l also span the columns of length <= l.
+For a representation of dimension n, C is the first independent columns
+mu(v)*gamma, at most n of them; for a finite support, the empty word and
+the suffixes of its support words, since every other column is zero; a bare
+coefficient oracle keeps every column.
 """
 
 from __future__ import annotations
@@ -24,7 +37,7 @@ from collections import deque
 from fractions import Fraction
 
 from . import linalg
-from .dualforms import FiniteSupportSeries, RecognizableSeries, Series
+from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, embed_finite
 from .errors import InconclusiveError, InternalInvariantError
 from .freealg import Alphabet, Letter, NCPoly, Word, _Frozen, _check_antipode_domain, _numerators, _same_alphabet, conc
 from .linalg import Matrix, RowReducer, _stacked
@@ -125,14 +138,16 @@ def _coeff_fn(f, alphabet: Alphabet | None):
     raise TypeError(f"expected a Series or a coefficient oracle, got {type(f)!r}")
 
 
-def _finite_window(f: FiniteSupportSeries, p: int, s: int) -> HankelSlice:
-    """The window of a finite-support series, filled from its support: each
-    word w = uv with |u| <= p and |v| <= s sets the one entry (u, v), and
-    every other entry is zero. Costs the zero table plus the sum of |w|
-    over the support; no coefficient is looked up."""
+def _finite_window(f: FiniteSupportSeries, p: int, cols: tuple[Word, ...]) -> HankelSlice:
+    """The window of a finite-support series on the prefixes of length <= p
+    and the suffix columns `cols`, filled from its support: each word w = uv
+    with |u| <= p and v in cols sets the one entry (u, v), and every other
+    entry is zero. cols is in shortlex order and holds every suffix of a
+    support word up to the length of its last column. Costs the zero table
+    plus the sum of |w| over the support; no coefficient is looked up."""
     alph = f.alphabet
     rows = tuple(alph.words(p))
-    cols = tuple(alph.words(s))
+    s = len(cols[-1])
     row_index = {u.symbols(): i for i, u in enumerate(rows)}
     col_index = {v.symbols(): j for j, v in enumerate(cols)}
     numerators, den = _numerators(f.poly)
@@ -145,6 +160,39 @@ def _finite_window(f: FiniteSupportSeries, p: int, s: int) -> HankelSlice:
     return HankelSlice(rows, cols, Matrix._from_ints(tuple([tuple(r) for r in table]), den))
 
 
+def _rep_window(rep: LinRep, p: int, columns) -> HankelSlice:
+    """The window of a representation on the prefixes of length <= p and the
+    (suffix v, mu(v)*gamma) pairs of `columns`: the product of the stacked
+    prefix rows lambda*mu(u) and those column vectors."""
+    rows, row_vecs = zip(*_tree_vectors(rep, p, prefixes=True))
+    cols, col_vecs = zip(*columns)
+    return HankelSlice(rows, cols, _stacked(row_vecs) * _stacked(col_vecs).transpose())
+
+
+def _spanning_window(f, p: int, s: int, alphabet: Alphabet | None) -> HankelSlice:
+    """The (p, s) window restricted to the spanning suffix columns C that
+    the module docstring describes. The empty suffix is kept even when
+    gamma = 0: learn reads gamma from its column."""
+    if isinstance(f, FiniteSupportSeries):
+        suffixes = {""}
+        for w in f.terms:
+            text = w.symbols()
+            suffixes.update(text[k:] for k in range(max(0, len(text) - s), len(text)))
+        cols = tuple(Word(f.alphabet, v) for v in sorted(suffixes, key=lambda v: (len(v), v)))
+        return _finite_window(f, p, cols)
+    if isinstance(f, RecognizableSeries):
+        rep = f.rep
+        reducer = RowReducer(rep.dim)
+        columns = []
+        for v, vec in _tree_vectors(rep, s, prefixes=False):
+            if reducer.offer([x for (x,) in vec.num]) or not columns:
+                columns.append((v, vec))
+                if reducer.rank == rep.dim:
+                    break
+        return _rep_window(rep, p, columns)
+    return hankel(f, p, s, alphabet)
+
+
 def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
     """The window with prefixes of length <= p and suffixes of length <= s.
 
@@ -154,13 +202,9 @@ def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
     fills its window from its support words. Only a bare coefficient oracle
     (which needs `alphabet`) is asked for f(uv) entry by entry."""
     if isinstance(f, FiniteSupportSeries):
-        return _finite_window(f, p, s)
+        return _finite_window(f, p, tuple(f.alphabet.words(s)))
     if isinstance(f, RecognizableSeries):
-        rows, row_vecs = zip(*_tree_vectors(f.rep, p, prefixes=True))
-        cols, col_vecs = zip(*_tree_vectors(f.rep, s, prefixes=False))
-        left = _stacked(row_vecs)
-        right = _stacked(col_vecs).transpose()
-        return HankelSlice(rows, cols, left * right)
+        return _rep_window(f.rep, p, _tree_vectors(f.rep, s, prefixes=False))
     cf, alph = _coeff_fn(f, alphabet)
     rows = tuple(alph.words(p))
     cols = tuple(alph.words(s))
@@ -169,8 +213,10 @@ def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
 
 
 def hankel_rank(f, p: int, s: int, alphabet: Alphabet | None = None) -> int:
-    """Exact rank over Q of the (p, s) Hankel window."""
-    return linalg.rank(hankel(f, p, s, alphabet).entries)
+    """Exact rank over Q of the (p, s) Hankel window, computed on the
+    window restricted to a spanning set of its suffix columns, which has
+    the same rank (see the module docstring)."""
+    return linalg.rank(_spanning_window(f, p, s, alphabet).entries)
 
 
 # ---------------------------------------------------------------------------
@@ -190,27 +236,42 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     (length <= 2*explore + 1) and everywhere when f is genuinely
     recognizable with rank reached inside the window.
 
-    f is a Series or, with `alphabet`, a bare coefficient oracle; a Series
-    gets the factored or support-filled window of hankel(). A rank that
-    agrees between two windows may still grow, so a RecognizableSeries of
-    larger dimension than that rank has the model checked with reps_equal.
-    The InconclusiveError, raised when the ranks differ or the check fails,
+    f is a Series or, with `alphabet`, a bare coefficient oracle. Both are
+    learned on the window restricted to a spanning set of its suffix
+    columns (every column for an oracle), whose rows have the same linear
+    relations as the whole rows: the ranks, the basis and the model are
+    those of the whole window (see the module docstring). A rank that
+    agrees between two windows may still grow, so the model is checked
+    with reps_equal against a RecognizableSeries of larger dimension than
+    that rank, and against a finite support with a word longer than
+    explore + 1; a shorter support has every nonzero Hankel entry inside
+    the window, which certifies the model. The InconclusiveError, raised
+    when the ranks differ or the check fails,
     carries the two window ranks and the exploration length as attributes
     r_small, r_big and explore.
     """
     if explore < 0:
         raise ValueError("exploration length must be nonnegative")
-    window = hankel(f, explore + 1, explore + 1, alphabet)
+    window = _spanning_window(f, explore + 1, explore + 1, alphabet)
     alph = window.rows[0].alphabet
     # integer rows: the window's common denominator scales every row alike,
     # which changes no rank, no accepted row and no coordinate
     num = window.entries.num
     n_small = sum(1 for w in window.rows if len(w) <= explore)
-    small = Matrix(row[:n_small] for row in num[:n_small])
+    # the columns of length <= explore come first and span the small window
+    c_small = sum(1 for v in window.cols if len(v) <= explore)
+    small = Matrix(row[:c_small] for row in num[:n_small])
     r_small = linalg.rank(small)
-    # one elimination of the whole window gives its rank and the basis
-    reducer = RowReducer(len(window.cols))
-    basis = [i for i, row in enumerate(num) if reducer.offer(row)]
+    # one elimination of the window gives its rank and the basis; no row
+    # enlarges a span that already has one dimension per column
+    width = len(window.cols)
+    reducer = RowReducer(width)
+    basis = []
+    for i, row in enumerate(num):
+        if reducer.rank == width:
+            break
+        if reducer.offer(row):
+            basis.append(i)
     r_big = reducer.rank
     if r_small != r_big:
         raise InconclusiveError(
@@ -242,7 +303,13 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
         # column of the empty suffix holds f on the basis words
         gamma = Matrix._from_ints(tuple((num[i][0],) for i in basis), window.entries.den)
         model = LinRep(alph, r_big, Matrix.row_vector(lam), mu, gamma)
-    if isinstance(f, RecognizableSeries) and r_big < f.rep.dim and not reps_equal(model, f.rep):
+    if isinstance(f, RecognizableSeries) and r_big < f.rep.dim:
+        reference = f.rep
+    elif isinstance(f, FiniteSupportSeries) and not _window_holds_support(f, explore):
+        reference = embed_finite(f)
+    else:
+        return model
+    if not reps_equal(model, reference):
         raise InconclusiveError(
             f"learned model of dim {r_big} differs from the operand; raise the exploration length",
             r_small=r_small,
@@ -250,6 +317,12 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
             explore=explore,
         )
     return model
+
+
+def _window_holds_support(f: FiniteSupportSeries, explore: int) -> bool:
+    """Whether learn's (explore+1, explore+1) window holds every nonzero
+    Hankel entry of f: no support word is longer than explore + 1."""
+    return all(len(w) <= explore + 1 for w in f.terms)
 
 
 # ---------------------------------------------------------------------------

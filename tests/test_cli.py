@@ -348,3 +348,39 @@ def test_oversized_inline_operand_rejected():
     proc = run_cli(["coprod", "--alphabet", "a:L", "a + " * 400 + "a"])
     assert proc.returncode == 1
     assert b"file" in proc.stderr
+
+
+def test_learn_from_a_long_finite_support_checks_the_model():
+    # the (4, 4) window misses aaaaaaaaa, so its dim-2 model is refused
+    proc = run_cli(["learn", "--alphabet", "a:L,b:L", "--explore", "3", "--series", "a + aaaaaaaaa"])
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert b"differs from the operand" in proc.stderr
+    # the check embeds the support, so the embedding's cap applies first
+    proc = run_cli(["learn", "--alphabet", "a:L,b:L", "--explore", "3", "--series", "a" * 730])
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert b"automaton of 731 states" in proc.stderr
+    # a support the window holds is certified without the check or its cap
+    proc = run_cli(["learn", "--alphabet", "a:L,b:L", "--explore", "5", "--series", "a + aaaaa"])
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["dim"] == 6
+
+
+def test_valid_inline_operand_is_not_shadowed_by_a_file(tmp_path):
+    (tmp_path / "ab").write_text("b")
+    args = ["coprod", "--alphabet", "a:L,b:L"]
+    proc = run_cli([*args, "ab"], cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "coprod.out").read_bytes()
+    # a path is never valid polynomial text, so it names the file
+    proc = run_cli([*args, "./ab"], cwd=tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout == b"b(x)1 + 1(x)b\n"
+    # text that does not parse inline still reads the file it names
+    proc = run_cli(["coprod", "ab"], cwd=tmp_path)
+    assert proc.returncode == 1
+    assert b"--alphabet is required" in proc.stderr
+    (tmp_path / "op.txt").write_text("a")
+    proc = run_cli([*args, "op.txt"], cwd=tmp_path)
+    assert proc.stdout == b"a(x)1 + 1(x)a\n"

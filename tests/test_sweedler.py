@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -730,3 +731,140 @@ def test_kernels_do_no_fraction_arithmetic(ab, monkeypatch):
     assert not reps_equal(model, scale_rep(rep, 2))
     with pytest.raises(AssertionError):
         Fraction(1, 2) + Fraction(1, 3)
+
+
+# ---------------------------------------------------------------------------
+# rank and learning on a spanning set of suffix columns
+
+
+SPANNING_ALPHABETS = st.sampled_from(["a:L,g:G", "a:L,b:L", "a:L,b:L,g:G"]).map(Alphabet.from_decl)
+RATIONALS = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def spanning_operands(draw):
+    """(alphabet, series, its representation): a rep of dim 1..6 with
+    rational entries, sometimes gamma = 0, sometimes the non-minimal sum of
+    a rep with itself; or a finite support of words up to length 5."""
+    alph = draw(SPANNING_ALPHABETS)
+    if draw(st.booleans()):
+        symbols = "".join(l.symbol for l in alph.letters)
+        terms = draw(st.dictionaries(
+            st.text(symbols, max_size=5),
+            st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3)),
+            max_size=4,
+        ))
+        f = FiniteSupportSeries(NCPoly(alph, {alph.word(w): c for w, c in terms.items()}))
+        return alph, f, embed_finite(f)
+    n = draw(st.integers(1, 6))
+    vec = st.lists(RATIONALS, min_size=n, max_size=n)
+    lam = draw(vec)
+    gamma = draw(st.one_of(vec, st.just([0] * n)))
+    mu = {l: Matrix(draw(st.lists(vec, min_size=n, max_size=n))) for l in alph.letters}
+    r = LinRep(alph, n, Matrix.row_vector(lam), mu, Matrix.col_vector(gamma))
+    if n <= 3 and draw(st.booleans()):
+        r = rep_sum(r, r)
+    return alph, RecognizableSeries(r), r
+
+
+def _learn_outcome(*args, **kwargs):
+    try:
+        return learn(*args, **kwargs), None
+    except InconclusiveError as err:
+        return None, err
+
+
+@given(spanning_operands(), st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_spanning_columns_agree_with_the_whole_window(operand, p, s, explore):
+    """hankel_rank and learn of a Series, which keep a spanning set of suffix
+    columns, against the bare-oracle path, which fills every column."""
+    alph, f, rep = operand
+    oracle = functools.lru_cache(maxsize=None)(f.coeff)
+    assert hankel_rank(f, p, s) == hankel_rank(oracle, p, s, alphabet=alph)
+    expected, expected_err = _learn_outcome(oracle, explore, alphabet=alph)
+    got, got_err = _learn_outcome(f, explore)
+    if got_err is not None:
+        # the two window ranks, taken from the whole windows
+        assert got_err.r_small == hankel_rank(oracle, explore, explore, alphabet=alph)
+        assert got_err.r_big == hankel_rank(oracle, explore + 1, explore + 1, alphabet=alph)
+    if expected_err is not None:
+        assert got_err is not None and str(got_err) == str(expected_err)
+        assert (got_err.r_small, got_err.r_big, got_err.explore) == (
+            expected_err.r_small, expected_err.r_big, expected_err.explore)
+    elif got_err is None:
+        assert got == expected and got.to_json_dict() == expected.to_json_dict()
+    else:
+        # the operand refutes the window's model, which the oracle returns
+        assert "differs from the operand" in str(got_err)
+        assert got_err.r_small == got_err.r_big and got_err.explore == explore
+        assert not reps_equal(expected, rep)
+
+
+@pytest.mark.parametrize("text", ["aaaa", "a + aaaaaaaaa", "ab + babab", "1 + aaaaaa"])
+def test_spanning_columns_of_a_support_longer_than_the_window(ab, text):
+    """Supports with suffix columns of length explore + 1, which must stay
+    out of the small window: the same ranks and models as the oracle path
+    wherever no check runs, and the same ranks where one does."""
+    f = FiniteSupportSeries.from_text(ab, text)
+    ranks = [hankel_rank(f.coeff, k, k, alphabet=ab) for k in range(6)]
+    assert [hankel_rank(f, k, k) for k in range(6)] == ranks
+    for explore in range(5):
+        expected, expected_err = _learn_outcome(f.coeff, explore, alphabet=ab)
+        got, got_err = _learn_outcome(f, explore)
+        if got_err is None:
+            assert expected_err is None and got == expected
+        else:
+            assert (got_err.r_small, got_err.r_big) == (ranks[explore], ranks[explore + 1])
+
+
+def test_learn_and_rank_of_a_representation_build_no_matrix_wider_than_its_dim(ab, monkeypatch):
+    """A window of a dim-n representation keeps at most n suffix columns:
+    no Matrix built has more than rows x n entries, where the whole window
+    of learn(counting, 9) has 2047 x 2047."""
+    c = RecognizableSeries(counting_rep(ab))
+    sizes = []
+    init, from_ints = Matrix.__init__, Matrix._from_ints.__func__
+
+    def sized_init(self, rows):
+        init(self, rows)
+        sizes.append(sum(map(len, self.num)))
+
+    def sized_from_ints(cls, num, den=1):
+        m = from_ints(cls, num, den)
+        sizes.append(sum(map(len, m.num)))
+        return m
+
+    monkeypatch.setattr(Matrix, "__init__", sized_init)
+    monkeypatch.setattr(Matrix, "_from_ints", classmethod(sized_from_ints))
+    assert learn(c, 9).dim == 2
+    assert max(sizes) <= len(list(ab.words(10))) * 2
+    sizes.clear()
+    assert hankel_rank(c, 9, 9) == 2
+    assert max(sizes) <= len(list(ab.words(9))) * 2
+
+
+def test_learn_checks_a_finite_support_longer_than_its_window(ab, monkeypatch):
+    f = FiniteSupportSeries.from_text(ab, "a + aaaaaaaaa")
+    # the (4, 4) window misses f(aaaaaaaaa) and agrees on rank 2 with (3, 3)
+    with pytest.raises(InconclusiveError, match="differs from the operand") as info:
+        learn(f, 3)
+    err = info.value
+    assert (err.r_small, err.r_big, err.explore) == (2, 2, 3)
+    assert str(err) == (
+        "learned model of dim 2 differs from the operand; raise the exploration length"
+    )
+    # a zero window is checked too
+    with pytest.raises(InconclusiveError, match="differs from the operand"):
+        learn(FiniteSupportSeries.from_text(ab, "aaaa"), 0)
+    # a window that holds every support word certifies its model unchecked
+
+    def refuse(r1, r2):
+        raise AssertionError("reps_equal called")
+
+    model = learn(f, 9)
+    monkeypatch.setattr(sweedler, "reps_equal", refuse)
+    assert learn(f, 9) == model and model.dim == 10
+    assert learn(FiniteSupportSeries.from_text(ab, "2*ab - b + aaaa"), 3).dim == 5
+    monkeypatch.undo()
+    assert reps_equal(model, embed_finite(f))
