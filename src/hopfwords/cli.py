@@ -220,27 +220,42 @@ def _window_side(nletters: int, maxlen: int) -> int:
     return total
 
 
-def _preflight_window(alphabet: Alphabet, p: int, s: int):
-    """Refuse a (p, s) Hankel window of more than _WINDOW_CAP entries."""
+def _preflight_window(alphabet: Alphabet, p: int, s: int, f: Series | None = None):
+    """Refuse a (p, s) Hankel window with a side of more than _WINDOW_CAP
+    words, or with more than _WINDOW_CAP entries filled. hankel fills the
+    whole window. rank and learn pass their operand f and fill rows x k
+    entries, k the spanning columns that sweedler keeps: min(dim, cols) for
+    a representation, and for a finite support the empty suffix plus every
+    suffix of a support word of length <= s."""
     n = len(alphabet.letters)
     rows, cols = _window_side(n, p), _window_side(n, s)
-    if rows * cols > _WINDOW_CAP:
-        shape = " x ".join(f">{_WINDOW_CAP}" if k > _WINDOW_CAP else str(k) for k in (rows, cols))
+    if rows * cols <= _WINDOW_CAP:
+        return
+    shape = " x ".join(f">{_WINDOW_CAP}" if k > _WINDOW_CAP else str(k) for k in (rows, cols))
+    where = f"Hankel window of {shape} words (prefixes <= {p}, suffixes <= {s} over {n} letter(s))"
+    if f is None or rows > _WINDOW_CAP or cols > _WINDOW_CAP:
+        raise ParseError(f"{where} exceeds the cap of {_WINDOW_CAP} entries")
+    k = _suffix_states(f, s) if isinstance(f, FiniteSupportSeries) else min(f.rep.dim, cols)
+    if rows * k > _WINDOW_CAP:
         raise ParseError(
-            f"Hankel window of {shape} words (prefixes <= {p}, suffixes <= {s} "
-            f"over {n} letter(s)) exceeds the cap of {_WINDOW_CAP} entries"
+            f"{where} on {k} spanning column(s) fills {rows * k} entries, "
+            f"which exceeds the cap of {_WINDOW_CAP} entries"
         )
 
 
-def _suffix_states(f: FiniteSupportSeries) -> int:
+def _suffix_states(f: FiniteSupportSeries, max_len: int | None = None) -> int:
     """Number of distinct suffixes of the support words, the empty word
-    included: the states of embed_finite. Counted as the nodes of the trie
-    of the reversed words, in the support's total length."""
+    included (the states of embed_finite), or only of those of length <=
+    max_len. Counted as the nodes of the trie of the reversed words, in the
+    support's total length."""
     root: dict = {}
     n = 1
     for w in f.terms:
         node = root
-        for ch in reversed(w.symbols()):
+        text = w.symbols()
+        if max_len is not None:
+            text = text[max(0, len(text) - max_len) :]
+        for ch in reversed(text):
             child = node.get(ch)
             if child is None:
                 child = node[ch] = {}
@@ -432,7 +447,7 @@ def _cmd_hankel(args):
 def _cmd_rank(args):
     (f,) = _series_args(args, 1)
     p, s = _window(args)
-    _preflight_window(f.alphabet, p, s)
+    _preflight_window(f.alphabet, p, s, f)
     r = hankel_rank(f, p, s)
     return _finish(args, lambda: str(r), lambda: {"rank": r})
 
@@ -442,7 +457,7 @@ def _cmd_learn(args):
     explore = getattr(args, "explore", None)
     if explore is None or explore < 0:
         raise ParseError("--explore L (nonnegative) is required")
-    _preflight_window(f.alphabet, explore + 1, explore + 1)
+    _preflight_window(f.alphabet, explore + 1, explore + 1, f)
     # learn checks its model against the automaton of a support too long
     # for the window to certify it
     if isinstance(f, FiniteSupportSeries) and not _window_holds_support(f, explore):

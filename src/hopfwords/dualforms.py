@@ -128,12 +128,15 @@ def pair(f: Series, p: NCPoly) -> Fraction:
 
 def _merges(u: Word, v: Word) -> list[str]:
     """The symbol string of every word that admits (u, v) among its subword
-    splittings, once per splitting: primitive letters interleave freely
-    while group-like letters must match pairwise and appear once. Built
-    row by row: entry j of row i holds the merges of a[:i] and b[:j], each
-    one letter longer than a merge to its left, above, or above-left."""
-    group_like = u.alphabet.group_like_symbols
-    a, b = u.symbols(), v.symbols()
+    splittings, once per splitting (see _merge_texts)."""
+    return _merge_texts(u.symbols(), v.symbols(), u.alphabet.group_like_symbols)
+
+
+def _merge_texts(a: str, b: str, group_like) -> list[str]:
+    """_merges on symbol strings: primitive letters interleave freely while
+    group-like letters must match pairwise and appear once. Built row by
+    row: entry j of row i holds the merges of a[:i] and b[:j], each one
+    letter longer than a merge to its left, above, or above-left."""
     row = [[""]]
     for y in b:
         row.append([] if y in group_like else [m + y for m in row[-1]])
@@ -192,15 +195,15 @@ def convolve(f: Series, h: Series) -> Series:
     """
     _same_alphabet(f.alphabet, h.alphabet)
     if isinstance(f, FiniteSupportSeries) and isinstance(h, FiniteSupportSeries):
-        # integer numerators on symbol strings; each distinct one becomes a
-        # Word once, in _lift
+        # integer numerators on symbol strings; no Word is built
         (fs, df), (hs, dh) = _numerators(f.poly), _numerators(h.poly)
+        group_like = f.alphabet.group_like_symbols
         acc: dict[str, int] = {}
         get = acc.get
         for u, cu in fs:
             for v, cv in hs:
                 c = cu * cv
-                for text in _merges(u, v):
+                for text in _merge_texts(u, v, group_like):
                     acc[text] = get(text, 0) + c
         return FiniteSupportSeries(_lift(NCPoly, f.alphabet, acc, df * dh))
     return RecognizableSeries(conv_rep(_to_linrep(f), _to_linrep(h)))
@@ -221,7 +224,8 @@ def embed_finite(f: FiniteSupportSeries) -> LinRep:
     State a.v moves to state v on the letter a, so each letter matrix has
     at most one nonzero entry per row and is built from those entries."""
     alph = f.alphabet
-    coeffs = {w.symbols(): c for w, c in f.terms.items()}
+    numerators, den = _numerators(f.poly)
+    coeffs = dict(numerators)
     suffixes = {""}
     for text in coeffs:
         suffixes.update(text[k:] for k in range(len(text)))
@@ -237,7 +241,7 @@ def embed_finite(f: FiniteSupportSeries) -> LinRep:
             row[pos[text[1:]]] = 1
             rows[text[0]][i] = tuple(row)
     mu = {alph.find(symbol): Matrix._from_ints(tuple(m)) for symbol, m in rows.items()}
-    lam = Matrix.row_vector([coeffs.get(text, 0) for text in states])
+    lam = Matrix._from_ints((tuple([coeffs.get(text, 0) for text in states]),), den)
     gamma = Matrix.col_vector([0 if text else 1 for text in states])
     return LinRep(alph, n, lam, mu, gamma)
 

@@ -8,15 +8,18 @@ letters, the counit, and the antipode (which exists exactly when every
 letter is primitive).
 
 All values are immutable after construction and every operation is a pure
-function of its inputs, so everything here is safe to share across threads;
-the order of a LinComb's terms is fixed once, on the first read of `terms`.
+function of its inputs, so everything here is safe to share across threads.
 
-Words are the dict keys of every term map, so a key costs one str hash: a
-Word hashes as its symbol string, computed once at construction, and equals
-another Word when both the symbol strings and the alphabets are equal. str
-hashes are salted per process, so no cached hash is ever pickled; words and
-alphabets are rebuilt from their parts when loaded. Coefficients are exact:
-only int and Fraction are accepted, anything else is a TypeError.
+A LinComb keeps its terms keyed by symbol strings (a str at arity 1, a tuple
+of str otherwise), checked against its alphabet when built, so kernels, sums
+and equality hash and compare plain strings and build no Word. The public
+`terms`, keyed by Word and in canonical order, is built on its first read.
+A Word hashes as its symbol string, computed once at construction, and
+equals another Word when both the symbol strings and the alphabets are
+equal. str hashes are salted per process, so no cached hash is ever
+pickled; words, alphabets and linear combinations are rebuilt from their
+parts when loaded. Coefficients are exact: only int and Fraction are
+accepted, anything else is a TypeError.
 """
 
 from __future__ import annotations
@@ -281,23 +284,27 @@ def _same_alphabet(a: Alphabet, b: Alphabet):
 
 
 def _exact(c) -> Fraction:
-    """A coefficient as a Fraction; only int and Fraction are exact inputs."""
+    """A coefficient as a Fraction; only int and Fraction are exact inputs.
+    A Fraction is immutable, so it is returned as it is."""
+    if c.__class__ is Fraction:
+        return c
     if isinstance(c, Fraction) or (isinstance(c, int) and not isinstance(c, bool)):
         return Fraction(c)
     raise TypeError(f"coefficient must be an int or a Fraction, got {c!r}")
 
 
-def _text_order(w: Word) -> tuple:
-    """Sort key of one tensor factor: length descending, then symbols
-    ascending; symbols are single characters, so comparing symbol strings
-    compares the symbol sequences. Terms are ordered factor by factor."""
-    text = w._symbols
+def _text_order(text: str) -> tuple:
+    """Sort key of one tensor factor's symbol string: length descending,
+    then symbols ascending; symbols are single characters, so comparing
+    symbol strings compares the symbol sequences. Terms are ordered factor
+    by factor."""
     return (-len(text), text)
 
 
 def _canonical(alphabet: Alphabet, terms, arity: int) -> dict:
     """Validate and merge terms; drop zero coefficients. A key is a Word at
-    arity 1 and a tuple of `arity` words otherwise."""
+    arity 1 and a tuple of `arity` words otherwise; it is stored as its
+    symbol strings (a str, or a tuple of str)."""
     single = arity == 1
     acc: dict = {}
     get = acc.get
@@ -306,6 +313,7 @@ def _canonical(alphabet: Alphabet, terms, arity: int) -> dict:
         for w in (key,) if single else key:
             if w.alphabet is not alphabet:
                 _same_alphabet(w.alphabet, alphabet)
+        key = key._symbols if single else tuple([w._symbols for w in key])
         if c.__class__ is not Fraction:
             c = _exact(c)
         if c:
@@ -319,43 +327,62 @@ class LinComb:
     of A, A (x) A or A (x) A (x) A. Use the subclasses NCPoly, Tensor2 and
     Tensor3, which fix the arity.
 
-    A term's key is a Word at arity 1 and a tuple of words otherwise. The
-    nonzero terms are kept unordered in _terms; the first read of `terms`
-    orders them component by component, by word length descending then
-    symbols ascending, so output is deterministic and parse(str(x)) == x.
-    Values of different arity never compare equal, add or multiply.
+    A term's key in `terms` is a Word at arity 1 and a tuple of words
+    otherwise. The nonzero terms are kept unordered in _terms, keyed by
+    symbol strings (a str at arity 1, a tuple of str otherwise) over the
+    value's alphabet. The first read of `terms` orders them component by
+    component, by word length descending then symbols ascending, so output
+    is deterministic and parse(str(x)) == x, and builds each distinct word
+    once. Values of different arity never compare equal, add or multiply.
     """
 
-    __slots__ = ("alphabet", "_terms", "_ordered")
+    __slots__ = ("alphabet", "_terms", "_words")
     arity: int
 
     def __init__(self, alphabet: Alphabet, terms=()):
         self.alphabet = alphabet
         self._terms: dict = _canonical(alphabet, terms, self.arity)
-        self._ordered = False
+        self._words = None
 
     @classmethod
     def _of_checked(cls, alphabet: Alphabet, terms: dict):
-        """The value with these terms, which are already checked, merged and
-        nonzero: built by _lift, a sum, or the terms of a value negated or
-        scaled by a nonzero coefficient."""
+        """The value with these terms, keyed by symbol strings over alphabet
+        and already checked, merged and nonzero: built by _lift, a sum, or
+        the terms of a value negated, reversed or scaled by a nonzero
+        coefficient."""
         out = cls.__new__(cls)
         out.alphabet = alphabet
         out._terms = terms
-        out._ordered = False
+        out._words = None
         return out
 
     @property
     def terms(self) -> dict:
-        """The terms in canonical order, fixed on the first read, which stores
-        the whole ordered dict before it marks the value ordered."""
-        if not self._ordered:
-            factors = self._factors
-            self._terms = dict(
-                sorted(self._terms.items(), key=lambda kv: list(map(_text_order, factors(kv[0]))))
-            )
-            self._ordered = True
-        return self._terms
+        """The terms keyed by Word, in canonical order. Built on the first
+        read, each distinct word once through the checked constructor, and
+        stored whole in one slot, so concurrent first reads are safe."""
+        words = self._words
+        if words is None:
+            alphabet, store = self.alphabet, self._terms
+            if self.arity == 1:
+                words = {
+                    Word(alphabet, k): c
+                    for k, c in sorted(store.items(), key=lambda kv: _text_order(kv[0]))
+                }
+            else:
+                built = {t: Word(alphabet, t) for t in {t for k in store for t in k}}
+                get = built.__getitem__
+                words = {
+                    tuple(map(get, k)): c
+                    for k, c in sorted(store.items(), key=lambda kv: list(map(_text_order, kv[0])))
+                }
+            self._words = words
+        return words
+
+    def __reduce__(self):
+        # rebuilt through the checked constructor from its Word-keyed terms,
+        # so a loaded store holds only strings checked against its alphabet
+        return self.__class__, (self.alphabet, self.terms)
 
     @classmethod
     def one(cls, alphabet: Alphabet):
@@ -371,10 +398,16 @@ class LinComb:
         return (key,) if self.arity == 1 else key
 
     def coeff(self, *words: Word) -> Fraction:
-        """The coefficient of the term with these words, one per factor."""
+        """The coefficient of the term with these words, one per factor; 0
+        when a word is over another alphabet."""
         if len(words) != self.arity:
             raise TypeError(f"coeff of a {type(self).__name__} takes {self.arity} word(s)")
-        return self._terms.get(words[0] if self.arity == 1 else words, Fraction(0))
+        alphabet = self.alphabet
+        for w in words:
+            if not isinstance(w, Word) or (w.alphabet is not alphabet and w.alphabet != alphabet):
+                return Fraction(0)
+        key = words[0]._symbols if self.arity == 1 else tuple([w._symbols for w in words])
+        return self._terms.get(key, Fraction(0))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -394,8 +427,13 @@ class LinComb:
         get = acc.get
         for k, c in other._terms.items():
             old = get(k)
-            acc[k] = c if old is None else old + c
-        return self._of_checked(self.alphabet, {k: c for k, c in acc.items() if c})
+            if old is None:
+                acc[k] = c
+            elif c := old + c:
+                acc[k] = c
+            else:
+                del acc[k]
+        return self._of_checked(self.alphabet, acc)
 
     def __sub__(self, other):
         return self + (-other)
@@ -418,7 +456,7 @@ class LinComb:
     def scale(self, c):
         c = _exact(c)
         if not c:
-            return self.__class__(self.alphabet)
+            return self._of_checked(self.alphabet, {})
         return self._of_checked(self.alphabet, {k: c * v for k, v in self._terms.items()})
 
     def __str__(self) -> str:
@@ -450,7 +488,8 @@ class NCPoly(LinComb):
 
     @classmethod
     def from_word(cls, w: Word, coeff=1) -> "NCPoly":
-        return cls(w.alphabet, {w: coeff})
+        c = _exact(coeff)
+        return cls._of_checked(w.alphabet, {w._symbols: c} if c else {})
 
 
 class Tensor2(LinComb):
@@ -479,9 +518,10 @@ def conc(u: Word, v: Word) -> Word:
 
 def _numerators(x: LinComb) -> tuple[list, int]:
     """The coefficients of x's terms as integer numerators over one common
-    denominator: ([(key, numerator)], denominator). The kernels below add
-    these ints, which is far cheaper than adding Fractions, and _lift
-    divides once per distinct numerator."""
+    denominator: ([(key, numerator)], denominator), each key the term's
+    symbol strings (a str at arity 1, a tuple of str otherwise). The
+    kernels below add these ints, which is far cheaper than adding
+    Fractions, and _lift divides once per distinct numerator."""
     terms = x._terms
     den = lcm(*[c.denominator for c in terms.values()])
     return [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()], den
@@ -490,17 +530,12 @@ def _numerators(x: LinComb) -> tuple[list, int]:
 def _lift(cls, alphabet: Alphabet, acc: dict, den: int) -> LinComb:
     """The LinComb of class cls with the nonzero terms of acc, which maps
     symbol strings (a str at arity 1, a tuple of str otherwise) to integer
-    numerators over den. Each distinct string becomes a Word once, through
-    the checked constructor, and each distinct numerator a Fraction once."""
+    numerators over den. The strings are kernel output over alphabet, so
+    they are stored as they are; each distinct numerator becomes a Fraction
+    once."""
     items = [kv for kv in acc.items() if kv[1]]
     coeffs = {n: Fraction(n, den) for n in {n for _, n in items}}
-    if cls.arity == 1:
-        terms = {Word(alphabet, k): coeffs[n] for k, n in items}
-    else:
-        words = {t: Word(alphabet, t) for t in {t for k, _ in items for t in k}}
-        get = words.__getitem__
-        terms = {tuple(map(get, k)): coeffs[n] for k, n in items}
-    return cls._of_checked(alphabet, terms)
+    return cls._of_checked(alphabet, {k: coeffs[n] for k, n in items})
 
 
 def poly_mul(x: LinComb, y: LinComb) -> LinComb:
@@ -514,16 +549,12 @@ def poly_mul(x: LinComb, y: LinComb) -> LinComb:
     acc: dict = {}
     get = acc.get
     if x.arity == 1:
-        right = [(w._symbols, d) for w, d in right]
-        for w, c in left:
-            s = w._symbols
+        for s, c in left:
             for t, d in right:
                 key = s + t
                 acc[key] = get(key, 0) + c * d
     else:
-        right = [(tuple([w._symbols for w in k]), d) for k, d in right]
-        for k, c in left:
-            s = tuple([w._symbols for w in k])
+        for s, c in left:
             for t, d in right:
                 key = tuple(map(str.__add__, s, t))
                 acc[key] = get(key, 0) + c * d
@@ -593,8 +624,8 @@ def _split_all(p: NCPoly, memo: dict) -> tuple[dict, int]:
     terms, den = _numerators(p)
     acc: dict = {}
     get = acc.get
-    for w, c in terms:
-        for pair in _split_table(w._symbols, group_like, memo):
+    for text, c in terms:
+        for pair in _split_table(text, group_like, memo):
             acc[pair] = get(pair, 0) + c
     return acc, den
 
@@ -609,8 +640,8 @@ def counit(p: NCPoly) -> Fraction:
     0 elsewhere, extended linearly."""
     group_like = p.alphabet.group_like_symbols
     total = Fraction(0)
-    for w, c in p._terms.items():
-        if group_like.issuperset(w._symbols):
+    for text, c in p._terms.items():
+        if group_like.issuperset(text):
             total += c
     return total
 
@@ -624,9 +655,10 @@ def _check_antipode_domain(alphabet: Alphabet):
 def antipode(p: NCPoly) -> NCPoly:
     """Sign-reversed word reversal, defined only when no letter is group-like."""
     _check_antipode_domain(p.alphabet)
-    return NCPoly(
+    # reversal is a bijection on words, so the terms stay merged and nonzero
+    return NCPoly._of_checked(
         p.alphabet,
-        {w.reverse(): (c if len(w) % 2 == 0 else -c) for w, c in p._terms.items()},
+        {text[::-1]: (c if len(text) % 2 == 0 else -c) for text, c in p._terms.items()},
     )
 
 

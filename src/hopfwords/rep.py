@@ -170,8 +170,11 @@ class LinRep(MatRep):
 def eval_word(r: MatRep, w: Word) -> Matrix:
     """rho(w); the empty word maps to the identity."""
     _same_alphabet(r.alphabet, w.alphabet)
-    out = Matrix.identity(r.dim)
-    for letter in w.letters:
+    if w.is_unit:
+        return Matrix.identity(r.dim)
+    first, *rest = w.letters
+    out = r.assign[first]
+    for letter in rest:
         out = out * r.assign[letter]
     return out
 

@@ -152,8 +152,7 @@ def _finite_window(f: FiniteSupportSeries, p: int, cols: tuple[Word, ...]) -> Ha
     col_index = {v.symbols(): j for j, v in enumerate(cols)}
     numerators, den = _numerators(f.poly)
     table = [[0] * len(cols) for _ in rows]
-    for w, x in numerators:
-        text = w.symbols()
+    for text, x in numerators:
         n = len(text)
         for i in range(max(0, n - s), min(p, n) + 1):
             table[row_index[text[:i]]][col_index[text[i:]]] = x
@@ -175,8 +174,7 @@ def _spanning_window(f, p: int, s: int, alphabet: Alphabet | None) -> HankelSlic
     gamma = 0: learn reads gamma from its column."""
     if isinstance(f, FiniteSupportSeries):
         suffixes = {""}
-        for w in f.terms:
-            text = w.symbols()
+        for text, _ in _numerators(f.poly)[0]:
             suffixes.update(text[k:] for k in range(max(0, len(text) - s), len(text)))
         cols = tuple(Word(f.alphabet, v) for v in sorted(suffixes, key=lambda v: (len(v), v)))
         return _finite_window(f, p, cols)

@@ -384,3 +384,25 @@ def test_valid_inline_operand_is_not_shadowed_by_a_file(tmp_path):
     (tmp_path / "op.txt").write_text("a")
     proc = run_cli([*args, "op.txt"], cwd=tmp_path)
     assert proc.stdout == b"a(x)1 + 1(x)a\n"
+
+
+def test_window_preflight_counts_the_entries_rank_and_learn_fill():
+    # learn keeps the empty suffix and the 9 suffixes of the support as its
+    # columns: a 2047 x 10 window, far under the cap
+    proc = run_cli(["learn", "--alphabet", "a:L,b:L", "--explore", "9", "--series", "a + aaaaaaaaa"])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout)["dim"] == 10
+    # hankel returns the whole 2047 x 2047 window, so it is still refused
+    proc = run_cli(["hankel", "--alphabet", "a:L,b:L", "--hankel", "10,10", "--series", "a + aaaaaaaaa"])
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert b"Hankel window of 2047 x 2047 words" in proc.stderr
+    # a representation of dim 1 fills one column of 1101 rows
+    proc = run_cli(["rank", "--hankel", "1100,1100", "--series", "geo2.json"])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"1\n"
+    # 2001 rows on the 601 suffix columns of a^600 are over the cap
+    proc = run_cli(["rank", "--alphabet", "a:L", "--hankel", "2000,2000", "--series", "a" * 600])
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert b"on 601 spanning column(s) fills 1202601 entries" in proc.stderr

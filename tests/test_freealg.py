@@ -1,7 +1,10 @@
+import copy
 import os
+import pickle
 import re
 import subprocess
 import sys
+import threading
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
@@ -862,3 +865,169 @@ def test_alphabet_mismatch_in_poly_ops(ab, single):
         poly_mul(p, q)
     with pytest.raises(DomainError):
         p + q
+
+
+# ---------------------------------------------------------------------------
+# the term store is keyed by symbol strings; Words are built on reading terms
+
+_AB = Alphabet.from_decl("a:L,b:L")
+
+
+def _distinct_words(x) -> set:
+    return {w for k in x.terms for w in (k if isinstance(k, tuple) else (k,))}
+
+
+def test_kernels_build_no_word_until_terms_is_read():
+    p = NCPoly.from_text(_MIXED, "aabgab - 2*abab + 1/2*bgaa + g")
+    q = NCPoly.from_text(_MIXED, "ab - 1/3*ba + 2*gg")
+    r = NCPoly.from_text(_AB, "aab - 2*ba + 1/3*bbb + 1")
+    s, t = coproduct(p), coproduct(q)
+    f, h = FiniteSupportSeries(p), FiniteSupportSeries(q)
+    with counted_words() as built:
+        results = [
+            coproduct(p),
+            coassoc_lhs(p),
+            coassoc_rhs(q),
+            poly_mul(p, q),
+            poly_mul(s, t),
+            convolve(f, h).poly,
+            antipode(r),
+            p + q,
+            p - q,
+            s - t,
+            p.scale(Fraction(-2, 3)),
+            s.scale(3),
+        ]
+        assert p + q == q + p and s != t and results[0] == s
+    assert built[0] == 0
+    for x in results:
+        with counted_words() as built:
+            words = _distinct_words(x)
+        assert words and built[0] == len(words)
+        with counted_words() as built:
+            x.terms
+        assert built[0] == 0
+
+
+@st.composite
+def twin_terms(draw):
+    """An arity and two term maps keyed by symbol strings over "ab", which
+    name words of both a:L,b:L and a:L,b:L,g:G."""
+    arity = draw(st.integers(min_value=1, max_value=3))
+    text = st.text(alphabet="ab", max_size=3)
+    key = text if arity == 1 else st.tuples(*[text] * arity)
+    pair = [draw(st.dictionaries(key, _coeffs, max_size=4)) for _ in range(2)]
+    return arity, pair
+
+
+def _word_keyed(alphabet, arity: int, texts: dict) -> dict:
+    def word(t):
+        return alphabet.word(t or "1")
+
+    return {(word(k) if arity == 1 else tuple(map(word, k))): c for k, c in texts.items()}
+
+
+@given(twin_terms(), st.text(alphabet="abg", min_size=1, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_coeff_and_equality_agree_with_a_word_keyed_oracle(drawn, probe):
+    arity, (d1, d2) = drawn
+    cls = _CLASSES[arity]
+    values = {}
+    for alphabet in (_AB, _MIXED):
+        oracles = [_nonzero(_word_keyed(alphabet, arity, d)) for d in (d1, d2)]
+        x, y = (cls(alphabet, _word_keyed(alphabet, arity, d)) for d in (d1, d2))
+        values[alphabet] = x
+        assert (x == y) == (oracles[0] == oracles[1]) == (y == x)
+        assert x + y == cls(alphabet, _merged(*oracles, 1)) and x - y == cls(alphabet, _merged(*oracles, -1))
+        keys = list(oracles[0]) + list(oracles[1])
+        if all(alphabet.find(ch) for ch in probe):
+            w = alphabet.word(probe)
+            keys.append(w if arity == 1 else (w,) * arity)
+        for key in keys:
+            factors = key if arity > 1 else (key,)
+            assert x.coeff(*factors) == oracles[0].get(key, 0)
+    # the same symbol strings over two alphabets: different values, and a
+    # word over the other alphabet has coefficient 0
+    x_ab, x_mixed = values[_AB], values[_MIXED]
+    assert x_ab != x_mixed and x_mixed != x_ab
+    for x, other in ((x_ab, _MIXED), (x_mixed, _AB)):
+        for key in _word_keyed(other, arity, d1):
+            assert x.coeff(*(key if arity > 1 else (key,))) == 0
+
+
+_ROUND_TRIP_DUMP = """
+import pickle, sys
+from hopfwords import Alphabet, NCPoly, coassoc_lhs, coproduct
+mixed = Alphabet.from_decl("a:L,b:L,g:G")
+p = NCPoly.from_text(mixed, "3*abgab - 1/2*g + 1 - 2/3*ba")
+values = [p, coproduct(p), coassoc_lhs(p)]
+unread = pickle.dumps(values)
+for x in values:
+    x.terms
+sys.stdout.buffer.write(pickle.dumps((unread, pickle.dumps(values), [str(x) for x in values])))
+"""
+
+_ROUND_TRIP_LOAD = """
+import pickle, sys
+from hopfwords import Alphabet, NCPoly, coassoc_lhs, coproduct
+mixed = Alphabet.from_decl("a:L,b:L,g:G")
+p = NCPoly.from_text(mixed, "3*abgab - 1/2*g + 1 - 2/3*ba")
+expected = [p, coproduct(p), coassoc_lhs(p)]
+unread, read, printed = pickle.loads(sys.stdin.buffer.read())
+for data in (unread, read):
+    values = pickle.loads(data)
+    assert values == expected and [str(x) for x in values] == printed
+    for x, y in zip(values, expected):
+        assert list(x.terms.items()) == list(y.terms.items())
+        for key, c in y.terms.items():
+            assert x.coeff(*(key if isinstance(key, tuple) else (key,))) == c
+        assert x - y == y - y and not x - y
+print("found")
+"""
+
+
+def test_pickled_values_round_trip_under_another_hash_seed():
+    data = _python(_ROUND_TRIP_DUMP, "1")
+    assert _python(_ROUND_TRIP_LOAD, "2", data) == b"found\n"
+
+
+def test_copies_before_and_after_the_first_read_of_terms():
+    p = NCPoly.from_text(_MIXED, "3*abgab - 1/2*g + 1 - 2/3*ba")
+    for make in (lambda: p, lambda: coproduct(p), lambda: coassoc_rhs(p)):
+        for read in (False, True):
+            x = make()
+            if read:
+                x.terms
+            for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert type(clone) is type(x) and clone == x and str(clone) == str(x)
+                assert list(clone.terms.items()) == list(make().terms.items())
+                assert not clone - x
+
+
+def test_concurrent_first_reads_of_terms_agree():
+    # the first read stores the whole Word-keyed map in one slot, so threads
+    # racing on it each see a complete, canonically ordered map
+    p = NCPoly.from_text(_MIXED, "aabgab - 2*abab + 1/2*bgaa + g")
+    expected = [list(x.terms.items()) for x in (coproduct(p), coassoc_lhs(p))]
+    values = [(coproduct(p), coassoc_lhs(p)) for _ in range(40)]
+    seen, errors = [], []
+
+    def read():
+        try:
+            for pair in values:
+                seen.append([list(x.terms.items()) for x in pair])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    assert len(seen) == 4 * len(values) and all(items == expected for items in seen)
