@@ -33,6 +33,7 @@ from .dualforms import (
 )
 from .errors import DomainError, InconclusiveError, ParseError
 from .freealg import (
+    _DIGITS,
     Alphabet,
     LinComb,
     NCPoly,
@@ -74,6 +75,10 @@ _MAXLEN_CAP = 7
 # two finite supports, checked before any word is enumerated or any matrix
 # built
 _WINDOW_CAP = 1 << 20
+# most characters of the words a Hankel window lists: above the most of any
+# window over two or more letters within _WINDOW_CAP entries (18,874,370, a
+# two-letter side of 2^20 - 1 words), so it bounds one-letter sides alone
+_WORD_CHARS_CAP = 20 * _WINDOW_CAP
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,15 +201,21 @@ def _rep_args(args, count: int) -> list[MatRep]:
     return [_operand(raw, parse) for raw in got]
 
 
+def _natural(text: str) -> int:
+    """A nonnegative integer of one or more ASCII digits, as the term grammar
+    reads one; int() alone also takes a sign, '_', spaces and other digits."""
+    if not text or not set(text) <= _DIGITS:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _window(args) -> tuple[int, int]:
     if not getattr(args, "hankel", None):
         raise ParseError("--hankel P,S is required")
     try:
-        p, s = (int(x) for x in args.hankel.split(","))
-    except ValueError:
-        raise ParseError(f"bad --hankel value {args.hankel!r}: expected two integers 'p,s'")
-    if p < 0 or s < 0:
-        raise ParseError(f"bad --hankel value {args.hankel!r}: expected two nonnegative integers")
+        p, s = map(_natural, args.hankel.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ParseError(f"bad --hankel value {args.hankel!r}: expected two nonnegative integers 'p,s'")
     return p, s
 
 
@@ -220,26 +231,44 @@ def _window_side(nletters: int, maxlen: int) -> int:
     return total
 
 
+def _word_chars(nletters: int, maxlen: int) -> int:
+    """Total length of the words of length <= maxlen; counted, not
+    enumerated. Over two or more letters the entry checks bound maxlen by
+    20, over one letter by 2^20, so that sum has a closed form."""
+    if nletters == 1:
+        return maxlen * (maxlen + 1) // 2
+    return sum(i * nletters**i for i in range(maxlen + 1))
+
+
 def _preflight_window(alphabet: Alphabet, p: int, s: int, f: Series | None = None):
     """Refuse a (p, s) Hankel window with a side of more than _WINDOW_CAP
     words, or with more than _WINDOW_CAP entries filled. hankel fills the
     whole window. rank and learn pass their operand f and fill rows x k
     entries, k the spanning columns that sweedler keeps: min(dim, cols) for
     a representation, and for a finite support the empty suffix plus every
-    suffix of a support word of length <= s."""
+    suffix of a support word of length <= s. Then refuse a window whose
+    words, every row word and for hankel every column word, have more than
+    _WORD_CHARS_CAP characters in all: over one letter a side of 2^20 words
+    lists words up to 2^20 letters long."""
     n = len(alphabet.letters)
     rows, cols = _window_side(n, p), _window_side(n, s)
-    if rows * cols <= _WINDOW_CAP:
-        return
-    shape = " x ".join(f">{_WINDOW_CAP}" if k > _WINDOW_CAP else str(k) for k in (rows, cols))
-    where = f"Hankel window of {shape} words (prefixes <= {p}, suffixes <= {s} over {n} letter(s))"
-    if f is None or rows > _WINDOW_CAP or cols > _WINDOW_CAP:
-        raise ParseError(f"{where} exceeds the cap of {_WINDOW_CAP} entries")
-    k = _suffix_states(f, s) if isinstance(f, FiniteSupportSeries) else min(f.rep.dim, cols)
-    if rows * k > _WINDOW_CAP:
+    where = f"prefixes <= {p}, suffixes <= {s} over {n} letter(s)"
+    if rows * cols > _WINDOW_CAP:
+        shape = " x ".join(f">{_WINDOW_CAP}" if k > _WINDOW_CAP else str(k) for k in (rows, cols))
+        window = f"Hankel window of {shape} words ({where})"
+        if f is None or rows > _WINDOW_CAP or cols > _WINDOW_CAP:
+            raise ParseError(f"{window} exceeds the cap of {_WINDOW_CAP} entries")
+        k = _suffix_states(f, s) if isinstance(f, FiniteSupportSeries) else min(f.rep.dim, cols)
+        if rows * k > _WINDOW_CAP:
+            raise ParseError(
+                f"{window} on {k} spanning column(s) fills {rows * k} entries, "
+                f"which exceeds the cap of {_WINDOW_CAP} entries"
+            )
+    chars = _word_chars(n, p) + (_word_chars(n, s) if f is None else 0)
+    if chars > _WORD_CHARS_CAP:
         raise ParseError(
-            f"{where} on {k} spanning column(s) fills {rows * k} entries, "
-            f"which exceeds the cap of {_WINDOW_CAP} entries"
+            f"Hankel window ({where}) lists words of {chars} characters, "
+            f"which exceeds the cap of {_WORD_CHARS_CAP} characters"
         )
 
 
@@ -308,7 +337,7 @@ def _maxlen(args) -> int:
     n = getattr(args, "maxlen", None)
     if n is None:
         raise ParseError("--maxlen N is required")
-    if n < 0 or n > _MAXLEN_CAP:
+    if n > _MAXLEN_CAP:
         raise ParseError(f"--maxlen out of range: {n} (allowed 0..{_MAXLEN_CAP})")
     return n
 
@@ -455,7 +484,7 @@ def _cmd_rank(args):
 def _cmd_learn(args):
     (f,) = _series_args(args, 1)
     explore = getattr(args, "explore", None)
-    if explore is None or explore < 0:
+    if explore is None:
         raise ParseError("--explore L (nonnegative) is required")
     _preflight_window(f.alphabet, explore + 1, explore + 1, f)
     # learn checks its model against the automaton of a support too long
@@ -579,8 +608,8 @@ _POLY = (("poly",), {})
 _SERIES = (("--series",), {"action": "append", "default": [], "metavar": "S"})
 _REP = (("--rep",), {"action": "append", "default": [], "metavar": "R"})
 _HANKEL = (("--hankel",), {"metavar": "P,S", "help": "prefix/suffix length bounds"})
-_EXPLORE = (("--explore",), {"type": int, "metavar": "L", "help": "exploration length"})
-_MAXLEN = (("--maxlen",), {"type": int, "metavar": "N", "help": "word length bound (<= 7)"})
+_EXPLORE = (("--explore",), {"type": _natural, "metavar": "L", "help": "exploration length"})
+_MAXLEN = (("--maxlen",), {"type": _natural, "metavar": "N", "help": "word length bound (<= 7)"})
 
 # subcommand -> (handler, help, arguments after the common ones), in --help order
 _COMMANDS = {

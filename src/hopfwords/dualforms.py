@@ -226,11 +226,7 @@ def embed_finite(f: FiniteSupportSeries) -> LinRep:
     alph = f.alphabet
     numerators, den = _numerators(f.poly)
     coeffs = dict(numerators)
-    suffixes = {""}
-    for text in coeffs:
-        suffixes.update(text[k:] for k in range(len(text)))
-    # shortlex order of the suffix strings
-    states = sorted(suffixes, key=lambda text: (len(text), text))
+    states = _suffix_closure(coeffs)
     n = len(states)
     pos = {text: i for i, text in enumerate(states)}
     zero = (0,) * n
@@ -244,6 +240,16 @@ def embed_finite(f: FiniteSupportSeries) -> LinRep:
     lam = Matrix._from_ints((tuple([coeffs.get(text, 0) for text in states]),), den)
     gamma = Matrix.col_vector([0 if text else 1 for text in states])
     return LinRep(alph, n, lam, mu, gamma)
+
+
+def _suffix_closure(texts, max_len: int | None = None) -> list[str]:
+    """The empty string and every suffix of the symbol strings `texts`, or
+    only those of length <= max_len, in shortlex order."""
+    suffixes = {""}
+    for text in texts:
+        cut = 0 if max_len is None else max(0, len(text) - max_len)
+        suffixes.update(text[k:] for k in range(cut, len(text)))
+    return sorted(suffixes, key=lambda text: (len(text), text))
 
 
 def coefficients_agree(f: Series, h: Series, max_len: int) -> bool:

@@ -12,8 +12,8 @@ representations.
 Where a representation is at hand it is used instead of word-by-word
 evaluation: the Hankel window of a recognizable series is the product of
 its prefix rows lambda*mu(u) and suffix columns mu(v)*gamma, each computed
-once down the word tree, and equality of two representations is decided by
-propagating a basis of the reachable row space (polynomial time). The window
+once down the word tree, and equality of two representations is decided on
+the basis walk of the reachable row space (polynomial time). The window
 of a finite-support series is filled straight from its support. Windows,
 ranks and row reduction run on the integer numerators of the matrices.
 
@@ -23,12 +23,12 @@ of Beimel et al., "Learning functions represented as multiplicity
 automata"). Then H = H[:, C] T with T of full row rank, so the rows of H
 and of H[:, C] satisfy the same linear relations: the rank, the shortlex-first
 independent rows and every row's coordinates over them are those of the
-whole window. C is chosen greedily in shortlex order with the empty suffix
+whole window. C is chosen in breadth-first order with the empty suffix
 first, so its columns of length <= l also span the columns of length <= l.
-For a representation of dimension n, C is the first independent columns
-mu(v)*gamma, at most n of them; for a finite support, the empty word and
-the suffixes of its support words, since every other column is zero; a bare
-coefficient oracle keeps every column.
+For a representation of dimension n, C is the basis walk (_basis_walk) of
+the columns mu(v)*gamma, at most n of them; for a finite support, the
+empty word and the suffixes of its support words, since every other column
+is zero; a bare coefficient oracle keeps every column.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from collections import deque
 from fractions import Fraction
 
 from . import linalg
-from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, embed_finite
+from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, _suffix_closure, embed_finite
 from .errors import InconclusiveError, InternalInvariantError
 from .freealg import Alphabet, Letter, NCPoly, Word, _Frozen, _check_antipode_domain, _numerators, _same_alphabet, conc
 from .linalg import Matrix, RowReducer, _stacked
@@ -64,6 +64,25 @@ def _tree_vectors(rep: LinRep, max_len: int, prefixes: bool) -> list[tuple[Word,
             level = [mu[a] * vec for a in letters for vec in level]
         vectors.extend(level)
     return list(zip(rep.alphabet.words(max_len), vectors))
+
+
+def _basis_walk(start: Matrix, mu: dict[Letter, Matrix], letters, max_len: int | None = None):
+    """Yield (w, start*mu(w)), w a symbol string, for each row that enlarges
+    the span of those yielded before, breadth first down the word tree up to
+    length max_len (None: no bound). Only a yielded row is extended, by each
+    of `letters` in order: if row(u) is in the span of the rows before u, so
+    is row(ua) = row(u) mu(a) in that of the rows before ua. So for every l
+    the words of length <= l yielded are the shortlex-first basis of the rows
+    of length <= l (Berstel & Reutenauer, ch. 2): at most n rows of width n,
+    for at most n*|A| products; the walk ends when they span the space."""
+    reducer = RowReducer(start.ncols)
+    pending = deque([("", start)])
+    while pending and reducer.rank < reducer.width:
+        w, row = pending.popleft()
+        if reducer.offer(row.num[0]):
+            yield w, row
+            if max_len is None or len(w) < max_len:
+                pending.extend((w + a.symbol, row * mu[a]) for a in letters)
 
 
 def behavior_table(rep: LinRep, max_len: int) -> dict[Word, Fraction]:
@@ -117,8 +136,8 @@ def shift_left(f: Series, s: Word) -> Series:
 
 
 class HankelSlice(_Frozen):
-    """Finite window of the Hankel matrix: entry(u, v) = f(uv), prefixes and
-    suffixes enumerated in ascending shortlex order."""
+    """Finite window of the Hankel matrix: entry(u, v) = f(uv); hankel
+    enumerates its prefixes and suffixes in ascending shortlex order."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -161,8 +180,8 @@ def _finite_window(f: FiniteSupportSeries, p: int, cols: tuple[Word, ...]) -> Ha
 
 def _rep_window(rep: LinRep, p: int, columns) -> HankelSlice:
     """The window of a representation on the prefixes of length <= p and the
-    (suffix v, mu(v)*gamma) pairs of `columns`: the product of the stacked
-    prefix rows lambda*mu(u) and those column vectors."""
+    (suffix v, vector mu(v)*gamma or its transpose) pairs of `columns`: the
+    product of the stacked prefix rows lambda*mu(u) and those vectors."""
     rows, row_vecs = zip(*_tree_vectors(rep, p, prefixes=True))
     cols, col_vecs = zip(*columns)
     return HankelSlice(rows, cols, _stacked(row_vecs) * _stacked(col_vecs).transpose())
@@ -173,21 +192,16 @@ def _spanning_window(f, p: int, s: int, alphabet: Alphabet | None) -> HankelSlic
     the module docstring describes. The empty suffix is kept even when
     gamma = 0: learn reads gamma from its column."""
     if isinstance(f, FiniteSupportSeries):
-        suffixes = {""}
-        for text, _ in _numerators(f.poly)[0]:
-            suffixes.update(text[k:] for k in range(max(0, len(text) - s), len(text)))
-        cols = tuple(Word(f.alphabet, v) for v in sorted(suffixes, key=lambda v: (len(v), v)))
-        return _finite_window(f, p, cols)
+        suffixes = _suffix_closure([text for text, _ in _numerators(f.poly)[0]], s)
+        return _finite_window(f, p, tuple(Word(f.alphabet, v) for v in suffixes))
     if isinstance(f, RecognizableSeries):
         rep = f.rep
-        reducer = RowReducer(rep.dim)
-        columns = []
-        for v, vec in _tree_vectors(rep, s, prefixes=False):
-            if reducer.offer([x for (x,) in vec.num]) or not columns:
-                columns.append((v, vec))
-                if reducer.rank == rep.dim:
-                    break
-        return _rep_window(rep, p, columns)
+        # the column mu(v)*gamma is the row gamma^T mu(v_k)^T ... mu(v_1)^T
+        # of the transposed representation, walked on the reversed word
+        mu_t = {a: m.transpose() for a, m in rep.mu.items()}
+        walk = _basis_walk(rep.gamma.transpose(), mu_t, rep.alphabet.sorted_letters, s)
+        columns = [(Word(rep.alphabet, w[::-1]), row) for w, row in walk]
+        return _rep_window(rep, p, columns or [(rep.alphabet.unit_word(), rep.gamma)])
     return hankel(f, p, s, alphabet)
 
 
@@ -204,10 +218,8 @@ def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
     if isinstance(f, RecognizableSeries):
         return _rep_window(f.rep, p, _tree_vectors(f.rep, s, prefixes=False))
     cf, alph = _coeff_fn(f, alphabet)
-    rows = tuple(alph.words(p))
-    cols = tuple(alph.words(s))
-    entries = Matrix([[cf(conc(u, v)) for v in cols] for u in rows])
-    return HankelSlice(rows, cols, entries)
+    rows, cols = tuple(alph.words(p)), tuple(alph.words(s))
+    return HankelSlice(rows, cols, Matrix([[cf(conc(u, v)) for v in cols] for u in rows]))
 
 
 def hankel_rank(f, p: int, s: int, alphabet: Alphabet | None = None) -> int:
@@ -234,17 +246,14 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     (length <= 2*explore + 1) and everywhere when f is genuinely
     recognizable with rank reached inside the window.
 
-    f is a Series or, with `alphabet`, a bare coefficient oracle. Both are
-    learned on the window restricted to a spanning set of its suffix
-    columns (every column for an oracle), whose rows have the same linear
-    relations as the whole rows: the ranks, the basis and the model are
-    those of the whole window (see the module docstring). A rank that
-    agrees between two windows may still grow, so the model is checked
-    with reps_equal against a RecognizableSeries of larger dimension than
-    that rank, and against a finite support with a word longer than
-    explore + 1; a shorter support has every nonzero Hankel entry inside
-    the window, which certifies the model. The InconclusiveError, raised
-    when the ranks differ or the check fails,
+    f is a Series or, with `alphabet`, a bare coefficient oracle, learned on
+    the window restricted to its spanning suffix columns (see the module
+    docstring). A rank that agrees between two windows may still grow, so
+    the model is checked with reps_equal against a RecognizableSeries of
+    larger dimension than that rank, and against a finite support with a
+    word longer than explore + 1; a shorter support has every nonzero
+    Hankel entry inside the window, which certifies the model. The
+    InconclusiveError, raised when the ranks differ or the check fails,
     carries the two window ranks and the exploration length as attributes
     r_small, r_big and explore.
     """
@@ -258,8 +267,7 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     n_small = sum(1 for w in window.rows if len(w) <= explore)
     # the columns of length <= explore come first and span the small window
     c_small = sum(1 for v in window.cols if len(v) <= explore)
-    small = Matrix(row[:c_small] for row in num[:n_small])
-    r_small = linalg.rank(small)
+    r_small = linalg.rank(Matrix(row[:c_small] for row in num[:n_small]))
     # one elimination of the window gives its rank and the basis; no row
     # enlarges a span that already has one dimension per column
     width = len(window.cols)
@@ -333,10 +341,9 @@ def split(rep: LinRep) -> list[tuple[RecognizableSeries, RecognizableSeries]]:
     landing inside (recognizable) (x) (recognizable)."""
     pairs = []
     for i in range(rep.dim):
-        e_col = Matrix.col_vector([1 if j == i else 0 for j in range(rep.dim)])
-        e_row = Matrix.row_vector([1 if j == i else 0 for j in range(rep.dim)])
-        g = LinRep(rep.alphabet, rep.dim, rep.lam, rep.mu, e_col)
-        h = LinRep(rep.alphabet, rep.dim, e_row, rep.mu, rep.gamma)
+        e = [1 if j == i else 0 for j in range(rep.dim)]
+        g = LinRep(rep.alphabet, rep.dim, rep.lam, rep.mu, Matrix.col_vector(e))
+        h = LinRep(rep.alphabet, rep.dim, Matrix.row_vector(e), rep.mu, rep.gamma)
         pairs.append((RecognizableSeries(g), RecognizableSeries(h)))
     return pairs
 
@@ -357,24 +364,10 @@ def dual_counit(rep: LinRep) -> Fraction:
 
 
 def reps_equal(r1: LinRep, r2: LinRep) -> bool:
-    """Exact equality of the recognized series, decided in polynomial time.
-
-    The difference r1 - r2 is the zero series exactly when gamma of the
-    difference annihilates every reachable row lambda*mu(w). A breadth-first
-    search from lambda keeps a basis of the reachable space: a row is
-    expanded by each letter only when it enlarges the span, so at most
-    dim1 + dim2 rows are expanded and the cost is O(n^3 |A|) for
+    """Exact equality of the recognized series, decided in polynomial time:
+    the difference r1 - r2 is the zero series exactly when its gamma
+    annihilates the basis walk of its rows lambda*mu(w), O(n^3 |A|) for
     n = dim1 + dim2 (Tzeng 1992)."""
     d = rep_sum(r1, scale_rep(r2, -1))
-    mu, gamma = d.mu, d.gamma
-    letters = d.alphabet.sorted_letters
-    reducer = RowReducer(d.dim)
-    pending = deque([d.lam])
-    while pending:
-        row = pending.popleft()
-        if not reducer.offer(row.num[0]):
-            continue
-        if (row * gamma).scalar():
-            return False
-        pending.extend(row * mu[a] for a in letters)
-    return True
+    walk = _basis_walk(d.lam, d.mu, d.alphabet.sorted_letters)
+    return not any((row * d.gamma).scalar() for _, row in walk)

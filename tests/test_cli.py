@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from cli_cases import CASES, GOLDEN, regen_requested, run_cli
-from hopfwords import Alphabet, NCPoly, Tensor2
-from hopfwords.cli import _COMMANDS, build_parser, run
+from cli_cases import CASES, FIXTURES, GOLDEN, regen_requested, run_cli
+from hopfwords import Alphabet, FiniteSupportSeries, LinRep, NCPoly, RecognizableSeries, Tensor2
+from hopfwords.cli import _COMMANDS, _preflight_window, build_parser, run
+from hopfwords.errors import ParseError
 
 
 # finite-support operands turned into an automaton by embed_finite; kept
@@ -406,3 +407,59 @@ def test_window_preflight_counts_the_entries_rank_and_learn_fill():
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert b"on 601 spanning column(s) fills 1202601 entries" in proc.stderr
+
+
+def test_window_preflight_counts_the_characters_of_the_words_it_lists():
+    # over one letter a side of 2^20 words lists words up to 2^20 letters
+    # long: counted, never enumerated
+    single = Alphabet.from_decl("a:L")
+    a = NCPoly.from_text(single, "a")
+    for p, s, f, chars in (
+        (0, 1048575, None, 549755289600),
+        (1048574, 0, None, 549754241025),
+        (1048574, 0, FiniteSupportSeries(a), 549754241025),
+        (6476, 0, None, 20972526),
+    ):
+        with pytest.raises(ParseError, match=f"lists words of {chars} characters") as info:
+            _preflight_window(single, p, s, f)
+        assert "cap of 20971520 characters" in str(info.value)
+    _preflight_window(single, 6475, 0)
+    # rank and learn list only the row words of a representation operand
+    geo = json.loads((FIXTURES / "geo2.json").read_text())
+    _preflight_window(single, 0, 1048575, RecognizableSeries(LinRep.from_json_dict(geo)))
+    # the most a window over two letters lists within the entry cap: a side
+    # of 2^20 - 1 words, 18,874,370 characters
+    ab = Alphabet.from_decl("a:L,b:L")
+    _preflight_window(ab, 19, 0)
+    _preflight_window(ab, 0, 19)
+
+
+def test_window_of_long_one_letter_words_is_refused_before_enumeration():
+    t0 = time.perf_counter()
+    proc = run_cli(["hankel", "--alphabet", "a:L", "--hankel", "0,1048575", "--series", "a"])
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert b"lists words of 549755289600 characters" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["rank", "--alphabet", "a:L", "--hankel", "1_0,1", "--series", "a"], "--hankel", "1_0,1"),
+        (["rank", "--alphabet", "a:L", "--hankel", "\u0663,1", "--series", "a"], "--hankel", "\u0663,1"),
+        (["rank", "--alphabet", "a:L", "--hankel", "+1,1", "--series", "a"], "--hankel", "+1,1"),
+        (["rank", "--alphabet", "a:L", "--hankel", " 1,1", "--series", "a"], "--hankel", " 1,1"),
+        (["learn", "--alphabet", "a:L", "--explore", "\u0662", "--series", "a"], "--explore", "\u0662"),
+        (["learn", "--alphabet", "a:L", "--explore", "+2", "--series", "a"], "--explore", "+2"),
+        (["check-coassoc", "--alphabet", "a:L", "--maxlen", "0_3"], "--maxlen", "0_3"),
+        (["check-coassoc", "--alphabet", "a:L", "--maxlen", "-1"], "--maxlen", "-1"),
+    ],
+    ids=["hankel-underscore", "hankel-arabic-indic", "hankel-plus", "hankel-space",
+         "explore-arabic-indic", "explore-plus", "maxlen-underscore", "maxlen-negative"],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv, option, value):
+    out, err, code = _outcome(capsys, lambda: run(list(argv)))
+    assert code == 1
+    assert out == ""
+    assert option in err and repr(value) in err

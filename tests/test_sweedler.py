@@ -38,6 +38,7 @@ from hopfwords import (
     zero_rep,
 )
 from hopfwords.errors import DomainError, InconclusiveError, ParseError
+from hopfwords.linalg import RowReducer, rank
 
 COUNTING_JSON = (
     '{"alphabet": "a:L,b:L", "dim": 2, "lambda": ["1","0"],'
@@ -868,3 +869,89 @@ def test_learn_checks_a_finite_support_longer_than_its_window(ab, monkeypatch):
     assert learn(FiniteSupportSeries.from_text(ab, "2*ab - b + aaaa"), 3).dim == 5
     monkeypatch.undo()
     assert reps_equal(model, embed_finite(f))
+
+
+# ---------------------------------------------------------------------------
+# the basis walk
+
+
+def _transposed(rep: LinRep) -> LinRep:
+    """(gamma^T, mu(a)^T, lambda^T): its rows are the columns of rep, on the
+    reversed words."""
+    mu = {a: m.transpose() for a, m in rep.mu.items()}
+    return LinRep(rep.alphabet, rep.dim, rep.gamma.transpose(), mu, rep.lam.transpose())
+
+
+def _greedy_rows(rep: LinRep, max_len: int):
+    """The rows lambda*mu(w), w up to max_len in shortlex order, that a
+    greedy pass over every word keeps."""
+    reducer = RowReducer(rep.dim)
+    rows = sweedler._tree_vectors(rep, max_len, prefixes=True)
+    return [(w.symbols(), row) for w, row in rows if reducer.offer(row.num[0])]
+
+
+class _CountedReads(dict):
+    """A letter-matrix map that counts its reads, one per product."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def _check_walk(rep: LinRep, max_len: int):
+    mu = _CountedReads(rep.mu)
+    walk = list(sweedler._basis_walk(rep.lam, mu, rep.alphabet.sorted_letters, max_len))
+    assert walk == _greedy_rows(rep, max_len)
+    # only the rows kept are extended
+    assert mu.reads <= len(walk) * len(rep.alphabet.letters) <= rep.dim * len(rep.alphabet.letters)
+    rows = sweedler._tree_vectors(rep, max_len, prefixes=True)
+    for l in range(max_len + 1):
+        every = Matrix([row.rows[0] for w, row in rows if len(w) <= l])
+        assert sum(1 for w, _ in walk if len(w) <= l) == rank(every)
+
+
+@given(spanning_operands(), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_basis_walk_keeps_the_greedy_shortlex_basis(operand, max_len):
+    """Forward from lambda and, for the columns, from gamma^T on the
+    transposed representation: the walk keeps exactly the words a greedy
+    pass over every row keeps, and for every l its rows of length <= l have
+    the rank of all rows of length <= l."""
+    _, _, rep = operand
+    _check_walk(rep, max_len)
+    _check_walk(_transposed(rep), max_len)
+
+
+def test_basis_walk_from_zero_and_of_a_doubled_rep(ab):
+    c = counting_rep(ab)
+    zero_gamma = LinRep(ab, 2, c.lam, c.mu, Matrix.col_vector([0, 0]))
+    for rep in (c, zero_gamma, rep_sum(c, c), rep_sum(zero_gamma, zero_gamma)):
+        for max_len in range(5):
+            _check_walk(rep, max_len)
+            _check_walk(_transposed(rep), max_len)
+    assert list(sweedler._basis_walk(zero_gamma.gamma.transpose(), c.mu, ab.sorted_letters)) == []
+    # gamma = 0 still keeps the empty suffix, from which learn reads gamma
+    window = sweedler._spanning_window(RecognizableSeries(zero_gamma), 2, 2, None)
+    assert [str(v) for v in window.cols] == ["1"]
+    assert rank(window.entries) == 0
+
+
+def test_spanning_columns_of_a_representation_cost_at_most_dim_letters_plus_one_products(ab, monkeypatch):
+    """hankel_rank on a dim-2 rep walks at most dim*|A| + 1 column vectors,
+    however long its suffixes; every column up to length 12 is 8,190
+    products."""
+    c = RecognizableSeries(counting_rep(ab))
+    calls = []
+    mul = Matrix.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    assert hankel_rank(c, 1, 12) == 2
+    # the prefix rows of length <= 1 take one product a letter, the window one
+    row_products, window_product = len(ab.letters), 1
+    assert len(calls) - row_products - window_product <= c.rep.dim * len(ab.letters) + 1
