@@ -71,9 +71,9 @@ _MAXLEN_CAP = 7
 # most entries of a Hankel window (hankel, rank, learn), most terms of a
 # coproduct before merging (coprod), most letter-matrix entries of the
 # automaton of a finite-support operand (split, dualS, conv) and of a
-# convolution's representation, and most merged words of a convolution of
-# two finite supports, checked before any word is enumerated or any matrix
-# built
+# convolution's or a tensor product's representation, and most merged words
+# of a convolution of two finite supports, checked before any word is
+# enumerated or any matrix built
 _WINDOW_CAP = 1 << 20
 # most characters of the words a Hankel window lists: above the most of any
 # window over two or more letters within _WINDOW_CAP entries (18,874,370, a
@@ -141,6 +141,8 @@ def _operand(arg: str, parse):
             content = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read operand file {arg!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"operand file {arg!r} is not UTF-8: invalid byte at offset {exc.start}") from exc
     return parse(content.strip())
 
 
@@ -206,7 +208,10 @@ def _natural(text: str) -> int:
     reads one; int() alone also takes a sign, '_', spaces and other digits."""
     if not text or not set(text) <= _DIGITS:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer in ASCII digits, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got one of {len(text)} digits") from None
 
 
 def _window(args) -> tuple[int, int]:
@@ -324,11 +329,16 @@ def _preflight_conv(f: Series, h: Series):
                         f"words, which exceeds the cap of {_WINDOW_CAP} words"
                     )
         return
-    d1, d2 = _preflight_embed(f), _preflight_embed(h)
-    d, k = d1 * d2, len(f.alphabet.letters)
+    _preflight_product("convolution", _preflight_embed(f), _preflight_embed(h), f.alphabet)
+
+
+def _preflight_product(what: str, d1: int, d2: int, alphabet: Alphabet):
+    """Refuse a product representation of dimension d1*d2 (a convolution or
+    a tensor product) with more than _WINDOW_CAP letter-matrix entries."""
+    d, k = d1 * d2, len(alphabet.letters)
     if d * d * k > _WINDOW_CAP:
         raise ParseError(
-            f"convolution of dimension {d1} x {d2} = {d} over {k} letter(s) has "
+            f"{what} of dimension {d1} x {d2} = {d} over {k} letter(s) has "
             f"{d * d * k} letter-matrix entries, which exceeds the cap of {_WINDOW_CAP} entries"
         )
 
@@ -446,6 +456,7 @@ def _cmd_conv(args):
 
 def _cmd_tensor(args):
     r1, r2 = _rep_args(args, 2)
+    _preflight_product("tensor product", r1.dim, r2.dim, r1.alphabet)
     return _out_json(tensor_rep(r1, r2).to_json_dict())
 
 

@@ -9,26 +9,27 @@ series, minimal-model learning from coefficients, the splitting of a series
 into rank-one factors, the transposed antipode and equality of
 representations.
 
-Where a representation is at hand it is used instead of word-by-word
-evaluation: the Hankel window of a recognizable series is the product of
-its prefix rows lambda*mu(u) and suffix columns mu(v)*gamma, each computed
-once down the word tree, and equality of two representations is decided on
-the basis walk of the reachable row space (polynomial time). The window
-of a finite-support series is filled straight from its support. Windows,
-ranks and row reduction run on the integer numerators of the matrices.
+Every vector of a representation comes from one breadth-first walk down
+the word tree (_walk): the prefix rows lambda*mu(u), and the suffix columns
+mu(v)*gamma as rows of the transposed representation on reversed words.
+Walked whole, they give behavior_table and the Hankel window (one product).
+Walked with a RowReducer, the walk extends only the shortlex-first basis of
+the rows, at most n*|A| products in dimension n; reps_equal checks gamma on
+that basis (polynomial time). A finite-support window is filled straight
+from the support. Windows, ranks and row reduction run on integer numerators.
 
-hankel_rank and learn never need the whole window, only its rows restricted
-to a set C of suffix columns that spans its column space (the closed table
-of Beimel et al., "Learning functions represented as multiplicity
-automata"). Then H = H[:, C] T with T of full row rank, so the rows of H
-and of H[:, C] satisfy the same linear relations: the rank, the shortlex-first
-independent rows and every row's coordinates over them are those of the
-whole window. C is chosen in breadth-first order with the empty suffix
-first, so its columns of length <= l also span the columns of length <= l.
-For a representation of dimension n, C is the basis walk (_basis_walk) of
-the columns mu(v)*gamma, at most n of them; for a finite support, the
-empty word and the suffixes of its support words, since every other column
-is zero; a bare coefficient oracle keeps every column.
+hankel_rank and learn walk both sides with a reducer: the closed table of
+Beimel et al. ("Learning functions represented as multiplicity automata").
+The columns are a set C spanning the column space, chosen breadth first
+with the empty suffix first, so its columns of length <= l also span those
+of length <= l: the kept columns, at most n, or for a finite support the
+empty word and its support words' suffixes (every other column is zero).
+Then H = H[:, C] T with T of full row rank, so the rows of H and H[:, C]
+satisfy the same linear relations. The rows of a representation are its
+basis words and their one-letter extensions, at most 1 + n*|A|; every other
+row is a combination of basis rows before it. So the rank, the shortlex-first
+independent rows and each row's coordinates over them are the whole
+window's. A bare coefficient oracle keeps every row and column.
 """
 
 from __future__ import annotations
@@ -44,53 +45,39 @@ from .linalg import Matrix, RowReducer, _stacked
 from .rep import LinRep, eval_word, rep_sum, scale_rep, zero_rep
 
 
-def _tree_vectors(rep: LinRep, max_len: int, prefixes: bool) -> list[tuple[Word, Matrix]]:
-    """(w, vector) for every word w of length <= max_len, in ascending
-    shortlex order: the rows lambda*mu(w) for `prefixes`, else the columns
-    mu(w)*gamma. Each is one letter-matrix product away from the vector of
-    a word one letter shorter, row(u a) = row(u) mu(a) and
-    col(a v) = mu(a) col(v), so shared prefixes (suffixes) are multiplied
-    once."""
-    letters = rep.alphabet.sorted_letters
-    mu = rep.mu
-    level = [rep.lam if prefixes else rep.gamma]
-    vectors = list(level)
-    # each level comes out in shortlex order: extending the words of a
-    # level by a last (a first) letter keeps them sorted
-    for _ in range(max_len):
-        if prefixes:
-            level = [vec * mu[a] for vec in level for a in letters]
-        else:
-            level = [mu[a] * vec for a in letters for vec in level]
-        vectors.extend(level)
-    return list(zip(rep.alphabet.words(max_len), vectors))
-
-
-def _basis_walk(start: Matrix, mu: dict[Letter, Matrix], letters, max_len: int | None = None):
-    """Yield (w, start*mu(w)), w a symbol string, for each row that enlarges
-    the span of those yielded before, breadth first down the word tree up to
-    length max_len (None: no bound). Only a yielded row is extended, by each
-    of `letters` in order: if row(u) is in the span of the rows before u, so
-    is row(ua) = row(u) mu(a) in that of the rows before ua. So for every l
-    the words of length <= l yielded are the shortlex-first basis of the rows
-    of length <= l (Berstel & Reutenauer, ch. 2): at most n rows of width n,
-    for at most n*|A| products; the walk ends when they span the space."""
-    reducer = RowReducer(start.ncols)
+def _walk(start: Matrix, mu: dict[Letter, Matrix], letters, max_len: int | None, reducer: RowReducer | None = None):
+    """Yield (w, start*mu(w), kept), w a symbol string, for each row computed
+    breadth first, in shortlex order, up to length max_len (None: no bound).
+    Only a kept row is extended, one product per letter. Without a reducer
+    every row is kept; with one, each row that enlarges the span of those
+    kept before it. As row(ua) = row(u) mu(a), a row in the span of the rows
+    before it has every extension in theirs, so for every l the kept words
+    of length <= l are the shortlex-first basis of all rows of length <= l
+    (Berstel & Reutenauer, ch. 2). Once they span the space, the rows
+    already computed are yielded unkept and nothing more is multiplied."""
     pending = deque([("", start)])
-    while pending and reducer.rank < reducer.width:
+    while pending:
         w, row = pending.popleft()
-        if reducer.offer(row.num[0]):
-            yield w, row
-            if max_len is None or len(w) < max_len:
-                pending.extend((w + a.symbol, row * mu[a]) for a in letters)
+        kept = reducer is None or (reducer.rank < reducer.width and reducer.offer(row.num[0]))
+        yield w, row, kept
+        if kept and (max_len is None or len(w) < max_len):
+            pending.extend((w + a.symbol, row * mu[a]) for a in letters)
+
+
+def _column_walk(rep: LinRep, max_len: int, reducer: RowReducer | None = None):
+    """_walk of the columns mu(v)*gamma, transposed: the rows gamma^T
+    mu(v_k)^T ... mu(v_1)^T of the transposed representation, yielded with
+    the reversed word v read back."""
+    mu_t = {a: m.transpose() for a, m in rep.mu.items()}
+    walk = _walk(rep.gamma.transpose(), mu_t, rep.alphabet.sorted_letters, max_len, reducer)
+    return ((w[::-1], row, kept) for w, row, kept in walk)
 
 
 def behavior_table(rep: LinRep, max_len: int) -> dict[Word, Fraction]:
-    """Values on all words up to max_len, in ascending shortlex order,
-    computed by propagating state rows down the prefix tree so shared
-    prefixes are multiplied once."""
-    gamma = rep.gamma
-    return {w: (row * gamma).scalar() for w, row in _tree_vectors(rep, max_len, prefixes=True)}
+    """Values on all words up to max_len in ascending shortlex order, from
+    the unreduced walk of the prefix rows: shared prefixes multiply once."""
+    walk = _walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, max_len)
+    return {Word(rep.alphabet, w): (row * rep.gamma).scalar() for w, row, _ in walk}
 
 
 # ---------------------------------------------------------------------------
@@ -178,30 +165,27 @@ def _finite_window(f: FiniteSupportSeries, p: int, cols: tuple[Word, ...]) -> Ha
     return HankelSlice(rows, cols, Matrix._from_ints(tuple([tuple(r) for r in table]), den))
 
 
-def _rep_window(rep: LinRep, p: int, columns) -> HankelSlice:
-    """The window of a representation on the prefixes of length <= p and the
-    (suffix v, vector mu(v)*gamma or its transpose) pairs of `columns`: the
-    product of the stacked prefix rows lambda*mu(u) and those vectors."""
-    rows, row_vecs = zip(*_tree_vectors(rep, p, prefixes=True))
-    cols, col_vecs = zip(*columns)
-    return HankelSlice(rows, cols, _stacked(row_vecs) * _stacked(col_vecs).transpose())
+def _rep_window(alph: Alphabet, rows, cols) -> HankelSlice:
+    """The window on the (u, lambda*mu(u), kept) triples of a walk `rows` and
+    the (v, transposed mu(v)*gamma, kept) triples `cols`: the product of the
+    stacked rows and columns."""
+    (us, row_vecs, _), (vs, col_vecs, _) = zip(*rows), zip(*cols)
+    entries = _stacked(row_vecs) * _stacked(col_vecs).transpose()
+    return HankelSlice(tuple(Word(alph, u) for u in us), tuple(Word(alph, v) for v in vs), entries)
 
 
 def _spanning_window(f, p: int, s: int, alphabet: Alphabet | None) -> HankelSlice:
-    """The (p, s) window restricted to the spanning suffix columns C that
-    the module docstring describes. The empty suffix is kept even when
-    gamma = 0: learn reads gamma from its column."""
+    """The (p, s) window on the rows and spanning columns C that the module
+    docstring describes. C keeps the empty suffix even when gamma = 0: learn
+    reads gamma from its column."""
     if isinstance(f, FiniteSupportSeries):
         suffixes = _suffix_closure([text for text, _ in _numerators(f.poly)[0]], s)
         return _finite_window(f, p, tuple(Word(f.alphabet, v) for v in suffixes))
     if isinstance(f, RecognizableSeries):
         rep = f.rep
-        # the column mu(v)*gamma is the row gamma^T mu(v_k)^T ... mu(v_1)^T
-        # of the transposed representation, walked on the reversed word
-        mu_t = {a: m.transpose() for a, m in rep.mu.items()}
-        walk = _basis_walk(rep.gamma.transpose(), mu_t, rep.alphabet.sorted_letters, s)
-        columns = [(Word(rep.alphabet, w[::-1]), row) for w, row in walk]
-        return _rep_window(rep, p, columns or [(rep.alphabet.unit_word(), rep.gamma)])
+        rows = _walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, p, RowReducer(rep.dim))
+        cols = [(v, c, k) for v, c, k in _column_walk(rep, s, RowReducer(rep.dim)) if k or not v]
+        return _rep_window(rep.alphabet, rows, cols)
     return hankel(f, p, s, alphabet)
 
 
@@ -216,7 +200,11 @@ def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
     if isinstance(f, FiniteSupportSeries):
         return _finite_window(f, p, tuple(f.alphabet.words(s)))
     if isinstance(f, RecognizableSeries):
-        return _rep_window(f.rep, p, _tree_vectors(f.rep, s, prefixes=False))
+        rep = f.rep
+        rows = _walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, p)
+        # back in shortlex order of the suffix, from that of its reversal
+        cols = sorted(_column_walk(rep, s), key=lambda c: (len(c[0]), c[0]))
+        return _rep_window(rep.alphabet, rows, cols)
     cf, alph = _coeff_fn(f, alphabet)
     rows, cols = tuple(alph.words(p)), tuple(alph.words(s))
     return HankelSlice(rows, cols, Matrix([[cf(conc(u, v)) for v in cols] for u in rows]))
@@ -369,5 +357,5 @@ def reps_equal(r1: LinRep, r2: LinRep) -> bool:
     annihilates the basis walk of its rows lambda*mu(w), O(n^3 |A|) for
     n = dim1 + dim2 (Tzeng 1992)."""
     d = rep_sum(r1, scale_rep(r2, -1))
-    walk = _basis_walk(d.lam, d.mu, d.alphabet.sorted_letters)
-    return not any((row * d.gamma).scalar() for _, row in walk)
+    walk = _walk(d.lam, d.mu, d.alphabet.sorted_letters, None, RowReducer(d.dim))
+    return not any((row * d.gamma).scalar() for _, row, kept in walk if kept)

@@ -463,3 +463,68 @@ def test_integer_options_take_ascii_digits_only(capsys, argv, option, value):
     assert code == 1
     assert out == ""
     assert option in err and repr(value) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn", "--alphabet", "a:L", "--explore", "9" * 5000, "--series", "a"],
+        ["check-coassoc", "--alphabet", "a:L", "--maxlen", "9" * 5000],
+    ],
+    ids=["explore", "maxlen"],
+)
+def test_integer_option_of_thousands_of_digits_is_a_usage_error(capsys, argv):
+    # the digits pass the ASCII check; an integer too long for int() is
+    # refused with the option's own wording
+    out, err, code = _outcome(capsys, lambda: run(list(argv)))
+    assert code == 1
+    assert out == ""
+    assert "_natural" not in err
+    assert argv[3] in err
+
+
+def test_operand_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    poly = tmp_path / "bad.txt"
+    poly.write_bytes(b"a\xff")
+    rep = tmp_path / "bad.json"
+    rep.write_bytes(b'{"alphabet": "a:L", "dim": 1, "lambda": ["\xfe1"]}')
+    for argv, path in (
+        (["counit", "--alphabet", "a:L,b:L", str(poly)], poly),
+        (["hankel", "--hankel", "1,1", "--series", str(rep)], rep),
+    ):
+        offset = next(i for i, x in enumerate(path.read_bytes()) if x > 127)
+        out, err, code = _outcome(capsys, lambda: run(argv))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"hopfwords: parse error: operand file {str(path)!r} is not UTF-8: "
+            f"invalid byte at offset {offset}\n"
+        )
+
+
+def test_oversized_tensor_product_is_refused_like_a_convolution(capsys, tmp_path):
+    # two dim-25 operands over three letters give (25 * 25)^2 * 3 =
+    # 1,171,875 letter-matrix entries: counted, never built
+    rep25, rep4, rep3 = tmp_path / "rep25.json", tmp_path / "rep4.json", tmp_path / "rep3.json"
+    for path, dim in ((rep25, 25), (rep4, 4), (rep3, 3)):
+        data = json.loads(_rep_json(dim, "abg"))
+        # a matrix representation names its letter matrices "assign"
+        path.write_text(json.dumps({**data, "assign": data["mu"]}))
+    out, err, code = _outcome(capsys, lambda: run(["tensor", "--rep", str(rep25), "--rep", str(rep25)]))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "hopfwords: parse error: tensor product of dimension 25 x 25 = 625 over 3 letter(s) "
+        "has 1171875 letter-matrix entries, which exceeds the cap of 1048576 entries\n"
+    )
+    # conv refuses the same size through the same check, in its own words
+    out, err, code = _outcome(capsys, lambda: run(["conv", "--series", str(rep25), "--series", str(rep25)]))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "hopfwords: parse error: convolution of dimension 25 x 25 = 625 over 3 letter(s) "
+        "has 1171875 letter-matrix entries, which exceeds the cap of 1048576 entries\n"
+    )
+    out, err, code = _outcome(capsys, lambda: run(["tensor", "--rep", str(rep3), "--rep", str(rep4)]))
+    assert code == 0, err
+    assert json.loads(out)["dim"] == 12

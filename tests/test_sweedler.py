@@ -24,6 +24,7 @@ from hopfwords import (
     dual_counit,
     dual_unit,
     embed_finite,
+    eval_word,
     hankel,
     hankel_rank,
     learn,
@@ -882,12 +883,16 @@ def _transposed(rep: LinRep) -> LinRep:
     return LinRep(rep.alphabet, rep.dim, rep.gamma.transpose(), mu, rep.lam.transpose())
 
 
+def _reference_rows(rep: LinRep, max_len: int):
+    """(w, lambda*mu(w)) for every word w up to max_len in shortlex order,
+    each row its own product of letter matrices."""
+    return [(w.symbols(), rep.lam * eval_word(rep, w)) for w in rep.alphabet.words(max_len)]
+
+
 def _greedy_rows(rep: LinRep, max_len: int):
-    """The rows lambda*mu(w), w up to max_len in shortlex order, that a
-    greedy pass over every word keeps."""
+    """The reference rows that a greedy pass over every word keeps."""
     reducer = RowReducer(rep.dim)
-    rows = sweedler._tree_vectors(rep, max_len, prefixes=True)
-    return [(w.symbols(), row) for w, row in rows if reducer.offer(row.num[0])]
+    return [(w, row) for w, row in _reference_rows(rep, max_len) if reducer.offer(row.num[0])]
 
 
 class _CountedReads(dict):
@@ -902,14 +907,21 @@ class _CountedReads(dict):
 
 def _check_walk(rep: LinRep, max_len: int):
     mu = _CountedReads(rep.mu)
-    walk = list(sweedler._basis_walk(rep.lam, mu, rep.alphabet.sorted_letters, max_len))
-    assert walk == _greedy_rows(rep, max_len)
+    letters = rep.alphabet.sorted_letters
+    walk = list(sweedler._walk(rep.lam, mu, letters, max_len, RowReducer(rep.dim)))
+    kept = [(w, row) for w, row, k in walk if k]
+    assert kept == _greedy_rows(rep, max_len)
     # only the rows kept are extended
-    assert mu.reads <= len(walk) * len(rep.alphabet.letters) <= rep.dim * len(rep.alphabet.letters)
-    rows = sweedler._tree_vectors(rep, max_len, prefixes=True)
+    assert mu.reads <= len(kept) * len(letters) <= rep.dim * len(letters)
+    # it yields every row it computes, each the reference row of its word:
+    # the empty word, then the kept words' one-letter extensions, shortlex
+    reference = dict(_reference_rows(rep, max_len))
+    assert all(row == reference[w] for w, row, _ in walk)
+    extended = {w + a.symbol for w, _ in kept if len(w) < max_len for a in letters}
+    assert [w for w, _, _ in walk] == [w for w in reference if w in extended or not w]
     for l in range(max_len + 1):
-        every = Matrix([row.rows[0] for w, row in rows if len(w) <= l])
-        assert sum(1 for w, _ in walk if len(w) <= l) == rank(every)
+        every = Matrix([row.rows[0] for w, row in reference.items() if len(w) <= l])
+        assert sum(1 for w, _ in kept if len(w) <= l) == rank(every)
 
 
 @given(spanning_operands(), st.integers(0, 4))
@@ -931,11 +943,54 @@ def test_basis_walk_from_zero_and_of_a_doubled_rep(ab):
         for max_len in range(5):
             _check_walk(rep, max_len)
             _check_walk(_transposed(rep), max_len)
-    assert list(sweedler._basis_walk(zero_gamma.gamma.transpose(), c.mu, ab.sorted_letters)) == []
+    # a zero start is yielded unkept and never extended
+    walk = sweedler._walk(zero_gamma.gamma.transpose(), c.mu, ab.sorted_letters, None, RowReducer(2))
+    assert [(w, k) for w, _, k in walk] == [("", False)]
     # gamma = 0 still keeps the empty suffix, from which learn reads gamma
     window = sweedler._spanning_window(RecognizableSeries(zero_gamma), 2, 2, None)
     assert [str(v) for v in window.cols] == ["1"]
     assert rank(window.entries) == 0
+    # lambda = 0 still lists the empty prefix first, from which learn reads lambda
+    zero_lam = LinRep(ab, 2, Matrix.row_vector([0, 0]), c.mu, c.gamma)
+    window = sweedler._spanning_window(RecognizableSeries(zero_lam), 2, 2, None)
+    assert [str(u) for u in window.rows] == ["1"]
+    assert learn(RecognizableSeries(zero_lam), 2) == zero_rep(ab)
+
+
+@given(spanning_operands(), st.integers(0, 4))
+@settings(max_examples=30, deadline=None)
+def test_unreduced_walk_yields_every_word_in_shortlex_order(operand, max_len):
+    """Without a reducer the walk keeps and yields every row up to max_len,
+    and the column walk every column mu(v)*gamma, transposed."""
+    _, _, rep = operand
+    walk = sweedler._walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, max_len)
+    assert [(w, row, k) for w, row, k in walk] == [(w, row, True) for w, row in _reference_rows(rep, max_len)]
+    columns = {v: (row, k) for v, row, k in sweedler._column_walk(rep, max_len)}
+    assert columns == {
+        w.symbols(): ((eval_word(rep, w) * rep.gamma).transpose(), True)
+        for w in rep.alphabet.words(max_len)
+    }
+
+
+def test_rank_and_learn_of_a_representation_cost_at_most_two_dim_letters_plus_one_products(ab, monkeypatch):
+    """Rows and columns are both walked with a reducer: at most dim*|A|
+    products each, plus the window product, however long the words; every
+    prefix row up to length 13 alone is 16,382 products."""
+    c = RecognizableSeries(counting_rep(ab))
+    bound = 2 * c.rep.dim * len(ab.letters) + 1
+    calls = []
+    mul = Matrix.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    assert learn(c, 12).dim == 2
+    assert len(calls) <= bound
+    calls.clear()
+    assert hankel_rank(c, 12, 12) == 2
+    assert len(calls) <= bound
 
 
 def test_spanning_columns_of_a_representation_cost_at_most_dim_letters_plus_one_products(ab, monkeypatch):
