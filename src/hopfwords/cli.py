@@ -251,25 +251,34 @@ def _preflight_window(alphabet: Alphabet, p: int, s: int, f: Series | None = Non
     whole window. rank and learn pass their operand f and fill rows x k
     entries, k the spanning columns that sweedler keeps: min(dim, cols) for
     a representation, and for a finite support the empty suffix plus every
-    suffix of a support word of length <= s. Then refuse a window whose
-    words, every row word and for hankel every column word, have more than
+    suffix of a support word of length <= s. A representation's rows are at
+    most its 1 + dim*|A| basis words and their one-letter extensions, each
+    at most min(p, dim) letters long. Then refuse a window whose words,
+    every row word and for hankel every column word, have more than
     _WORD_CHARS_CAP characters in all: over one letter a side of 2^20 words
     lists words up to 2^20 letters long."""
     n = len(alphabet.letters)
     rows, cols = _window_side(n, p), _window_side(n, s)
     where = f"prefixes <= {p}, suffixes <= {s} over {n} letter(s)"
+    shape = " x ".join(f">{_WINDOW_CAP}" if k > _WINDOW_CAP else str(k) for k in (rows, cols))
+    chars = None
+    if isinstance(f, RecognizableSeries):
+        cols = min(f.rep.dim, cols)
+        if rows > 1 + f.rep.dim * n:
+            rows = 1 + f.rep.dim * n
+            chars = rows * min(p, f.rep.dim)
     if rows * cols > _WINDOW_CAP:
-        shape = " x ".join(f">{_WINDOW_CAP}" if k > _WINDOW_CAP else str(k) for k in (rows, cols))
         window = f"Hankel window of {shape} words ({where})"
         if f is None or rows > _WINDOW_CAP or cols > _WINDOW_CAP:
             raise ParseError(f"{window} exceeds the cap of {_WINDOW_CAP} entries")
-        k = _suffix_states(f, s) if isinstance(f, FiniteSupportSeries) else min(f.rep.dim, cols)
+        k = _suffix_states(f, s) if isinstance(f, FiniteSupportSeries) else cols
         if rows * k > _WINDOW_CAP:
             raise ParseError(
                 f"{window} on {k} spanning column(s) fills {rows * k} entries, "
                 f"which exceeds the cap of {_WINDOW_CAP} entries"
             )
-    chars = _word_chars(n, p) + (_word_chars(n, s) if f is None else 0)
+    if chars is None:
+        chars = _word_chars(n, p) + (_word_chars(n, s) if f is None else 0)
     if chars > _WORD_CHARS_CAP:
         raise ParseError(
             f"Hankel window ({where}) lists words of {chars} characters, "

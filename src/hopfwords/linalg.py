@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -306,7 +307,64 @@ def rank(m: Matrix) -> int:
     return pr
 
 
-class RowReducer:
+class _Span:
+    """Greedy independent-row selection over Q on integer rows: a row is
+    accepted when it enlarges the span of the rows accepted before it.
+
+    Fraction-free: each stored row is an integer vector with its pivot in
+    one of the first `width` columns, zero at every other stored row's
+    pivot and divided by its content after every update. A stored row may
+    run on past `width`: RowReducer keeps each row's change of basis there,
+    and eliminating with whole rows updates it alongside."""
+
+    def __init__(self, width: int):
+        if width < 1:
+            raise ValueError("width must be positive")
+        self.width = width
+        self._pivots: list[int] = []
+        self._rows: list[list[int]] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _eliminate(self, w: Sequence[int]) -> tuple[int, Sequence[int]]:
+        """(d, d*w minus the combination of the stored rows that clears
+        every stored pivot): zero in the first `width` columns exactly when
+        w lies in the span, otherwise its first nonzero is a new pivot."""
+        rows = self._rows
+        hits = [(rows[i], w[p], rows[i][p]) for i, p in enumerate(self._pivots) if w[p]]
+        if not hits:
+            return 1, w
+        d = lcm(*[piv for _, _, piv in hits])
+        residual = [d * x for x in w] if d != 1 else w
+        for row, c, piv in hits:
+            k = c * (d // piv)
+            residual = [x - k * y for x, y in zip(residual, row)]
+        return d, residual
+
+    def offer(self, vec: Sequence[int]) -> bool:
+        """Absorb vec if independent of the accepted rows; report whether it was."""
+        new = self._eliminate(vec)[1]
+        pivot = next(compress(range(self.width), new), None)
+        if pivot is None:
+            return False
+        g = gcd(*new)
+        new = [x // g for x in new]
+        p = new[pivot]
+        # keep stored rows fully reduced so one elimination pass stays valid
+        for row in self._rows:
+            c = row[pivot]
+            if c:
+                row[:] = [p * x - c * y for x, y in zip(row, new)]
+                g = gcd(*row)
+                row[:] = [x // g for x in row]
+        self._pivots.append(pivot)
+        self._rows.append(new)
+        return True
+
+
+class RowReducer(_Span):
     """Greedy independent-row selection over Q with coordinate recovery.
 
     Rows are offered in order; a row is accepted when it enlarges the span
@@ -315,92 +373,41 @@ class RowReducer:
     vector in their span can be rewritten exactly as a combination of the
     accepted originals.
 
-    Fraction-free: every offered row is cleared to integers and its scale
-    recorded. Stored row i is an integer vector, positive at its pivot
-    column and zero at every other stored row's pivot, with an integer
-    combination over the cleared originals that equals it; each pair is
-    divided by its content after every update, so entries stay small.
+    Every offered row is cleared to integers, its scale recorded, and
+    extended by `width` columns holding the unit vector of its index: the
+    _Span echelon of those rows carries, past column `width`, each stored
+    row's integer combination over the cleared originals.
     """
 
     def __init__(self, width: int):
-        if width < 1:
-            raise ValueError("width must be positive")
-        self.width = width
-        self._pivots: list[int] = []
-        self._rows: list[list[int]] = []
-        self._combos: list[list[int]] = []
+        super().__init__(width)
         self._scales: list[int] = []
 
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def _reduce(self, vec: Sequence):
-        """Clear vec to integers w = s * vec and eliminate the stored pivots:
-        returns (s, d, terms, residual) with residual = d*w - sum of k*rows[i]
-        over terms (i, k). The residual is zero exactly when vec lies in the
-        span; otherwise its first nonzero column is a new pivot."""
+    def _extended(self, vec: Sequence, index: int | None) -> tuple[int, list[int]]:
+        """(s, s*vec cleared to integers, then the unit vector of index or zeros)."""
         (w,), s = _cleared((tuple(vec),))
         if len(w) != self.width:
             raise ValueError(f"expected a row of width {self.width}, got {len(w)}")
-        rows = self._rows
-        hits = [(i, w[p], rows[i][p]) for i, p in enumerate(self._pivots) if w[p]]
-        if not hits:
-            return s, 1, [], w
-        d = lcm(*[piv for _, _, piv in hits])
-        terms = [(i, c * (d // piv)) for i, c, piv in hits]
-        residual = [d * x for x in w] if d != 1 else w
-        for i, k in terms:
-            residual = [x - k * y for x, y in zip(residual, rows[i])]
-        return s, d, terms, residual
-
-    def _combination(self, terms) -> list[int]:
-        """The sum of k * combos[i] over terms (i, k): the stored rows'
-        combination as one over the cleared originals."""
-        out = [0] * len(self._scales)
-        for i, k in terms:
-            for j, x in enumerate(self._combos[i]):
-                if x:
-                    out[j] += k * x
-        return out
+        tail = [0] * self.width
+        if index is not None:
+            tail[index] = 1
+        return s, [*w, *tail]
 
     def offer(self, vec: Sequence) -> bool:
         """Absorb vec if independent of the accepted rows; report whether it was."""
-        s, d, terms, new_row = self._reduce(vec)
-        pivot = next((j for j, x in enumerate(new_row) if x), None)
-        if pivot is None:
+        s, w = self._extended(vec, self.rank if self.rank < self.width else None)
+        if not super().offer(w):
             return False
-        new_combo = [-x for x in self._combination(terms)] + [d]
-        g = gcd(*new_row, *new_combo)
-        if new_row[pivot] < 0:
-            g = -g
-        new_row = [x // g for x in new_row]
-        new_combo = [x // g for x in new_combo]
-        p = new_row[pivot]
-        # keep stored rows fully reduced so one elimination pass stays valid
-        for row, combo in zip(self._rows, self._combos):
-            combo.append(0)
-            c = row[pivot]
-            if c:
-                row[:] = [p * x - c * y for x, y in zip(row, new_row)]
-                combo[:] = [p * x - c * y for x, y in zip(combo, new_combo)]
-                g = gcd(*row, *combo)
-                if g != 1:
-                    row[:] = [x // g for x in row]
-                    combo[:] = [x // g for x in combo]
-        self._pivots.append(pivot)
-        self._rows.append(new_row)
-        self._combos.append(new_combo)
         self._scales.append(s)
         return True
 
     def coordinates(self, vec: Sequence):
         """Coefficients of vec over the accepted original rows, or None when
         vec lies outside their span."""
-        s, d, terms, residual = self._reduce(vec)
-        if any(residual):
+        s, w = self._extended(vec, None)
+        d, residual = self._eliminate(w)
+        if any(residual[: self.width]):
             return None
-        # d * s * vec = sum_j y_j * scale_j * original_j
-        y = self._combination(terms)
+        # d * s * vec = sum_j -residual[width + j] * scale_j * original_j
         den = s * d
-        return [Fraction(x * sj, den) for x, sj in zip(y, self._scales)]
+        return [Fraction(-x * sj, den) for x, sj in zip(residual[self.width :], self._scales)]

@@ -13,10 +13,12 @@ Every vector of a representation comes from one breadth-first walk down
 the word tree (_walk): the prefix rows lambda*mu(u), and the suffix columns
 mu(v)*gamma as rows of the transposed representation on reversed words.
 Walked whole, they give behavior_table and the Hankel window (one product).
-Walked with a RowReducer, the walk extends only the shortlex-first basis of
-the rows, at most n*|A| products in dimension n; reps_equal checks gamma on
-that basis (polynomial time). A finite-support window is filled straight
-from the support. Windows, ranks and row reduction run on integer numerators.
+Walked with a reducer, the walk extends only the shortlex-first basis of the
+rows, at most n*|A| sparse products x*mu(a) in dimension n, each summed over
+the nonzeros of x and mu(a); reps_equal checks gamma on that basis
+(polynomial time). A reducer that reads no coordinates is a linalg._Span,
+with no change of basis. A finite-support window is filled straight from
+the support. Windows, ranks and row reduction run on integer numerators.
 
 hankel_rank and learn walk both sides with a reducer: the closed table of
 Beimel et al. ("Learning functions represented as multiplicity automata").
@@ -36,35 +38,54 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 
 from . import linalg
 from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, _suffix_closure, embed_finite
 from .errors import InconclusiveError, InternalInvariantError
 from .freealg import Alphabet, Letter, NCPoly, Word, _Frozen, _check_antipode_domain, _numerators, _same_alphabet, conc
-from .linalg import Matrix, RowReducer, _stacked
+from .linalg import Matrix, RowReducer, _Span, _stacked
 from .rep import LinRep, eval_word, rep_sum, scale_rep, zero_rep
 
 
-def _walk(start: Matrix, mu: dict[Letter, Matrix], letters, max_len: int | None, reducer: RowReducer | None = None):
+def _walk(start: Matrix, mu: dict[Letter, Matrix], letters, max_len: int | None, reducer: _Span | None = None):
     """Yield (w, start*mu(w), kept), w a symbol string, for each row computed
     breadth first, in shortlex order, up to length max_len (None: no bound).
-    Only a kept row is extended, one product per letter. Without a reducer
-    every row is kept; with one, each row that enlarges the span of those
-    kept before it. As row(ua) = row(u) mu(a), a row in the span of the rows
-    before it has every extension in theirs, so for every l the kept words
-    of length <= l are the shortlex-first basis of all rows of length <= l
-    (Berstel & Reutenauer, ch. 2). Once they span the space, the rows
-    already computed are yielded unkept and nothing more is multiplied."""
+    Only a kept row is extended, one product per letter, over the nonzeros
+    of the row and of the letter matrix, read once on the first extension.
+    Without a reducer (a _Span, such as a RowReducer) every row is kept;
+    with one, each row that enlarges the span of those kept before it. As
+    row(ua) = row(u) mu(a), a row in the span of the rows before it has
+    every extension in theirs, so for every l the kept words of length <= l
+    are the shortlex-first basis of all rows of length <= l (Berstel &
+    Reutenauer, ch. 2). Once they span the space, the rows already computed
+    are yielded unkept and nothing more is multiplied."""
     pending = deque([("", start)])
+    sparse = None
     while pending:
         w, row = pending.popleft()
         kept = reducer is None or (reducer.rank < reducer.width and reducer.offer(row.num[0]))
         yield w, row, kept
         if kept and (max_len is None or len(w) < max_len):
-            pending.extend((w + a.symbol, row * mu[a]) for a in letters)
+            if sparse is None:
+                sparse = [(a.symbol, *_sparse(mu[a])) for a in letters]
+            _, (x,) = _sparse(row)
+            for symbol, den, m in sparse:
+                out = [0] * len(m)
+                for i, v in x:
+                    for j, y in m[i]:
+                        out[j] += v * y
+                pending.append((w + symbol, Matrix._from_ints((tuple(out),), row.den * den)))
 
 
-def _column_walk(rep: LinRep, max_len: int, reducer: RowReducer | None = None):
+def _sparse(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """m's denominator, and each numerator row as its nonzeros' (column,
+    entry) pairs."""
+    return m.den, [[(j, r[j]) for j in compress(range(len(r)), r)] for r in m.num]
+
+
+def _column_walk(rep: LinRep, max_len: int, reducer: _Span | None = None):
     """_walk of the columns mu(v)*gamma, transposed: the rows gamma^T
     mu(v_k)^T ... mu(v_1)^T of the transposed representation, yielded with
     the reversed word v read back."""
@@ -183,8 +204,8 @@ def _spanning_window(f, p: int, s: int, alphabet: Alphabet | None) -> HankelSlic
         return _finite_window(f, p, tuple(Word(f.alphabet, v) for v in suffixes))
     if isinstance(f, RecognizableSeries):
         rep = f.rep
-        rows = _walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, p, RowReducer(rep.dim))
-        cols = [(v, c, k) for v, c, k in _column_walk(rep, s, RowReducer(rep.dim)) if k or not v]
+        rows = _walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, p, _Span(rep.dim))
+        cols = [(v, c, k) for v, c, k in _column_walk(rep, s, _Span(rep.dim)) if k or not v]
         return _rep_window(rep.alphabet, rows, cols)
     return hankel(f, p, s, alphabet)
 
@@ -354,8 +375,10 @@ def dual_counit(rep: LinRep) -> Fraction:
 def reps_equal(r1: LinRep, r2: LinRep) -> bool:
     """Exact equality of the recognized series, decided in polynomial time:
     the difference r1 - r2 is the zero series exactly when its gamma
-    annihilates the basis walk of its rows lambda*mu(w), O(n^3 |A|) for
-    n = dim1 + dim2 (Tzeng 1992)."""
+    annihilates the basis walk of its rows lambda*mu(w), n = dim1 + dim2
+    (Tzeng 1992): at most n*|A| sparse products and a span-only echelon,
+    O(n^3 |A|) for dense operands and far less for sparse ones."""
     d = rep_sum(r1, scale_rep(r2, -1))
-    walk = _walk(d.lam, d.mu, d.alphabet.sorted_letters, None, RowReducer(d.dim))
-    return not any((row * d.gamma).scalar() for _, row, kept in walk if kept)
+    walk = _walk(d.lam, d.mu, d.alphabet.sorted_letters, None, _Span(d.dim))
+    gamma = [r[0] for r in d.gamma.num]
+    return not any(sum(map(mul, row.num[0], gamma)) for _, row, kept in walk if kept)

@@ -6,7 +6,7 @@ import pytest
 
 from cli_cases import CASES, FIXTURES, GOLDEN, regen_requested, run_cli
 from hopfwords import Alphabet, FiniteSupportSeries, LinRep, NCPoly, RecognizableSeries, Tensor2
-from hopfwords.cli import _COMMANDS, _preflight_window, build_parser, run
+from hopfwords.cli import _COMMANDS, _preflight_window, _suffix_states, build_parser, run
 from hopfwords.errors import ParseError
 
 
@@ -407,6 +407,39 @@ def test_window_preflight_counts_the_entries_rank_and_learn_fill():
     assert proc.returncode == 1
     assert proc.stdout == b""
     assert b"on 601 spanning column(s) fills 1202601 entries" in proc.stderr
+
+
+COUNTING = (
+    '{"alphabet":"a:L,b:L","dim":2,"lambda":["1","0"],'
+    '"mu":{"a":[["1","1"],["0","1"]],"b":[["1","0"],["0","1"]]},"gamma":[["0"],["1"]]}'
+)
+
+
+def test_window_preflight_counts_the_rows_a_representation_walks():
+    """rank and learn of a representation walk at most 1 + dim*|A| rows,
+    however many words the window has: the whole 2^20 - 1 word side of
+    this window would fill 2,097,150 entries on the 2 spanning columns."""
+    proc = run_cli(["rank", "--hankel", "19,19", "--series", COUNTING])
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == b"2\n"
+    # the (19, 19) window side of the hankel command is still refused
+    proc = run_cli(["hankel", "--hankel", "19,19", "--series", COUNTING])
+    assert proc.returncode == 1
+    assert b"Hankel window of 1048575 x 1048575 words" in proc.stderr
+
+
+def test_learn_checks_a_large_support_against_its_automaton():
+    """40 words of length 12, a 319-state automaton: the (4, 4) window sees
+    none of them, so the zero model is checked with reps_equal and refused."""
+    f = FiniteSupportSeries.from_text(Alphabet.from_decl("a:L,b:L"), (FIXTURES / "words40.txt").read_text().strip())
+    assert _suffix_states(f) == 319
+    proc = run_cli(["learn", "--explore", "3", "--alphabet", "a:L,b:L", "--series", "words40.txt"])
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        b"hopfwords: inconclusive: learned model of dim 0 differs from the operand; "
+        b"raise the exploration length\n"
+    )
 
 
 def test_window_preflight_counts_the_characters_of_the_words_it_lists():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hopfwords.errors import DomainError
-from hopfwords.linalg import Matrix, RowReducer, rank, tensor_scheme
+from hopfwords.linalg import Matrix, RowReducer, _Span, rank, tensor_scheme
 
 
 def test_matrix_construction_and_access():
@@ -292,6 +292,30 @@ def test_rowreducer_agrees_with_fraction_reference(data, n, width):
     assert fast.rank == len(ref._rows) == ref_rank(rows)
     for vec in rows + probes:
         assert fast.coordinates(vec) == ref.coordinates(vec)
+
+
+@given(st.data(), st.integers(1, 5))
+@settings(max_examples=100, deadline=None)
+def test_span_accepts_exactly_the_rows_rowreducer_accepts(data, width):
+    """On integer rows with zero rows, repeats, multiples and combinations
+    of earlier rows mixed in."""
+    row = st.lists(st.integers(-3, 3), min_size=width, max_size=width)
+    pool = data.draw(st.lists(row, min_size=1, max_size=5))
+    combination = st.tuples(st.sampled_from(pool), st.sampled_from(pool), st.integers(-2, 2)).map(
+        lambda t: [x + t[2] * y for x, y in zip(t[0], t[1])]
+    )
+    rows = data.draw(st.lists(st.one_of(st.sampled_from(pool), st.just([0] * width), combination, row), max_size=14))
+    span, reducer = _Span(width), RowReducer(width)
+    for r in rows:
+        assert span.offer(r) == reducer.offer(r)
+        assert span.rank == reducer.rank
+    assert span.rank == (ref_rank([[Fraction(x) for x in r] for r in rows]) if rows else 0)
+
+
+def test_span_of_width_one():
+    span = _Span(1)
+    assert [span.offer(r) for r in ([0], [-2], [3], [0])] == [False, True, False, False]
+    assert span.rank == 1
 
 
 def test_canonical_form_and_hash():

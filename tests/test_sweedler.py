@@ -1,5 +1,6 @@
 import functools
 import json
+from collections import deque
 import math
 import random
 import time
@@ -39,7 +40,7 @@ from hopfwords import (
     zero_rep,
 )
 from hopfwords.errors import DomainError, InconclusiveError, ParseError
-from hopfwords.linalg import RowReducer, rank
+from hopfwords.linalg import RowReducer, _Span, rank
 
 COUNTING_JSON = (
     '{"alphabet": "a:L,b:L", "dim": 2, "lambda": ["1","0"],'
@@ -1010,3 +1011,69 @@ def test_spanning_columns_of_a_representation_cost_at_most_dim_letters_plus_one_
     # the prefix rows of length <= 1 take one product a letter, the window one
     row_products, window_product = len(ab.letters), 1
     assert len(calls) - row_products - window_product <= c.rep.dim * len(ab.letters) + 1
+
+
+# ---------------------------------------------------------------------------
+# the sparse walk against a dense one
+
+
+def _dense_walk(start, mu, letters, max_len, reducer=None):
+    """The walk with one dense product row * mu[a] per extension: the
+    reference for the sparse walk."""
+    pending = deque([("", start)])
+    while pending:
+        w, row = pending.popleft()
+        kept = reducer is None or (reducer.rank < reducer.width and reducer.offer(row.num[0]))
+        yield w, row, kept
+        if kept and (max_len is None or len(w) < max_len):
+            pending.extend((w + a.symbol, row * mu[a]) for a in letters)
+
+
+@st.composite
+def walk_operands(draw):
+    """A representation from spanning_operands, the automaton of a random
+    finite support of words up to length 7, or the sum or convolution of
+    two random reps of dim <= 3."""
+    kind = draw(st.sampled_from(["spanning", "finite", "sum", "conv"]))
+    if kind == "spanning":
+        return draw(spanning_operands())[2]
+    alph = draw(SPANNING_ALPHABETS)
+    if kind == "finite":
+        symbols = "".join(l.symbol for l in alph.letters)
+        terms = draw(st.dictionaries(st.text(symbols, max_size=7), RATIONALS.filter(bool), max_size=6))
+        return embed_finite(FiniteSupportSeries(NCPoly(alph, {alph.word(w): c for w, c in terms.items()})))
+    r1, r2 = draw(linreps(alph, max_dim=3)), draw(linreps(alph, max_dim=3))
+    return rep_sum(r1, r2) if kind == "sum" else conv_rep(r1, r2)
+
+
+@given(walk_operands(), st.integers(0, 4))
+@settings(max_examples=80, deadline=None)
+def test_sparse_walk_yields_the_triples_of_the_dense_walk(rep, max_len):
+    """Rows and columns, unreduced up to max_len, and reduced up to max_len
+    and unbounded, with a _Span and with a RowReducer: the same words, the
+    same Matrix rows and the same kept flags."""
+    letters = rep.alphabet.sorted_letters
+    for r in (rep, _transposed(rep)):
+        assert list(sweedler._walk(r.lam, r.mu, letters, max_len)) == list(
+            _dense_walk(r.lam, r.mu, letters, max_len)
+        )
+        for bound in (max_len, None):
+            expected = list(_dense_walk(r.lam, r.mu, letters, bound, RowReducer(r.dim)))
+            for reducer in (_Span(r.dim), RowReducer(r.dim)):
+                assert list(sweedler._walk(r.lam, r.mu, letters, bound, reducer)) == expected
+
+
+def test_reps_equal_of_a_400_state_automaton_is_fast(ab):
+    """The automaton of a finite support has one nonzero per state and
+    letter, so reps_equal pays for nonzeros, not for dense products: each
+    call took about 9 s with dense products at this size."""
+    rng = random.Random(2)
+    words = sorted({"".join(rng.choice("ab") for _ in range(12)) for _ in range(54)})
+    e = embed_finite(FiniteSupportSeries(NCPoly(ab, {ab.word(w): 1 for w in words})))
+    fewer = embed_finite(FiniteSupportSeries(NCPoly(ab, {ab.word(w): 1 for w in words[1:]})))
+    assert e.dim == 404
+    for other, expected in ((e, True), (fewer, False)):
+        t0 = time.perf_counter()
+        assert reps_equal(e, other) is expected
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0, f"reps_equal of a {e.dim}-state automaton took {elapsed:.2f}s"
