@@ -69,11 +69,11 @@ EXIT_COUNTEREXAMPLE = 4
 _INLINE_LIMIT = 1024
 _MAXLEN_CAP = 7
 # most entries of a Hankel window (hankel, rank, learn), most terms of a
-# coproduct before merging (coprod), most letter-matrix entries of the
-# automaton of a finite-support operand (split, dualS, conv) and of a
-# convolution's or a tensor product's representation, and most merged words
-# of a convolution of two finite supports, checked before any word is
-# enumerated or any matrix built
+# coproduct or a product before merging (coprod, mul), most letter-matrix
+# entries of the automaton of a finite-support operand (split, dualS, conv),
+# of a convolution's or a tensor product's representation and of split's
+# output, and most merged words of a convolution of two finite supports,
+# checked before any word is enumerated or any matrix built
 _WINDOW_CAP = 1 << 20
 # most characters of the words a Hankel window lists: above the most of any
 # window over two or more letters within _WINDOW_CAP entries (18,874,370, a
@@ -437,6 +437,11 @@ def _cmd_mul(args):
     alph = _need_alphabet(args)
     p = _load_poly(args, args.poly, alph)
     q = _load_poly(args, args.poly2, alph)
+    count = len(p.terms) * len(q.terms)
+    if count > _WINDOW_CAP:
+        raise ParseError(
+            f"product of {count} terms before merging exceeds the cap of {_WINDOW_CAP} terms"
+        )
     return _out_terms(args, poly_mul(p, q))
 
 
@@ -516,7 +521,14 @@ def _cmd_learn(args):
 
 def _cmd_split(args):
     (f,) = _series_args(args, 1)
-    _preflight_embed(f)
+    d, k = _preflight_embed(f), len(f.alphabet.letters)
+    # d pairs of two representations with d^2 entries per letter each
+    count = 2 * d**3 * k
+    if count > _WINDOW_CAP:
+        raise ParseError(
+            f"split of dimension {d} over {k} letter(s) prints {count} "
+            f"letter-matrix entries, which exceeds the cap of {_WINDOW_CAP} entries"
+        )
     pairs = split(_to_linrep(f))
     obj = {
         "pairs": [

@@ -274,39 +274,6 @@ def tensor_scheme(a: Matrix, b: Matrix, group_like: bool) -> Matrix:
     return a.kron(Matrix.identity(b.nrows)) + Matrix.identity(a.nrows).kron(b)
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank over Q.
-
-    Fraction-free (Bareiss) elimination on the integer numerators; the pivot
-    is always the first nonzero entry scanning rows top-down and columns
-    left to right, so the pivot sequence is reproducible for
-    deterministically ordered input.
-    """
-    rows = [list(r) for r in m.num]
-    nr, nc = len(rows), len(rows[0])
-    prev = 1
-    pr = 0
-    for pc in range(nc):
-        piv = next((i for i in range(pr, nr) if rows[i][pc] != 0), None)
-        if piv is None:
-            continue
-        if piv != pr:
-            rows[pr], rows[piv] = rows[piv], rows[pr]
-        top = rows[pr]
-        p = top[pc]
-        for i in range(pr + 1, nr):
-            ri = rows[i]
-            c = ri[pc]
-            for j in range(pc + 1, nc):
-                ri[j] = (ri[j] * p - c * top[j]) // prev
-            ri[pc] = 0
-        prev = p
-        pr += 1
-        if pr == nr:
-            break
-    return pr
-
-
 class _Span:
     """Greedy independent-row selection over Q on integer rows: a row is
     accepted when it enlarges the span of the rows accepted before it.
@@ -362,6 +329,15 @@ class _Span:
         self._pivots.append(pivot)
         self._rows.append(new)
         return True
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank over Q: the rows a greedy _Span pass accepts, top-down."""
+    span = _Span(m.ncols)
+    for row in m.num:
+        if span.offer(row) and span.rank == span.width:
+            break
+    return span.rank
 
 
 class RowReducer(_Span):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import time
@@ -533,6 +534,55 @@ def test_operand_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
             f"hopfwords: parse error: operand file {str(path)!r} is not UTF-8: "
             f"invalid byte at offset {offset}\n"
         )
+
+
+def test_split_output_is_bounded(capsys, tmp_path):
+    # split prints d pairs of two representations with d^2 entries per
+    # letter each: 2 * d^3 * |A| entries, counted before any is built
+    rep64, rep65 = tmp_path / "rep64.json", tmp_path / "rep65.json"
+    rep64.write_text(_rep_json(64, "ab"))
+    rep65.write_text(_rep_json(65, "ab"))
+    out, err, code = _outcome(capsys, lambda: run(["split", "--series", str(rep65)]))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "hopfwords: parse error: split of dimension 65 over 2 letter(s) prints 1098500 "
+        "letter-matrix entries, which exceeds the cap of 1048576 entries\n"
+    )
+    # the 319-state automaton of words40.txt passes the embedding's cap
+    # but not this one
+    out, err, code = _outcome(
+        capsys,
+        lambda: run(["split", "--alphabet", "a:L,b:L", "--series", str(FIXTURES / "words40.txt")]),
+    )
+    assert code == 1
+    assert out == ""
+    assert "split of dimension 319 over 2 letter(s) prints 129847036 letter-matrix entries" in err
+    # 2 * 64^3 * 2 entries is the cap itself
+    out, err, code = _outcome(capsys, lambda: run(["split", "--series", str(rep64)]))
+    assert code == 0, err
+    assert len(json.loads(out)["pairs"]) == 64
+
+
+def test_product_of_too_many_terms_is_refused(capsys, tmp_path):
+    # all 2,047 words of length <= 10 times themselves: 4,190,209 terms
+    # before merging, counted, never multiplied
+    words = ["".join(t) for n in range(1, 11) for t in itertools.product("ab", repeat=n)]
+    big = tmp_path / "big.txt"
+    big.write_text(" + ".join(["1", *words]))
+    out, err, code = _outcome(capsys, lambda: run(["mul", "--alphabet", "a:L,b:L", str(big), str(big)]))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "hopfwords: parse error: product of 4190209 terms before merging "
+        "exceeds the cap of 1048576 terms\n"
+    )
+    # 1,024 x 1,024 terms is the cap itself
+    powers = tmp_path / "powers.txt"
+    powers.write_text(" + ".join(["1", *("a" * k for k in range(1, 1024))]))
+    out, err, code = _outcome(capsys, lambda: run(["mul", "--alphabet", "a:L", str(powers), str(powers)]))
+    assert code == 0, err
+    assert out.count(" + ") == 2046
 
 
 def test_oversized_tensor_product_is_refused_like_a_convolution(capsys, tmp_path):

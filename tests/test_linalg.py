@@ -310,6 +310,8 @@ def test_span_accepts_exactly_the_rows_rowreducer_accepts(data, width):
         assert span.offer(r) == reducer.offer(r)
         assert span.rank == reducer.rank
     assert span.rank == (ref_rank([[Fraction(x) for x in r] for r in rows]) if rows else 0)
+    if rows:
+        assert rank(Matrix(rows)) == span.rank
 
 
 def test_span_of_width_one():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hopfwords.sweedler as sweedler
+from cli_cases import FIXTURES
 from conftest import counting_rep, geometric_rep
 from hopfwords import (
     Alphabet,
@@ -659,6 +660,17 @@ def test_reps_equal_dim_8_plus_8_is_fast(ab):
     assert not reps_equal(r, scale_rep(twin, 2))
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0, f"dim 8+8 reps_equal took {elapsed:.2f}s"
+
+
+def test_hankel_rank_of_a_finite_window_of_mostly_zero_rows_is_fast(ab):
+    # 237 of the 2,047 rows of the (10, 10) window of 40 words of length 12
+    # are prefixes of a support word; every other row is zero
+    text = (FIXTURES / "words40.txt").read_text().strip()
+    f = FiniteSupportSeries.from_text(ab, text)
+    t0 = time.perf_counter()
+    assert hankel_rank(f, 10, 10) == 132
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"(10, 10) window of a 40-word support took {elapsed:.2f}s"
 
 
 finite_supports = st.dictionaries(
