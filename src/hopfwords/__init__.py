@@ -1,126 +1,51 @@
 """Free bialgebra on a partitioned alphabet, its matrix-representation
-calculus, and recognizable series with Hankel-rank learning."""
+calculus, and recognizable series with Hankel-rank learning.
 
-from .errors import (
-    DomainError,
-    HopfwordsError,
-    InconclusiveError,
-    InternalInvariantError,
-    ParseError,
-)
-from .freealg import (
-    Alphabet,
-    Letter,
-    LetterKind,
-    NCPoly,
-    Tensor2,
-    Tensor3,
-    Word,
-    antipode,
-    coassoc_lhs,
-    coassoc_rhs,
-    conc,
-    coproduct,
-    coproduct_word,
-    counit,
-    poly_mul,
-    splittings,
-    tensor2_mul,
-)
-from .linalg import Matrix
-from .rep import (
-    LinRep,
-    MatRep,
-    conv_rep,
-    direct_sum,
-    dual_action,
-    eval_rep,
-    eval_word,
-    pairing_invariance_check,
-    rep_sum,
-    scale_rep,
-    tensor_rep,
-    trivial_rep,
-    zero_rep,
-)
-from .dualforms import (
-    FiniteSupportSeries,
-    RecognizableSeries,
-    Series,
-    coefficients_agree,
-    convolve,
-    dual_unit,
-    embed_finite,
-    pair,
-)
-from .sweedler import (
-    HankelSlice,
-    behavior_table,
-    dual_counit,
-    hankel,
-    hankel_rank,
-    learn,
-    reps_equal,
-    shift_left,
-    shift_right,
-    split,
-    transpose_antipode,
-)
+The public names are loaded on first access (PEP 562): importing the
+package loads no layer, and a name loads only its defining layer and the
+layers that one imports."""
 
-__all__ = [
-    "Alphabet",
-    "DomainError",
-    "FiniteSupportSeries",
-    "HankelSlice",
-    "HopfwordsError",
-    "InconclusiveError",
-    "InternalInvariantError",
-    "Letter",
-    "LetterKind",
-    "LinRep",
-    "MatRep",
-    "Matrix",
-    "NCPoly",
-    "ParseError",
-    "RecognizableSeries",
-    "Series",
-    "Tensor2",
-    "Tensor3",
-    "Word",
-    "antipode",
-    "behavior_table",
-    "coassoc_lhs",
-    "coassoc_rhs",
-    "coefficients_agree",
-    "conc",
-    "conv_rep",
-    "convolve",
-    "coproduct",
-    "coproduct_word",
-    "counit",
-    "direct_sum",
-    "dual_action",
-    "dual_counit",
-    "dual_unit",
-    "embed_finite",
-    "eval_rep",
-    "eval_word",
-    "hankel",
-    "hankel_rank",
-    "learn",
-    "pair",
-    "pairing_invariance_check",
-    "poly_mul",
-    "rep_sum",
-    "reps_equal",
-    "scale_rep",
-    "shift_left",
-    "shift_right",
-    "split",
-    "splittings",
-    "tensor2_mul",
-    "tensor_rep",
-    "transpose_antipode",
-    "trivial_rep",
-    "zero_rep",
-]
+import sys
+
+# layer module -> the public names it defines, in the module order
+_EXPORTS = {
+    "errors": ("DomainError", "HopfwordsError", "InconclusiveError", "InternalInvariantError", "ParseError"),
+    "freealg": (
+        "Alphabet", "Letter", "LetterKind", "NCPoly", "Tensor2", "Tensor3", "Word", "antipode",
+        "coassoc_lhs", "coassoc_rhs", "conc", "coproduct", "coproduct_word", "counit", "poly_mul",
+        "splittings", "tensor2_mul",
+    ),
+    "linalg": ("Matrix",),
+    "rep": (
+        "LinRep", "MatRep", "conv_rep", "direct_sum", "dual_action", "eval_rep", "eval_word",
+        "pairing_invariance_check", "rep_sum", "scale_rep", "tensor_rep", "trivial_rep", "zero_rep",
+    ),
+    "dualforms": (
+        "FiniteSupportSeries", "RecognizableSeries", "Series", "coefficients_agree", "convolve",
+        "dual_unit", "embed_finite", "pair",
+    ),
+    "sweedler": (
+        "HankelSlice", "behavior_table", "dual_counit", "hankel", "hankel_rank", "learn",
+        "reps_equal", "shift_left", "shift_right", "split", "transpose_antipode",
+    ),
+}
+_SOURCE = {name: layer for layer, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    layer = name if name in _EXPORTS else _SOURCE.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's own machinery, so -X importtime lists the layer
+    __import__(f"{__name__}.{layer}")
+    module = sys.modules[f"{__name__}.{layer}"]
+    if layer == name:
+        return module
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

@@ -21,16 +21,6 @@ import os
 import sys
 from fractions import Fraction
 
-from .dualforms import (
-    FiniteSupportSeries,
-    RecognizableSeries,
-    Series,
-    _merge_count,
-    _to_linrep,
-    convolve,
-    embed_finite,
-    pair,
-)
 from .errors import DomainError, InconclusiveError, ParseError
 from .freealg import (
     _DIGITS,
@@ -48,17 +38,6 @@ from .freealg import (
     poly_mul,
     splittings,
 )
-from .linalg import Matrix
-from .rep import LinRep, MatRep, conv_rep, direct_sum, eval_rep, tensor_rep
-from .sweedler import (
-    _window_holds_support,
-    behavior_table,
-    hankel,
-    hankel_rank,
-    learn,
-    split,
-    transpose_antipode,
-)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -72,13 +51,24 @@ _MAXLEN_CAP = 7
 # coproduct or a product before merging (coprod, mul), most letter-matrix
 # entries of the automaton of a finite-support operand (split, dualS, conv),
 # of a convolution's or a tensor product's representation and of split's
-# output, and most merged words of a convolution of two finite supports,
-# checked before any word is enumerated or any matrix built
+# output, most merged words of a convolution of two finite supports, and
+# most matrix entries eval computes, checked before any word is enumerated
+# or any matrix built
 _WINDOW_CAP = 1 << 20
 # most characters of the words a Hankel window lists: above the most of any
 # window over two or more letters within _WINDOW_CAP entries (18,874,370, a
 # two-letter side of 2^20 - 1 words), so it bounds one-letter sides alone
 _WORD_CHARS_CAP = 20 * _WINDOW_CAP
+
+
+def _layer(name: str):
+    """The layer module hopfwords.<name>, imported on first use: every
+    subcommand parses an alphabet through freealg, and a run loads only the
+    further layers (linalg, rep, dualforms, sweedler) its subcommand calls.
+    __import__ is the import statement's own machinery, so -X importtime
+    lists the layer."""
+    __import__(f"{__package__}.{name}")
+    return sys.modules[f"{__package__}.{name}"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,9 +168,10 @@ def _load_json_rep(args, content: str, cls: type[MatRep]) -> MatRep:
 
 
 def _parse_series(args, text: str) -> Series:
+    dualforms = _layer("dualforms")
     if text.startswith("{"):
-        return RecognizableSeries(_load_json_rep(args, text, LinRep))
-    return FiniteSupportSeries.from_text(_need_alphabet(args), text)
+        return dualforms.RecognizableSeries(_load_json_rep(args, text, _layer("rep").LinRep))
+    return dualforms.FiniteSupportSeries.from_text(_need_alphabet(args), text)
 
 
 def _series_args(args, count: int) -> list[Series]:
@@ -198,7 +189,7 @@ def _rep_args(args, count: int) -> list[MatRep]:
     def parse(text: str) -> MatRep:
         if not text.startswith("{"):
             raise ParseError("--rep operand must be representation JSON")
-        return _load_json_rep(args, text, MatRep)
+        return _load_json_rep(args, text, _layer("rep").MatRep)
 
     return [_operand(raw, parse) for raw in got]
 
@@ -257,12 +248,13 @@ def _preflight_window(alphabet: Alphabet, p: int, s: int, f: Series | None = Non
     every row word and for hankel every column word, have more than
     _WORD_CHARS_CAP characters in all: over one letter a side of 2^20 words
     lists words up to 2^20 letters long."""
+    dualforms = _layer("dualforms")
     n = len(alphabet.letters)
     rows, cols = _window_side(n, p), _window_side(n, s)
     where = f"prefixes <= {p}, suffixes <= {s} over {n} letter(s)"
     shape = " x ".join(f">{_WINDOW_CAP}" if k > _WINDOW_CAP else str(k) for k in (rows, cols))
     chars = None
-    if isinstance(f, RecognizableSeries):
+    if isinstance(f, dualforms.RecognizableSeries):
         cols = min(f.rep.dim, cols)
         if rows > 1 + f.rep.dim * n:
             rows = 1 + f.rep.dim * n
@@ -271,7 +263,7 @@ def _preflight_window(alphabet: Alphabet, p: int, s: int, f: Series | None = Non
         window = f"Hankel window of {shape} words ({where})"
         if f is None or rows > _WINDOW_CAP or cols > _WINDOW_CAP:
             raise ParseError(f"{window} exceeds the cap of {_WINDOW_CAP} entries")
-        k = _suffix_states(f, s) if isinstance(f, FiniteSupportSeries) else cols
+        k = _suffix_states(f, s) if isinstance(f, dualforms.FiniteSupportSeries) else cols
         if rows * k > _WINDOW_CAP:
             raise ParseError(
                 f"{window} on {k} spanning column(s) fills {rows * k} entries, "
@@ -312,7 +304,7 @@ def _preflight_embed(f: Series) -> int:
     more than _WINDOW_CAP letter-matrix entries: n^2 per letter for n
     states. Returns the dimension of the operand's representation: n, or
     the dimension of a recognizable operand, which passes."""
-    if not isinstance(f, FiniteSupportSeries):
+    if not isinstance(f, _layer("dualforms").FiniteSupportSeries):
         return f.rep.dim
     n, k = _suffix_states(f), len(f.alphabet.letters)
     if n * n * k > _WINDOW_CAP:
@@ -327,11 +319,13 @@ def _preflight_conv(f: Series, h: Series):
     """Refuse a convolution that would enumerate more than _WINDOW_CAP
     merged words (two finite supports), or whose representation (dimension
     d1*d2) would have more than _WINDOW_CAP letter-matrix entries."""
-    if isinstance(f, FiniteSupportSeries) and isinstance(h, FiniteSupportSeries):
+    dualforms = _layer("dualforms")
+    finite = dualforms.FiniteSupportSeries
+    if isinstance(f, finite) and isinstance(h, finite):
         total = 0
         for u in f.terms:
             for v in h.terms:
-                total += _merge_count(u, v)
+                total += dualforms._merge_count(u, v)
                 if total > _WINDOW_CAP:
                     raise ParseError(
                         f"convolution of the finite supports merges {total} or more "
@@ -456,14 +450,15 @@ def _cmd_antipode(args):
 def _cmd_pair(args):
     (f,) = _series_args(args, 1)
     p = _load_poly(args, args.poly, f.alphabet)
-    return _out_rational(args, pair(f, p))
+    return _out_rational(args, _layer("dualforms").pair(f, p))
 
 
 def _cmd_conv(args):
     f, h = _series_args(args, 2)
     _preflight_conv(f, h)
-    result = convolve(f, h)
-    if isinstance(result, FiniteSupportSeries):
+    dualforms = _layer("dualforms")
+    result = dualforms.convolve(f, h)
+    if isinstance(result, dualforms.FiniteSupportSeries):
         return _out_terms(args, result.poly)
     return _out_json(result.rep.to_json_dict())
 
@@ -471,25 +466,35 @@ def _cmd_conv(args):
 def _cmd_tensor(args):
     r1, r2 = _rep_args(args, 2)
     _preflight_product("tensor product", r1.dim, r2.dim, r1.alphabet)
-    return _out_json(tensor_rep(r1, r2).to_json_dict())
+    return _out_json(_layer("rep").tensor_rep(r1, r2).to_json_dict())
 
 
 def _cmd_dsum(args):
     r1, r2 = _rep_args(args, 2)
-    return _out_json(direct_sum(r1, r2).to_json_dict())
+    return _out_json(_layer("rep").direct_sum(r1, r2).to_json_dict())
 
 
 def _cmd_eval(args):
     (r,) = _rep_args(args, 1)
     p = _load_poly(args, args.poly, r.alphabet)
-    return _out_matrix(args, eval_rep(r, p))
+    # a term of length n takes n - 1 products of d x d matrices and a scaled
+    # sum (the empty word an identity): max(n, 1) * d^2 entries, counted
+    # before any product
+    d = r.dim
+    count = sum(max(len(w), 1) for w in p.terms) * d * d
+    if count > _WINDOW_CAP:
+        raise ParseError(
+            f"eval of dimension {d} on {len(p.terms)} term(s) computes {count} "
+            f"matrix entries, which exceeds the cap of {_WINDOW_CAP} entries"
+        )
+    return _out_matrix(args, _layer("rep").eval_rep(r, p))
 
 
 def _cmd_hankel(args):
     (f,) = _series_args(args, 1)
     p, s = _window(args)
     _preflight_window(f.alphabet, p, s)
-    slice_ = hankel(f, p, s)
+    slice_ = _layer("sweedler").hankel(f, p, s)
     obj = {
         "rows": [str(w) for w in slice_.rows],
         "cols": [str(w) for w in slice_.cols],
@@ -502,7 +507,7 @@ def _cmd_rank(args):
     (f,) = _series_args(args, 1)
     p, s = _window(args)
     _preflight_window(f.alphabet, p, s, f)
-    r = hankel_rank(f, p, s)
+    r = _layer("sweedler").hankel_rank(f, p, s)
     return _finish(args, lambda: str(r), lambda: {"rank": r})
 
 
@@ -512,11 +517,13 @@ def _cmd_learn(args):
     if explore is None:
         raise ParseError("--explore L (nonnegative) is required")
     _preflight_window(f.alphabet, explore + 1, explore + 1, f)
+    sweedler = _layer("sweedler")
     # learn checks its model against the automaton of a support too long
     # for the window to certify it
-    if isinstance(f, FiniteSupportSeries) and not _window_holds_support(f, explore):
+    finite = isinstance(f, _layer("dualforms").FiniteSupportSeries)
+    if finite and not sweedler._window_holds_support(f, explore):
         _preflight_embed(f)
-    return _out_json(learn(f, explore).to_json_dict())
+    return _out_json(sweedler.learn(f, explore).to_json_dict())
 
 
 def _cmd_split(args):
@@ -529,7 +536,7 @@ def _cmd_split(args):
             f"split of dimension {d} over {k} letter(s) prints {count} "
             f"letter-matrix entries, which exceeds the cap of {_WINDOW_CAP} entries"
         )
-    pairs = split(_to_linrep(f))
+    pairs = _layer("sweedler").split(_layer("dualforms")._to_linrep(f))
     obj = {
         "pairs": [
             {"g": g.rep.to_json_dict(), "h": h.rep.to_json_dict()} for g, h in pairs
@@ -541,7 +548,8 @@ def _cmd_split(args):
 def _cmd_dualS(args):
     (f,) = _series_args(args, 1)
     _preflight_embed(f)
-    return _out_json(transpose_antipode(_to_linrep(f)).to_json_dict())
+    rep = _layer("dualforms")._to_linrep(f)
+    return _out_json(_layer("sweedler").transpose_antipode(rep).to_json_dict())
 
 
 def _run_check(args, name: str, alph: Alphabet, cases):
@@ -582,7 +590,9 @@ def _dual_assoc_cases(alph: Alphabet, maxlen: int):
     def trimmed(f: FiniteSupportSeries):
         return {w: c for w, c in f.terms.items() if len(w) <= maxlen}
 
-    indicators = [(w, FiniteSupportSeries.indicator(w)) for w in alph.words(2)]
+    dualforms = _layer("dualforms")
+    convolve, indicator = dualforms.convolve, dualforms.FiniteSupportSeries.indicator
+    indicators = [(w, indicator(w)) for w in alph.words(2)]
     for wu, fu in indicators:
         for wv, fv in indicators:
             uv = convolve(fu, fv)
@@ -593,23 +603,26 @@ def _dual_assoc_cases(alph: Alphabet, maxlen: int):
 
 
 def _conv_oracle_cases(alph: Alphabet, maxlen: int):
+    Matrix = _layer("linalg").Matrix
+    rep, dualforms, sweedler = _layer("rep"), _layer("dualforms"), _layer("sweedler")
+
     def geometric(c):
         mu = {l: Matrix([[c]]) for l in alph.letters}
-        return LinRep(alph, 1, Matrix.row_vector([1]), mu, Matrix.col_vector([1]))
+        return rep.LinRep(alph, 1, Matrix.row_vector([1]), mu, Matrix.col_vector([1]))
+
+    def indicator(w):
+        return dualforms.embed_finite(dualforms.FiniteSupportSeries.indicator(w))
 
     refs = [("geometric(2)", geometric(2)), ("geometric(3)", geometric(3))]
-    refs.append(
-        ("indicator(1)", embed_finite(FiniteSupportSeries.indicator(alph.unit_word())))
-    )
+    refs.append(("indicator(1)", indicator(alph.unit_word())))
     for letter in alph.sorted_letters:
-        w = Word(alph, letter.symbol)
-        refs.append((f"indicator({letter.symbol})", embed_finite(FiniteSupportSeries.indicator(w))))
+        refs.append((f"indicator({letter.symbol})", indicator(Word(alph, letter.symbol))))
 
-    tables = {name: behavior_table(rep, maxlen) for name, rep in refs}
+    tables = {name: sweedler.behavior_table(r, maxlen) for name, r in refs}
     words = list(alph.words(maxlen))
     for n1, r1 in refs:
         for n2, r2 in refs:
-            table = behavior_table(conv_rep(r1, r2), maxlen)
+            table = sweedler.behavior_table(rep.conv_rep(r1, r2), maxlen)
             t1, t2 = tables[n1], tables[n2]
             for w in words:
                 expected = sum(

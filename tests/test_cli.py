@@ -611,3 +611,39 @@ def test_oversized_tensor_product_is_refused_like_a_convolution(capsys, tmp_path
     out, err, code = _outcome(capsys, lambda: run(["tensor", "--rep", str(rep3), "--rep", str(rep4)]))
     assert code == 0, err
     assert json.loads(out)["dim"] == 12
+
+
+def test_eval_work_is_bounded(capsys, tmp_path):
+    # a term of length n multiplies n letter matrices of d^2 entries (the
+    # empty word builds the identity): sum max(n, 1) * d^2 entries, counted
+    # before any product
+    data = json.loads(_rep_json(64, "ab"))
+    rep64 = tmp_path / "rep64.json"
+    rep64.write_text(json.dumps({"alphabet": data["alphabet"], "dim": 64, "assign": data["mu"]}))
+    words = ["".join(t) for n in range(1, 11) for t in itertools.product("ab", repeat=n)]
+    big = tmp_path / "big.txt"
+    big.write_text(" + ".join(["1", *words]))
+    t0 = time.perf_counter()
+    out, err, code = _outcome(capsys, lambda: run(["eval", "--rep", str(rep64), str(big)]))
+    assert time.perf_counter() - t0 < 10
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "hopfwords: parse error: eval of dimension 64 on 2047 term(s) computes 75509760 "
+        "matrix entries, which exceeds the cap of 1048576 entries\n"
+    )
+    # one word of 16,384 letters on dimension 8 is the cap itself; a letter
+    # more is refused
+    data = json.loads(_rep_json(8, "a"))
+    rep8 = tmp_path / "rep8.json"
+    rep8.write_text(json.dumps({"alphabet": data["alphabet"], "dim": 8, "assign": data["mu"]}))
+    word = tmp_path / "word.txt"
+    word.write_text("a" * (1 << 14))
+    out, err, code = _outcome(capsys, lambda: run(["eval", "--rep", str(rep8), str(word)]))
+    assert code == 0, err
+    assert json.loads(out) == data["mu"]["a"]
+    word.write_text("a" * ((1 << 14) + 1))
+    out, err, code = _outcome(capsys, lambda: run(["eval", "--rep", str(rep8), str(word)]))
+    assert code == 1
+    assert out == ""
+    assert "eval of dimension 8 on 1 term(s) computes 1048640 matrix entries" in err

@@ -1,11 +1,21 @@
 """Module-graph guard: the package's modules import each other in one fixed
-order, only at module top level, and shared helpers are defined once."""
+order, only at module top level, and shared helpers are defined once. A
+layer loaded on first use is named by a string literal, in the export table
+of __init__ or in a call of cli's _layer helper; those targets follow the
+same order, and nothing else in the package uses __import__ or importlib,
+so no edge hides from the order check."""
 
 import ast
+import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from cli_cases import CASES, FIXTURES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hopfwords"
 
@@ -13,6 +23,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hopfwords"
 # points (__init__, __main__) may import anything and are imported by none
 ORDER = ["errors", "freealg", "linalg", "rep", "dualforms", "sweedler", "cli"]
 ENTRY_POINTS = {"__init__", "__main__"}
+# the one function per module that may call __import__: __init__ resolves
+# the names of its _EXPORTS table, cli loads the layer each _layer call names
+DEFERRAL_HELPERS = {"__init__": "__getattr__", "cli": "_layer"}
 
 
 def _trees():
@@ -38,6 +51,29 @@ def _package_targets(node):
     return [d.split(".")[1] for d in dotted if d.startswith("hopfwords.")]
 
 
+def _deferred_targets(name, tree):
+    """(line, target) for each layer a module loads on first use: the keys
+    of __init__'s _EXPORTS table, the arguments of cli's _layer calls."""
+    if name == "__init__":
+        (table,) = [
+            node.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_EXPORTS"]
+        ]
+        keys = table.keys
+    else:
+        keys = [
+            node.args[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_layer"
+        ]
+    for key in keys:
+        assert isinstance(key, ast.Constant) and isinstance(key.value, str), (
+            f"{name}.py line {key.lineno}: a deferred layer is named by a string literal"
+        )
+    return [(key.lineno, key.value) for key in keys]
+
+
 def test_every_module_has_a_place_in_the_order():
     assert set(_trees()) == set(ORDER) | ENTRY_POINTS
 
@@ -52,15 +88,35 @@ def test_imports_are_at_module_top_level():
 
 def test_import_edges_follow_the_module_order():
     for name, tree in _trees().items():
+        edges = [(node.lineno, target) for node in _imports(tree) for target in _package_targets(node)]
+        if name in DEFERRAL_HELPERS:
+            deferred = _deferred_targets(name, tree)
+            assert deferred, f"{name}.py names no deferred layer"
+            edges += deferred
+        for lineno, target in edges:
+            assert target not in ENTRY_POINTS, f"{name} imports {target}"
+            assert target in ORDER, f"{name}.py line {lineno} imports unknown module {target}"
+            if name in ENTRY_POINTS:
+                continue
+            assert ORDER.index(target) < ORDER.index(name), (
+                f"{name}.py line {lineno} imports {target}, "
+                f"which comes after it in {ORDER}"
+            )
+        # importlib, or __import__ anywhere else, would load a module that
+        # the edges above never list
         for node in _imports(tree):
-            for target in _package_targets(node):
-                assert target not in ENTRY_POINTS, f"{name} imports {target}"
-                if name in ENTRY_POINTS:
-                    continue
-                assert ORDER.index(target) < ORDER.index(name), (
-                    f"{name}.py line {node.lineno} imports {target}, "
-                    f"which comes after it in {ORDER}"
-                )
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            assert "importlib" not in {(m or "").split(".")[0] for m in modules}, (
+                f"{name}.py line {node.lineno} imports importlib"
+            )
+        for scope in tree.body:
+            helper = scope.name if isinstance(scope, ast.FunctionDef) else None
+            for node in ast.walk(scope):
+                used = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if used in ("__import__", "import_module"):
+                    assert helper is not None and helper == DEFERRAL_HELPERS.get(name), (
+                        f"{name}.py line {node.lineno}: {used} outside the deferral helper"
+                    )
 
 
 def test_same_alphabet_is_defined_once():
@@ -154,3 +210,112 @@ def test_importing_the_package_pulls_in_no_numeric_dependency():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# the layers a CLI run loads beyond hopfwords and hopfwords.cli: every
+# subcommand parses an alphabet (freealg); --help and usage errors load no more
+_FREEALG = {"errors", "freealg"}
+_REP = _FREEALG | {"linalg", "rep"}
+_DUAL = _REP | {"dualforms"}
+_ALL = _DUAL | {"sweedler"}
+LAYERS_BY_SUBCOMMAND = {
+    "coprod": _FREEALG,
+    "mul": _FREEALG,
+    "counit": _FREEALG,
+    "antipode": _FREEALG,
+    "check-coassoc": _FREEALG,
+    "check-antipode": _FREEALG,
+    "tensor": _REP,
+    "dsum": _REP,
+    "eval": _REP,
+    "pair": _DUAL,
+    "conv": _DUAL,
+    "check-dual-assoc": _DUAL,
+    "hankel": _ALL,
+    "rank": _ALL,
+    "learn": _ALL,
+    "split": _ALL,
+    "dualS": _ALL,
+    "check-conv-oracle": _ALL,
+}
+_LOADED_PROBE = (
+    "import sys, hopfwords.cli\n"
+    "try:\n"
+    "    code = hopfwords.cli.run(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "print()\n"
+    "print(code, *sorted(m for m in sys.modules if m.partition('.')[0] == 'hopfwords'))\n"
+)
+
+
+def _probe(code, *args):
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=FIXTURES, env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_every_subcommand_has_its_layer_set():
+    from hopfwords.cli import _COMMANDS
+
+    assert set(LAYERS_BY_SUBCOMMAND) == set(_COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [pytest.param(args, id=name) for name, args in CASES]
+    + [pytest.param([command, "--help"], id=f"{command}-help") for command in LAYERS_BY_SUBCOMMAND],
+)
+def test_a_cli_run_loads_only_the_layers_its_subcommand_calls(argv):
+    layers = _FREEALG if argv[-1] == "--help" else LAYERS_BY_SUBCOMMAND[argv[0]]
+    code, *loaded = _probe(_LOADED_PROBE, *argv).split()
+    assert code == "0"
+    assert set(loaded) == {"hopfwords", "hopfwords.cli"} | {f"hopfwords.{layer}" for layer in layers}
+
+
+# today's public names by defining module; __all__ lists them sorted
+PUBLIC = {
+    "errors": "DomainError HopfwordsError InconclusiveError InternalInvariantError ParseError",
+    "freealg": "Alphabet Letter LetterKind NCPoly Tensor2 Tensor3 Word antipode coassoc_lhs coassoc_rhs "
+    "conc coproduct coproduct_word counit poly_mul splittings tensor2_mul",
+    "linalg": "Matrix",
+    "rep": "LinRep MatRep conv_rep direct_sum dual_action eval_rep eval_word pairing_invariance_check "
+    "rep_sum scale_rep tensor_rep trivial_rep zero_rep",
+    "dualforms": "FiniteSupportSeries RecognizableSeries Series coefficients_agree convolve dual_unit "
+    "embed_finite pair",
+    "sweedler": "HankelSlice behavior_table dual_counit hankel hankel_rank learn reps_equal shift_left "
+    "shift_right split transpose_antipode",
+}
+
+
+def test_the_public_api_is_unchanged_by_loading_on_first_use():
+    import hopfwords
+
+    names = sorted(name for names in PUBLIC.values() for name in names.split())
+    assert len(names) == 55
+    assert hopfwords.__all__ == names
+    for layer, defined in PUBLIC.items():
+        module = importlib.import_module(f"hopfwords.{layer}")
+        assert getattr(hopfwords, layer) is module
+        for name in defined.split():
+            assert getattr(hopfwords, name) is vars(module)[name]
+    star: dict = {}
+    exec("from hopfwords import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == names
+    assert not hasattr(hopfwords, "nope")
+    assert set(names) | set(PUBLIC) <= set(dir(hopfwords))
+    alphabet = hopfwords.Alphabet.from_decl("a:L,g:G")
+    for value in (hopfwords.Word(alphabet, "ga"), hopfwords.NCPoly.from_text(alphabet, "3*ga - 1/2")):
+        assert pickle.loads(pickle.dumps(value)) == value
+    # a fresh process: the package alone loads no layer, a name loads its
+    # defining layer and what that imports, a layer name loads the layer
+    probe = (
+        "import sys, hopfwords\n"
+        "loaded = lambda: [m for m in sorted(sys.modules) if m.startswith('hopfwords.')]\n"
+        "first = loaded(); hopfwords.Matrix; second = loaded()\n"
+        "print(first, second, hopfwords.sweedler is sys.modules['hopfwords.sweedler'], len(loaded()))\n"
+    )
+    assert _probe(probe) == "[] ['hopfwords.errors', 'hopfwords.linalg'] True 6"
