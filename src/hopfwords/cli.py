@@ -52,8 +52,8 @@ _MAXLEN_CAP = 7
 # entries of the automaton of a finite-support operand (split, dualS, conv),
 # of a convolution's or a tensor product's representation and of split's
 # output, most merged words of a convolution of two finite supports, and
-# most matrix entries eval computes, checked before any word is enumerated
-# or any matrix built
+# most multiply-adds eval's matrix products and sum take, checked before any
+# word is enumerated or any matrix built
 _WINDOW_CAP = 1 << 20
 # most characters of the words a Hankel window lists: above the most of any
 # window over two or more letters within _WINDOW_CAP entries (18,874,370, a
@@ -62,13 +62,11 @@ _WORD_CHARS_CAP = 20 * _WINDOW_CAP
 
 
 def _layer(name: str):
-    """The layer module hopfwords.<name>, imported on first use: every
-    subcommand parses an alphabet through freealg, and a run loads only the
-    further layers (linalg, rep, dualforms, sweedler) its subcommand calls.
-    __import__ is the import statement's own machinery, so -X importtime
-    lists the layer."""
-    __import__(f"{__package__}.{name}")
-    return sys.modules[f"{__package__}.{name}"]
+    """The layer module hopfwords.<name>, imported on first use by the
+    package's __getattr__: every subcommand parses an alphabet through
+    freealg, and a run loads only the further layers (linalg, rep,
+    dualforms, sweedler) its subcommand calls."""
+    return getattr(sys.modules[__package__], name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -477,15 +475,15 @@ def _cmd_dsum(args):
 def _cmd_eval(args):
     (r,) = _rep_args(args, 1)
     p = _load_poly(args, args.poly, r.alphabet)
-    # a term of length n takes n - 1 products of d x d matrices and a scaled
-    # sum (the empty word an identity): max(n, 1) * d^2 entries, counted
-    # before any product
+    # a term of length n takes n - 1 products of d x d matrices, d^3
+    # multiply-adds each, and a scaled sum of d^2 (the empty word an
+    # identity), counted before any product
     d = r.dim
-    count = sum(max(len(w), 1) for w in p.terms) * d * d
+    count = sum(max(len(w) - 1, 0) * d**3 + d * d for w in p.terms)
     if count > _WINDOW_CAP:
         raise ParseError(
-            f"eval of dimension {d} on {len(p.terms)} term(s) computes {count} "
-            f"matrix entries, which exceeds the cap of {_WINDOW_CAP} entries"
+            f"eval of dimension {d} on {len(p.terms)} term(s) takes {count} "
+            f"multiply-adds, which exceeds the cap of {_WINDOW_CAP}"
         )
     return _out_matrix(args, _layer("rep").eval_rep(r, p))
 

@@ -614,9 +614,9 @@ def test_oversized_tensor_product_is_refused_like_a_convolution(capsys, tmp_path
 
 
 def test_eval_work_is_bounded(capsys, tmp_path):
-    # a term of length n multiplies n letter matrices of d^2 entries (the
-    # empty word builds the identity): sum max(n, 1) * d^2 entries, counted
-    # before any product
+    # a term of length n takes n - 1 products of d x d matrices, d^3
+    # multiply-adds each, and a scaled sum of d^2 (the empty word builds the
+    # identity): sum (max(n - 1, 0) * d^3 + d^2), counted before any product
     data = json.loads(_rep_json(64, "ab"))
     rep64 = tmp_path / "rep64.json"
     rep64.write_text(json.dumps({"alphabet": data["alphabet"], "dim": 64, "assign": data["mu"]}))
@@ -629,21 +629,35 @@ def test_eval_work_is_bounded(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == (
-        "hopfwords: parse error: eval of dimension 64 on 2047 term(s) computes 75509760 "
-        "matrix entries, which exceeds the cap of 1048576 entries\n"
+        "hopfwords: parse error: eval of dimension 64 on 2047 term(s) takes 4304400384 "
+        "multiply-adds, which exceeds the cap of 1048576\n"
     )
-    # one word of 16,384 letters on dimension 8 is the cap itself; a letter
-    # more is refused
-    data = json.loads(_rep_json(8, "a"))
-    rep8 = tmp_path / "rep8.json"
-    rep8.write_text(json.dumps({"alphabet": data["alphabet"], "dim": 8, "assign": data["mu"]}))
-    word = tmp_path / "word.txt"
-    word.write_text("a" * (1 << 14))
-    out, err, code = _outcome(capsys, lambda: run(["eval", "--rep", str(rep8), str(word)]))
-    assert code == 0, err
-    assert json.loads(out) == data["mu"]["a"]
-    word.write_text("a" * ((1 << 14) + 1))
-    out, err, code = _outcome(capsys, lambda: run(["eval", "--rep", str(rep8), str(word)]))
+    # high dimension, short word: one product of two dim-128 letters is
+    # 128^3 multiply-adds, refused before it is taken
+    data = json.loads(_rep_json(128, "ab"))
+    rep128 = tmp_path / "rep128.json"
+    rep128.write_text(json.dumps({"alphabet": data["alphabet"], "dim": 128, "assign": data["mu"]}))
+    t0 = time.perf_counter()
+    out, err, code = _outcome(capsys, lambda: run(["eval", "--rep", str(rep128), "--alphabet", "a:L,b:L", "ab"]))
+    assert time.perf_counter() - t0 < 10
     assert code == 1
     assert out == ""
-    assert "eval of dimension 8 on 1 term(s) computes 1048640 matrix entries" in err
+    assert err == (
+        "hopfwords: parse error: eval of dimension 128 on 1 term(s) takes 2113536 "
+        "multiply-adds, which exceeds the cap of 1048576\n"
+    )
+    # on dimension 4, 1 + a + b + a^16384 is the cap itself: 16383 products
+    # of 64 multiply-adds and four sums of 16; a letter more is refused
+    data = json.loads(_rep_json(4, "ab"))
+    rep4 = tmp_path / "rep4.json"
+    rep4.write_text(json.dumps({"alphabet": data["alphabet"], "dim": 4, "assign": data["mu"]}))
+    poly = tmp_path / "poly.txt"
+    poly.write_text("1 + a + b + " + "a" * (1 << 14))
+    out, err, code = _outcome(capsys, lambda: run(["eval", "--rep", str(rep4), str(poly)]))
+    assert code == 0, err
+    assert json.loads(out) == [["4" if i == j else "0" for j in range(4)] for i in range(4)]
+    poly.write_text("1 + a + b + " + "a" * ((1 << 14) + 1))
+    out, err, code = _outcome(capsys, lambda: run(["eval", "--rep", str(rep4), str(poly)]))
+    assert code == 1
+    assert out == ""
+    assert "eval of dimension 4 on 4 term(s) takes 1048640 multiply-adds" in err

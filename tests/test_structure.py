@@ -2,8 +2,9 @@
 order, only at module top level, and shared helpers are defined once. A
 layer loaded on first use is named by a string literal, in the export table
 of __init__ or in a call of cli's _layer helper; those targets follow the
-same order, and nothing else in the package uses __import__ or importlib,
-so no edge hides from the order check."""
+same order. The package's __getattr__ is the one place that calls
+__import__, and no module uses importlib, so no edge hides from the order
+check."""
 
 import ast
 import importlib
@@ -23,9 +24,11 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "hopfwords"
 # points (__init__, __main__) may import anything and are imported by none
 ORDER = ["errors", "freealg", "linalg", "rep", "dualforms", "sweedler", "cli"]
 ENTRY_POINTS = {"__init__", "__main__"}
-# the one function per module that may call __import__: __init__ resolves
-# the names of its _EXPORTS table, cli loads the layer each _layer call names
-DEFERRAL_HELPERS = {"__init__": "__getattr__", "cli": "_layer"}
+# the one function that may call __import__: __init__ resolves the names of
+# its _EXPORTS table; cli's _layer reaches a layer through it
+DEFERRAL_HELPERS = {"__init__": "__getattr__"}
+# the modules that name a layer loaded on first use
+DEFERRING = ("__init__", "cli")
 
 
 def _trees():
@@ -89,7 +92,7 @@ def test_imports_are_at_module_top_level():
 def test_import_edges_follow_the_module_order():
     for name, tree in _trees().items():
         edges = [(node.lineno, target) for node in _imports(tree) for target in _package_targets(node)]
-        if name in DEFERRAL_HELPERS:
+        if name in DEFERRING:
             deferred = _deferred_targets(name, tree)
             assert deferred, f"{name}.py names no deferred layer"
             edges += deferred
@@ -200,9 +203,11 @@ def test_importing_the_package_pulls_in_no_numeric_dependency():
     # the library promises zero dependencies: numpy and sympy may be
     # installed, but importing hopfwords or its CLI must not load them;
     # nor dataclasses and inspect, which cost every CLI run about 10 ms
+    # every layer is imported by name, since the package and its CLI load
+    # layers on first use
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     probe = (
-        "import sys, hopfwords, hopfwords.cli; print(sorted(m for m in "
+        f"import sys, hopfwords, {', '.join(f'hopfwords.{m}' for m in ORDER)}; print(sorted(m for m in "
         "('numpy', 'sympy', 'dataclasses', 'inspect') if m in sys.modules))"
     )
     proc = subprocess.run(
