@@ -118,7 +118,7 @@ def _operand(arg: str, parse):
     an existing file is the file read instead, so a file never shadows valid
     inline text (a path such as ./ab is never inline)."""
     try:
-        if len(arg.encode()) >= _INLINE_LIMIT:
+        if len(os.fsencode(arg)) >= _INLINE_LIMIT:
             raise ParseError("inline operand is 1024 bytes or larger; pass it as a file path")
         return parse(arg.strip())
     except ParseError:
@@ -234,6 +234,13 @@ def _word_chars(nletters: int, maxlen: int) -> int:
     return sum(i * nletters**i for i in range(maxlen + 1))
 
 
+def _refuse(count: int, what: str, unit: str = "entries", cap: int = _WINDOW_CAP):
+    """Refuse a step of size count over cap before any of it is built:
+    '<what> exceeds the cap of <cap> <unit>'."""
+    if count > cap:
+        raise ParseError(f"{what} exceeds the cap of {cap} {unit}".rstrip())
+
+
 def _preflight_window(alphabet: Alphabet, p: int, s: int, f: Series | None = None):
     """Refuse a (p, s) Hankel window with a side of more than _WINDOW_CAP
     words, or with more than _WINDOW_CAP entries filled. hankel fills the
@@ -242,59 +249,36 @@ def _preflight_window(alphabet: Alphabet, p: int, s: int, f: Series | None = Non
     a representation, and for a finite support the empty suffix plus every
     suffix of a support word of length <= s. A representation's rows are at
     most its 1 + dim*|A| basis words and their one-letter extensions, each
-    at most min(p, dim) letters long. Then refuse a window whose words,
-    every row word and for hankel every column word, have more than
-    _WORD_CHARS_CAP characters in all: over one letter a side of 2^20 words
-    lists words up to 2^20 letters long."""
+    at most min(p, dim) letters long. Then refuse a window whose words have
+    more than _WORD_CHARS_CAP characters in all: every row word, and every
+    column word of hankel or spanning suffix of a finite support. Over one
+    letter a side of 2^20 words lists words up to 2^20 letters long."""
     dualforms = _layer("dualforms")
     n = len(alphabet.letters)
     rows, cols = _window_side(n, p), _window_side(n, s)
     where = f"prefixes <= {p}, suffixes <= {s} over {n} letter(s)"
     shape = " x ".join(f">{_WINDOW_CAP}" if k > _WINDOW_CAP else str(k) for k in (rows, cols))
+    window = f"Hankel window of {shape} words ({where})"
     chars = None
     if isinstance(f, dualforms.RecognizableSeries):
         cols = min(f.rep.dim, cols)
         if rows > 1 + f.rep.dim * n:
             rows = 1 + f.rep.dim * n
             chars = rows * min(p, f.rep.dim)
-    if rows * cols > _WINDOW_CAP:
-        window = f"Hankel window of {shape} words ({where})"
-        if f is None or rows > _WINDOW_CAP or cols > _WINDOW_CAP:
-            raise ParseError(f"{window} exceeds the cap of {_WINDOW_CAP} entries")
-        k = _suffix_states(f, s) if isinstance(f, dualforms.FiniteSupportSeries) else cols
-        if rows * k > _WINDOW_CAP:
-            raise ParseError(
-                f"{window} on {k} spanning column(s) fills {rows * k} entries, "
-                f"which exceeds the cap of {_WINDOW_CAP} entries"
-            )
+    if f is None or rows > _WINDOW_CAP or cols > _WINDOW_CAP:
+        # a side over the cap refuses any operand, so only hankel gets past
+        _refuse(rows * cols, window)
+        col_chars = _word_chars(n, s)
+    else:
+        col_chars = 0
+        if isinstance(f, dualforms.FiniteSupportSeries):
+            trie = dualforms._suffix_trie((w.symbols() for w in f.terms), s)
+            cols, col_chars = len(trie), sum(depth for _, _, depth in trie)
+        _refuse(rows * cols, f"{window} on {cols} spanning column(s) fills {rows * cols} entries, which")
     if chars is None:
-        chars = _word_chars(n, p) + (_word_chars(n, s) if f is None else 0)
-    if chars > _WORD_CHARS_CAP:
-        raise ParseError(
-            f"Hankel window ({where}) lists words of {chars} characters, "
-            f"which exceeds the cap of {_WORD_CHARS_CAP} characters"
-        )
-
-
-def _suffix_states(f: FiniteSupportSeries, max_len: int | None = None) -> int:
-    """Number of distinct suffixes of the support words, the empty word
-    included (the states of embed_finite), or only of those of length <=
-    max_len. Counted as the nodes of the trie of the reversed words, in the
-    support's total length."""
-    root: dict = {}
-    n = 1
-    for w in f.terms:
-        node = root
-        text = w.symbols()
-        if max_len is not None:
-            text = text[max(0, len(text) - max_len) :]
-        for ch in reversed(text):
-            child = node.get(ch)
-            if child is None:
-                child = node[ch] = {}
-                n += 1
-            node = child
-    return n
+        chars = _word_chars(n, p) + col_chars
+    what = f"Hankel window ({where}) lists words of {chars} characters, which"
+    _refuse(chars, what, "characters", _WORD_CHARS_CAP)
 
 
 def _preflight_embed(f: Series) -> int:
@@ -302,14 +286,12 @@ def _preflight_embed(f: Series) -> int:
     more than _WINDOW_CAP letter-matrix entries: n^2 per letter for n
     states. Returns the dimension of the operand's representation: n, or
     the dimension of a recognizable operand, which passes."""
-    if not isinstance(f, _layer("dualforms").FiniteSupportSeries):
+    dualforms = _layer("dualforms")
+    if not isinstance(f, dualforms.FiniteSupportSeries):
         return f.rep.dim
-    n, k = _suffix_states(f), len(f.alphabet.letters)
-    if n * n * k > _WINDOW_CAP:
-        raise ParseError(
-            f"automaton of {n} states over {k} letter(s) has {n * n * k} letter-matrix "
-            f"entries, which exceeds the cap of {_WINDOW_CAP} entries"
-        )
+    n, k = len(dualforms._suffix_trie(w.symbols() for w in f.terms)), len(f.alphabet.letters)
+    entries = n * n * k
+    _refuse(entries, f"automaton of {n} states over {k} letter(s) has {entries} letter-matrix entries, which")
     return n
 
 
@@ -321,14 +303,11 @@ def _preflight_conv(f: Series, h: Series):
     finite = dualforms.FiniteSupportSeries
     if isinstance(f, finite) and isinstance(h, finite):
         total = 0
-        for u in f.terms:
-            for v in h.terms:
-                total += dualforms._merge_count(u, v)
-                if total > _WINDOW_CAP:
-                    raise ParseError(
-                        f"convolution of the finite supports merges {total} or more "
-                        f"words, which exceeds the cap of {_WINDOW_CAP} words"
-                    )
+        for u, v in ((u, v) for u in f.terms for v in h.terms):
+            total += dualforms._merge_count(u, v)
+            if total > _WINDOW_CAP:
+                break
+        _refuse(total, f"convolution of the finite supports merges {total} or more words, which", "words")
         return
     _preflight_product("convolution", _preflight_embed(f), _preflight_embed(h), f.alphabet)
 
@@ -337,11 +316,9 @@ def _preflight_product(what: str, d1: int, d2: int, alphabet: Alphabet):
     """Refuse a product representation of dimension d1*d2 (a convolution or
     a tensor product) with more than _WINDOW_CAP letter-matrix entries."""
     d, k = d1 * d2, len(alphabet.letters)
-    if d * d * k > _WINDOW_CAP:
-        raise ParseError(
-            f"{what} of dimension {d1} x {d2} = {d} over {k} letter(s) has "
-            f"{d * d * k} letter-matrix entries, which exceeds the cap of {_WINDOW_CAP} entries"
-        )
+    entries = d * d * k
+    what = f"{what} of dimension {d1} x {d2} = {d} over {k} letter(s) has {entries} letter-matrix entries, which"
+    _refuse(entries, what)
 
 
 def _maxlen(args) -> int:
@@ -357,11 +334,11 @@ def _maxlen(args) -> int:
 # output formatting
 
 
-def _finish(args, text, json_obj) -> tuple[str, int]:
+def _finish(args, text, json_obj, code: int = EXIT_OK) -> tuple[str, int]:
     """The rendering --format asks for, text() or json_obj() as JSON; both
     are callables, so the other rendering is never built."""
     body = json.dumps(json_obj()) if args.format == "json" else text()
-    return body + "\n", EXIT_OK
+    return body + "\n", code
 
 
 def _out_json(obj) -> tuple[str, int]:
@@ -392,22 +369,15 @@ def _out_matrix(args, m: Matrix):
 
 
 def _out_check(args, name: str, maxlen: int, checked: int, counterexample=None):
-    status = "OK" if counterexample is None else "FAIL"
-    obj = {
-        "check": name,
-        "maxlen": maxlen,
-        "status": status,
-        "checked": checked,
-        "counterexample": None if counterexample is None else str(counterexample),
-    }
     if counterexample is None:
-        text = f"{name}: OK ({checked} checks, maxlen={maxlen})"
-        code = EXIT_OK
+        status, code, text = "OK", EXIT_OK, f"{name}: OK ({checked} checks, maxlen={maxlen})"
     else:
+        status, code = "FAIL", EXIT_COUNTEREXAMPLE
         text = f"{name}: FAIL at {counterexample} ({checked} checks passed, maxlen={maxlen})"
-        code = EXIT_COUNTEREXAMPLE
-    body = json.dumps(obj) + "\n" if args.format == "json" else text + "\n"
-    return body, code
+        counterexample = str(counterexample)
+    obj = {"check": name, "maxlen": maxlen, "status": status, "checked": checked,
+           "counterexample": counterexample}
+    return _finish(args, lambda: text, lambda: obj, code)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +388,7 @@ def _cmd_coprod(args):
     p = _load_poly(args, args.poly)
     # a word with k primitive letters splits 2^k ways; counted, not enumerated
     count = sum(1 << sum(not l.group_like for l in w.letters) for w in p.terms)
-    if count > _WINDOW_CAP:
-        raise ParseError(
-            f"coproduct of {count} terms before merging exceeds the cap of {_WINDOW_CAP} terms"
-        )
+    _refuse(count, f"coproduct of {count} terms before merging", "terms")
     return _out_terms(args, coproduct(p))
 
 
@@ -430,10 +397,7 @@ def _cmd_mul(args):
     p = _load_poly(args, args.poly, alph)
     q = _load_poly(args, args.poly2, alph)
     count = len(p.terms) * len(q.terms)
-    if count > _WINDOW_CAP:
-        raise ParseError(
-            f"product of {count} terms before merging exceeds the cap of {_WINDOW_CAP} terms"
-        )
+    _refuse(count, f"product of {count} terms before merging", "terms")
     return _out_terms(args, poly_mul(p, q))
 
 
@@ -480,11 +444,7 @@ def _cmd_eval(args):
     # identity), counted before any product
     d = r.dim
     count = sum(max(len(w) - 1, 0) * d**3 + d * d for w in p.terms)
-    if count > _WINDOW_CAP:
-        raise ParseError(
-            f"eval of dimension {d} on {len(p.terms)} term(s) takes {count} "
-            f"multiply-adds, which exceeds the cap of {_WINDOW_CAP}"
-        )
+    _refuse(count, f"eval of dimension {d} on {len(p.terms)} term(s) takes {count} multiply-adds, which", "")
     return _out_matrix(args, _layer("rep").eval_rep(r, p))
 
 
@@ -529,11 +489,7 @@ def _cmd_split(args):
     d, k = _preflight_embed(f), len(f.alphabet.letters)
     # d pairs of two representations with d^2 entries per letter each
     count = 2 * d**3 * k
-    if count > _WINDOW_CAP:
-        raise ParseError(
-            f"split of dimension {d} over {k} letter(s) prints {count} "
-            f"letter-matrix entries, which exceeds the cap of {_WINDOW_CAP} entries"
-        )
+    _refuse(count, f"split of dimension {d} over {k} letter(s) prints {count} letter-matrix entries, which")
     pairs = _layer("sweedler").split(_layer("dualforms")._to_linrep(f))
     obj = {
         "pairs": [

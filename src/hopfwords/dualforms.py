@@ -242,13 +242,35 @@ def embed_finite(f: FiniteSupportSeries) -> LinRep:
     return LinRep(alph, n, lam, mu, gamma)
 
 
-def _suffix_closure(texts, max_len: int | None = None) -> list[str]:
-    """The empty string and every suffix of the symbol strings `texts`, or
-    only those of length <= max_len, in shortlex order."""
-    suffixes = {""}
+def _suffix_trie(texts, max_len: int | None = None) -> list[tuple[int, str, int]]:
+    """The trie of the reversed symbol strings `texts`, cut at depth
+    max_len: one node (parent, letter, depth) per distinct suffix of length
+    depth <= max_len, the empty suffix first. A node's suffix is its letter
+    followed by the suffix of its parent, an earlier node. Built in the
+    strings' total length without slicing a suffix, so its node count (the
+    states of embed_finite) and depth sum (their characters) are known
+    before any suffix is listed."""
+    nodes = [(0, "", 0)]
+    kids: dict[tuple[int, str], int] = {}
     for text in texts:
-        cut = 0 if max_len is None else max(0, len(text) - max_len)
-        suffixes.update(text[k:] for k in range(cut, len(text)))
+        node = depth = 0
+        for ch in reversed(text):
+            if depth == max_len:
+                break
+            depth += 1
+            child = kids.get((node, ch))
+            if child is None:
+                child = kids[node, ch] = len(nodes)
+                nodes.append((node, ch, depth))
+            node = child
+    return nodes
+
+
+def _suffix_closure(texts, max_len: int | None = None) -> list[str]:
+    """The suffixes of _suffix_trie(texts, max_len), in shortlex order."""
+    suffixes = [""]
+    for parent, letter, _ in _suffix_trie(texts, max_len)[1:]:
+        suffixes.append(letter + suffixes[parent])
     return sorted(suffixes, key=lambda text: (len(text), text))
 
 

@@ -117,7 +117,6 @@ class Alphabet(_Frozen):
         "sorted_letters",
         "group_like",
         "group_like_symbols",
-        "primitive",
         "has_group_like",
         "_hash",
     )
@@ -137,7 +136,6 @@ class Alphabet(_Frozen):
         _set(self, "sorted_letters", tuple(sorted(letters, key=lambda l: l.symbol)))
         _set(self, "group_like", group_like)
         _set(self, "group_like_symbols", frozenset(l.symbol for l in group_like))
-        _set(self, "primitive", tuple(l for l in letters if not l.group_like))
         _set(self, "has_group_like", bool(group_like))
         _set(self, "_hash", hash(letters))
 

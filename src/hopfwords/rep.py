@@ -61,9 +61,6 @@ class MatRep:
         self.dim = dim
         self.assign = dict(assign)
 
-    def matrix(self, letter: Letter) -> Matrix:
-        return self.assign[letter]
-
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)

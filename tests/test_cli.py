@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 import random
 import time
 
@@ -7,7 +8,8 @@ import pytest
 
 from cli_cases import CASES, FIXTURES, GOLDEN, regen_requested, run_cli
 from hopfwords import Alphabet, FiniteSupportSeries, LinRep, NCPoly, RecognizableSeries, Tensor2
-from hopfwords.cli import _COMMANDS, _preflight_window, _suffix_states, build_parser, run
+from hopfwords.cli import _COMMANDS, _preflight_window, build_parser, run
+from hopfwords.dualforms import _suffix_trie
 from hopfwords.errors import ParseError
 
 
@@ -262,6 +264,83 @@ def _outcome(capsys, call):
     return out, err, code
 
 
+def _mat_json(dim: int, letters: str) -> str:
+    """The letters of _rep_json as a matrix representation."""
+    data = json.loads(_rep_json(dim, letters))
+    return json.dumps({"alphabet": data["alphabet"], "dim": dim, "assign": data["mu"]})
+
+
+# each size bound of the CLI once: (argv, operand files, the whole stderr)
+REFUSALS = {
+    "coprod": (
+        ["coprod", "--alphabet", "a:L,b:L,g:G", "ab" * 20 + "g"],
+        {},
+        "coproduct of 1099511627776 terms before merging exceeds the cap of 1048576 terms",
+    ),
+    "mul": (
+        ["mul", "--alphabet", "a:L", "p.txt", "p.txt"],
+        {"p.txt": " + ".join(["1", *("a" * k for k in range(1, 1025))])},
+        "product of 1050625 terms before merging exceeds the cap of 1048576 terms",
+    ),
+    "eval": (
+        ["eval", "--rep", "rep.json", "--alphabet", "a:L,b:L", "ab"],
+        {"rep.json": _mat_json(128, "ab")},
+        "eval of dimension 128 on 1 term(s) takes 2113536 multiply-adds, which exceeds the cap of 1048576",
+    ),
+    "split": (
+        ["split", "--series", "rep.json"],
+        {"rep.json": _rep_json(65, "ab")},
+        "split of dimension 65 over 2 letter(s) prints 1098500 letter-matrix entries, "
+        "which exceeds the cap of 1048576 entries",
+    ),
+    "automaton": (
+        ["dualS", "--alphabet", "a:L", "--series", "f.txt"],
+        {"f.txt": "a" * 1024},
+        "automaton of 1025 states over 1 letter(s) has 1050625 letter-matrix entries, "
+        "which exceeds the cap of 1048576 entries",
+    ),
+    "product": (
+        ["tensor", "--rep", "rep.json", "--rep", "rep.json"],
+        {"rep.json": _mat_json(25, "abg")},
+        "tensor product of dimension 25 x 25 = 625 over 3 letter(s) has 1171875 letter-matrix "
+        "entries, which exceeds the cap of 1048576 entries",
+    ),
+    "finite-conv": (
+        ["conv", "--alphabet", "a:L,b:L", "--series", "a" * 20, "--series", "b" * 20],
+        {},
+        "convolution of the finite supports merges 137846528820 or more words, "
+        "which exceeds the cap of 1048576 words",
+    ),
+    "window-shape": (
+        ["rank", "--alphabet", "a:L,b:L", "--hankel", "20,20", "--series", "a"],
+        {},
+        "Hankel window of >1048576 x >1048576 words (prefixes <= 20, suffixes <= 20 over 2 letter(s)) "
+        "exceeds the cap of 1048576 entries",
+    ),
+    "window-columns": (
+        ["rank", "--alphabet", "a:L", "--hankel", "2000,2000", "--series", "a" * 600],
+        {},
+        "Hankel window of 2001 x 2001 words (prefixes <= 2000, suffixes <= 2000 over 1 letter(s)) "
+        "on 601 spanning column(s) fills 1202601 entries, which exceeds the cap of 1048576 entries",
+    ),
+    "window-chars": (
+        ["hankel", "--alphabet", "a:L", "--hankel", "0,1048575", "--series", "a"],
+        {},
+        "Hankel window (prefixes <= 0, suffixes <= 1048575 over 1 letter(s)) lists words of "
+        "549755289600 characters, which exceeds the cap of 20971520 characters",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, files, message", REFUSALS.values(), ids=REFUSALS)
+def test_each_size_bound_refuses_with_its_exact_message(capsys, tmp_path, monkeypatch, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    out, err, code = _outcome(capsys, lambda: run(list(argv)))
+    assert (code, out, err) == (1, "", f"hopfwords: parse error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--help"], ["coprod", "--help"], ["frobnicate"], ["coprod", "--alphabet", "a:L"], []],
@@ -433,7 +512,7 @@ def test_learn_checks_a_large_support_against_its_automaton():
     """40 words of length 12, a 319-state automaton: the (4, 4) window sees
     none of them, so the zero model is checked with reps_equal and refused."""
     f = FiniteSupportSeries.from_text(Alphabet.from_decl("a:L,b:L"), (FIXTURES / "words40.txt").read_text().strip())
-    assert _suffix_states(f) == 319
+    assert len(_suffix_trie(w.symbols() for w in f.terms)) == 319
     proc = run_cli(["learn", "--explore", "3", "--alphabet", "a:L,b:L", "--series", "words40.txt"])
     assert proc.returncode == 3
     assert proc.stdout == b""
@@ -466,6 +545,26 @@ def test_window_preflight_counts_the_characters_of_the_words_it_lists():
     ab = Alphabet.from_decl("a:L,b:L")
     _preflight_window(ab, 19, 0)
     _preflight_window(ab, 0, 19)
+
+
+def test_window_preflight_counts_the_characters_of_the_spanning_suffixes(capsys, tmp_path):
+    # rank keeps every suffix of a^20000 of length <= s as a column: s(s+1)/2
+    # characters, counted from the suffix trie before any suffix is built
+    (tmp_path / "long.txt").write_text("a" * 20000)
+    argv = ["rank", "--alphabet", "a:L", "--series", str(tmp_path / "long.txt"), "--hankel"]
+    t0 = time.perf_counter()
+    out, err, code = _outcome(capsys, lambda: run([*argv, "0,20000"]))
+    assert time.perf_counter() - t0 < 10
+    assert (code, out) == (1, "")
+    assert err == (
+        "hopfwords: parse error: Hankel window (prefixes <= 0, suffixes <= 20000 over 1 letter(s)) "
+        "lists words of 200010000 characters, which exceeds the cap of 20971520 characters\n"
+    )
+    out, err, code = _outcome(capsys, lambda: run([*argv, "0,6476"]))
+    assert (code, out) == (1, "")
+    assert "lists words of 20972526 characters" in err
+    out, err, code = _outcome(capsys, lambda: run([*argv, "0,6475"]))
+    assert (code, out, err) == (0, "0\n", "")
 
 
 def test_window_of_long_one_letter_words_is_refused_before_enumeration():
@@ -534,6 +633,22 @@ def test_operand_file_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
             f"hopfwords: parse error: operand file {str(path)!r} is not UTF-8: "
             f"invalid byte at offset {offset}\n"
         )
+
+
+def test_operand_that_is_not_utf8_is_a_parse_error(tmp_path):
+    # an argv byte that is not UTF-8 reaches the CLI as a surrogate escape:
+    # it fails to parse like any other text, or names a file that is read
+    for argv, message in (
+        ([b"coprod", b"--alphabet", b"a:L", b"\xff"], b"expected a term at position 0 in '\\udcff'"),
+        ([b"pair", b"--series", b"\xff", b"a"], b"--alphabet is required for text operands"),
+    ):
+        proc = run_cli(argv)
+        assert (proc.returncode, proc.stdout) == (1, b"")
+        assert proc.stderr == b"hopfwords: parse error: " + message + b"\n"
+    (tmp_path / os.fsdecode(b"ab\xff")).write_text("ab")
+    proc = run_cli([b"coprod", b"--alphabet", b"a:L,b:L", b"ab\xff"], cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == run_cli(["coprod", "--alphabet", "a:L,b:L", "ab"]).stdout
 
 
 def test_split_output_is_bounded(capsys, tmp_path):
