@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import isqrt
 
 from .errors import DomainError, InconclusiveError, ParseError
 from .freealg import (
@@ -285,13 +286,18 @@ def _preflight_embed(f: Series) -> int:
     """Refuse a finite-support operand whose automaton (embed_finite) has
     more than _WINDOW_CAP letter-matrix entries: n^2 per letter for n
     states. Returns the dimension of the operand's representation: n, or
-    the dimension of a recognizable operand, which passes."""
+    the dimension of a recognizable operand, which passes. The states are
+    counted up to the first count m that the cap refuses, and a count cut
+    short there is reported as more than m."""
     dualforms = _layer("dualforms")
     if not isinstance(f, dualforms.FiniteSupportSeries):
         return f.rep.dim
-    n, k = len(dualforms._suffix_trie(w.symbols() for w in f.terms)), len(f.alphabet.letters)
+    k = len(f.alphabet.letters)
+    m = isqrt(_WINDOW_CAP // k) + 1
+    n = len(dualforms._suffix_trie((w.symbols() for w in f.terms), None, m))
+    n, more = min(n, m), "more than " * (n > m)
     entries = n * n * k
-    _refuse(entries, f"automaton of {n} states over {k} letter(s) has {entries} letter-matrix entries, which")
+    _refuse(entries, f"automaton of {more}{n} states over {k} letter(s) has {more}{entries} letter-matrix entries, which")
     return n
 
 

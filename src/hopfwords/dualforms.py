@@ -38,6 +38,8 @@ class Series:
     __rmul__ = __mul__
 
     def __add__(self, other: "Series") -> "Series":
+        if not isinstance(other, Series):
+            return NotImplemented
         _same_alphabet(self.alphabet, other.alphabet)
         if isinstance(self, FiniteSupportSeries) and isinstance(
             other, FiniteSupportSeries
@@ -46,7 +48,7 @@ class Series:
         return RecognizableSeries(rep_sum(_to_linrep(self), _to_linrep(other)))
 
     def __sub__(self, other: "Series") -> "Series":
-        return self + other.scale(-1)
+        return self + other.scale(-1) if isinstance(other, Series) else NotImplemented
 
 
 class FiniteSupportSeries(Series):
@@ -242,14 +244,15 @@ def embed_finite(f: FiniteSupportSeries) -> LinRep:
     return LinRep(alph, n, lam, mu, gamma)
 
 
-def _suffix_trie(texts, max_len: int | None = None) -> list[tuple[int, str, int]]:
+def _suffix_trie(texts, max_len: int | None = None, max_nodes: int | None = None) -> list[tuple[int, str, int]]:
     """The trie of the reversed symbol strings `texts`, cut at depth
     max_len: one node (parent, letter, depth) per distinct suffix of length
     depth <= max_len, the empty suffix first. A node's suffix is its letter
     followed by the suffix of its parent, an earlier node. Built in the
     strings' total length without slicing a suffix, so its node count (the
     states of embed_finite) and depth sum (their characters) are known
-    before any suffix is listed."""
+    before any suffix is listed. Building stops at the first node past
+    max_nodes."""
     nodes = [(0, "", 0)]
     kids: dict[tuple[int, str], int] = {}
     for text in texts:
@@ -262,6 +265,8 @@ def _suffix_trie(texts, max_len: int | None = None) -> list[tuple[int, str, int]
             if child is None:
                 child = kids[node, ch] = len(nodes)
                 nodes.append((node, ch, depth))
+                if max_nodes is not None and len(nodes) > max_nodes:
+                    return nodes
             node = child
     return nodes
 

@@ -7,7 +7,8 @@ positive common denominator, kept in lowest terms (den > 0 and the gcd of
 den and all numerators is 1), so equal matrices have equal storage. All
 arithmetic, rank and row reduction run on those integers; fractions.Fraction
 values are built only at the edge (rows, row, col, [i, j], scalar,
-to_strings, repr and RowReducer.coordinates).
+to_strings and repr). RowReducer takes integer rows and returns each row's
+coordinates as a Matrix, with no Fraction.
 
 Exact entries are an int (not a bool), a Fraction, or a string of the
 strict rational grammar -?[0-9]+(/[0-9]+)?. A float, bool or Decimal raises
@@ -59,16 +60,6 @@ def _entry(x):
 # operations CPython's tuple free lists hold over a megabyte.
 
 
-def _cleared(rows) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer numerator rows over the lcm of the entries' denominators. Every
-    entry is in lowest terms, so the result is too."""
-    if all(type(x) is int for r in rows for x in r):
-        return rows, 1
-    vals = [[_entry(x) for x in r] for r in rows]
-    den = lcm(*[x.denominator for r in vals for x in r])
-    return tuple([tuple([x.numerator * (den // x.denominator) for x in r]) for r in vals]), den
-
-
 def _fractions(ints, den: int) -> tuple[Fraction, ...]:
     if den == 1:
         return tuple([Fraction(x) for x in ints])
@@ -98,7 +89,14 @@ class Matrix:
         width = len(data[0])
         if any(len(r) != width for r in data):
             raise ValueError("rows of unequal length")
-        self.num, self.den = _cleared(data)
+        if all(type(x) is int for r in data for x in r):
+            self.num, self.den = data, 1
+            return
+        # numerators over the lcm of the entries' denominators: every entry
+        # is in lowest terms, so the result is too
+        vals = [[_entry(x) for x in r] for r in data]
+        den = self.den = lcm(*[x.denominator for r in vals for x in r])
+        self.num = tuple([tuple([x.numerator * (den // x.denominator) for x in r]) for r in vals])
 
     @classmethod
     def _from_ints(cls, num: tuple[tuple[int, ...], ...], den: int = 1) -> "Matrix":
@@ -341,49 +339,28 @@ def rank(m: Matrix) -> int:
 
 
 class RowReducer(_Span):
-    """Greedy independent-row selection over Q with coordinate recovery.
+    """Greedy independent-row selection over Q on integer rows, with
+    coordinate recovery. Each offered row is extended by `width` columns
+    holding the unit vector of its index, so the _Span echelon carries,
+    past column `width`, each stored row's integer combination over the
+    accepted originals: any vector in their span is rewritten exactly as a
+    combination of them."""
 
-    Rows are offered in order; a row is accepted when it enlarges the span
-    of the rows accepted so far. The reducer keeps a fully reduced echelon
-    form of the accepted rows together with the change of basis, so any
-    vector in their span can be rewritten exactly as a combination of the
-    accepted originals.
-
-    Every offered row is cleared to integers, its scale recorded, and
-    extended by `width` columns holding the unit vector of its index: the
-    _Span echelon of those rows carries, past column `width`, each stored
-    row's integer combination over the cleared originals.
-    """
-
-    def __init__(self, width: int):
-        super().__init__(width)
-        self._scales: list[int] = []
-
-    def _extended(self, vec: Sequence, index: int | None) -> tuple[int, list[int]]:
-        """(s, s*vec cleared to integers, then the unit vector of index or zeros)."""
-        (w,), s = _cleared((tuple(vec),))
-        if len(w) != self.width:
-            raise ValueError(f"expected a row of width {self.width}, got {len(w)}")
-        tail = [0] * self.width
-        if index is not None:
-            tail[index] = 1
-        return s, [*w, *tail]
-
-    def offer(self, vec: Sequence) -> bool:
-        """Absorb vec if independent of the accepted rows; report whether it was."""
-        s, w = self._extended(vec, self.rank if self.rank < self.width else None)
-        if not super().offer(w):
+    def offer(self, vec: Sequence[int]) -> bool:
+        """Absorb vec if independent of the accepted rows; report whether it
+        was. No row enlarges a span with one dimension per column."""
+        if self.rank == self.width:
             return False
-        self._scales.append(s)
-        return True
+        tail = [0] * self.width
+        tail[self.rank] = 1
+        return super().offer([*vec, *tail])
 
-    def coordinates(self, vec: Sequence):
-        """Coefficients of vec over the accepted original rows, or None when
-        vec lies outside their span."""
-        s, w = self._extended(vec, None)
-        d, residual = self._eliminate(w)
+    def coordinates(self, vec: Sequence[int]) -> Matrix | None:
+        """The 1 x rank row of vec's coefficients over the accepted original
+        rows (at least one), or None when vec lies outside their span."""
+        d, residual = self._eliminate([*vec, *[0] * self.width])
         if any(residual[: self.width]):
             return None
-        # d * s * vec = sum_j -residual[width + j] * scale_j * original_j
-        den = s * d
-        return [Fraction(-x * sj, den) for x, sj in zip(residual[self.width :], self._scales)]
+        # d * vec = sum_j -residual[width + j] * original_j
+        tail = residual[self.width : self.width + self.rank]
+        return Matrix._from_ints((tuple([-x for x in tail]),), d)

@@ -218,6 +218,8 @@ def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
     an entry costs one dot product of length dim. A finite-support series
     fills its window from its support words. Only a bare coefficient oracle
     (which needs `alphabet`) is asked for f(uv) entry by entry."""
+    if min(p, s) < 0:
+        raise ValueError(f"window lengths must be nonnegative, got {p} and {s}")
     if isinstance(f, FiniteSupportSeries):
         return _finite_window(f, p, tuple(f.alphabet.words(s)))
     if isinstance(f, RecognizableSeries):
@@ -235,6 +237,8 @@ def hankel_rank(f, p: int, s: int, alphabet: Alphabet | None = None) -> int:
     """Exact rank over Q of the (p, s) Hankel window, computed on the
     window restricted to a spanning set of its suffix columns, which has
     the same rank (see the module docstring)."""
+    if min(p, s) < 0:
+        raise ValueError(f"window lengths must be nonnegative, got {p} and {s}")
     return linalg.rank(_spanning_window(f, p, s, alphabet).entries)
 
 
@@ -276,17 +280,11 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     n_small = sum(1 for w in window.rows if len(w) <= explore)
     # the columns of length <= explore come first and span the small window
     c_small = sum(1 for v in window.cols if len(v) <= explore)
-    r_small = linalg.rank(Matrix(row[:c_small] for row in num[:n_small]))
-    # one elimination of the window gives its rank and the basis; no row
-    # enlarges a span that already has one dimension per column
-    width = len(window.cols)
-    reducer = RowReducer(width)
-    basis = []
-    for i, row in enumerate(num):
-        if reducer.rank == width:
-            break
-        if reducer.offer(row):
-            basis.append(i)
+    r_small = linalg.rank(Matrix._from_ints(tuple([row[:c_small] for row in num[:n_small]])))
+    # one elimination of the window gives its rank and the basis; a zero
+    # row enlarges no span, so it is not offered
+    reducer = RowReducer(len(window.cols))
+    basis = [i for i, row in enumerate(num) if any(row) and reducer.offer(row)]
     r_big = reducer.rank
     if r_small != r_big:
         raise InconclusiveError(
@@ -314,10 +312,10 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
                 if coords is None:
                     raise InternalInvariantError("hankel row escaped the selected basis")
                 rows.append(coords)
-            mu[letter] = Matrix(rows)
+            mu[letter] = _stacked(rows)
         # column of the empty suffix holds f on the basis words
-        gamma = Matrix._from_ints(tuple((num[i][0],) for i in basis), window.entries.den)
-        model = LinRep(alph, r_big, Matrix.row_vector(lam), mu, gamma)
+        gamma = Matrix._from_ints(tuple([(num[i][0],) for i in basis]), window.entries.den)
+        model = LinRep(alph, r_big, lam, mu, gamma)
     if isinstance(f, RecognizableSeries) and r_big < f.rep.dim:
         reference = f.rep
     elif isinstance(f, FiniteSupportSeries) and not _window_holds_support(f, explore):

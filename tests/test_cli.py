@@ -172,13 +172,15 @@ def test_oversized_coproduct_is_refused_before_enumeration():
 
 def test_oversized_finite_support_automaton_is_refused_before_embedding(tmp_path):
     # 300 words of length 14 have about 2,000 distinct suffixes: about 8e6
-    # letter-matrix entries over two letters, counted, never built
+    # letter-matrix entries over two letters, never built. The count stops
+    # one state past 725 = isqrt(2^20 / 2) + 1, the first count the cap
+    # refuses, and is reported as a lower bound
     rng = random.Random(7)
     words = ["".join(rng.choice("ab") for _ in range(14)) for _ in range(300)]
     support = tmp_path / "support.txt"
     support.write_text(" + ".join(words))
-    states = len({w[k:] for w in words for k in range(len(w) + 1)})
-    entries = str(states * states * 2).encode()
+    assert len({w[k:] for w in words for k in range(len(w) + 1)}) > 726
+    message = b"automaton of more than 725 states over 2 letter(s) has more than 1051250 letter-matrix entries"
     geo = tmp_path / "geo.json"
     geo.write_text(
         '{"alphabet": "a:L,b:L", "dim": 1, "lambda": ["1"], '
@@ -195,8 +197,13 @@ def test_oversized_finite_support_automaton_is_refused_before_embedding(tmp_path
         assert time.perf_counter() - t0 < 10
         assert proc.returncode == 1
         assert proc.stdout == b""
-        assert f"automaton of {states} states".encode() in proc.stderr
-        assert entries in proc.stderr
+        assert message in proc.stderr
+    # one word of 300,000 letters: its trie is cut at 1,026 of its 300,001 nodes
+    long = tmp_path / "long.txt"
+    long.write_text("a" * 300_000)
+    proc = run_cli(["dualS", "--alphabet", "a:L", "--series", str(long)])
+    assert proc.returncode == 1 and proc.stdout == b""
+    assert b"automaton of more than 1025 states over 1 letter(s) has more than 1050625 " in proc.stderr
 
 
 def test_oversized_finite_convolution_is_refused_before_enumeration():
@@ -441,7 +448,7 @@ def test_learn_from_a_long_finite_support_checks_the_model():
     proc = run_cli(["learn", "--alphabet", "a:L,b:L", "--explore", "3", "--series", "a" * 730])
     assert proc.returncode == 1
     assert proc.stdout == b""
-    assert b"automaton of 731 states" in proc.stderr
+    assert b"automaton of more than 725 states" in proc.stderr
     # a support the window holds is certified without the check or its cap
     proc = run_cli(["learn", "--alphabet", "a:L,b:L", "--explore", "5", "--series", "a + aaaaa"])
     assert proc.returncode == 0

@@ -300,6 +300,11 @@ def test_series_addition_and_scaling(ab):
     assert f + h == FiniteSupportSeries.from_text(ab, "ab + 1")
     assert f.scale(Fraction(1, 2)) == FiniteSupportSeries.from_text(ab, "1/2*ab - 1/2*b")
     assert 2 * f == FiniteSupportSeries.from_text(ab, "2*ab - 2*b")
+    # a number is not a series: Python's TypeError, as for any operand type
+    for series in (f, RecognizableSeries(geometric_rep(ab, 2))):
+        for op in (lambda x: x + 1, lambda x: x - 1, lambda x: 1 + x, lambda x: 1 - x):
+            with pytest.raises(TypeError):
+                op(series)
 
 
 def test_series_addition_with_recognizable(ab):

@@ -155,6 +155,16 @@ def test_hankel_accepts_callable_with_alphabet(single):
         hankel(lambda w: Fraction(0), 1, 1)
 
 
+@pytest.mark.parametrize("kind", ["finite", "recognizable", "oracle"])
+@pytest.mark.parametrize("window", [hankel, hankel_rank])
+@pytest.mark.parametrize("p, s", [(1, -1), (-1, 1), (-1, -1)])
+def test_negative_window_lengths_are_value_errors(ab, kind, window, p, s):
+    f = FiniteSupportSeries.from_text(ab, "ab + 2*b")
+    operand = {"finite": f, "recognizable": RecognizableSeries(geometric_rep(ab, 2)), "oracle": f.coeff}[kind]
+    with pytest.raises(ValueError, match="nonnegative"):
+        window(operand, p, s, alphabet=ab if kind == "oracle" else None)
+
+
 # ---------------------------------------------------------------------------
 # learning
 
@@ -722,7 +732,9 @@ def test_finite_support_hankel_of_a_large_support_and_a_small_window(ab):
 
 def test_kernels_do_no_fraction_arithmetic(ab, monkeypatch):
     """learn, hankel_rank and reps_equal run on integers: Fractions are only
-    built at the edge, never added, subtracted, multiplied or divided."""
+    built at the edge, never added, subtracted, multiplied or divided, and
+    learn builds none, also when it checks its model against the automaton
+    of a support longer than its window."""
     rows = {"a": [[-1, 0, 0, 0], [1, 0, -1, -1], [0, -1, 0, 0], [1, -1, 1, 0]],
             "b": [[0, 1, -1, 1], [-1, 0, -1, -1], [-1, 1, 1, -1], [0, 1, -1, 0]]}
     rep = LinRep(
@@ -737,10 +749,20 @@ def test_kernels_do_no_fraction_arithmetic(ab, monkeypatch):
     def refuse(self, other):
         raise AssertionError("Fraction arithmetic in an integer kernel")
 
+    def refuse_new(cls, *args, **kwargs):
+        raise AssertionError("Fraction built by learn")
+
+    long = FiniteSupportSeries(NCPoly.from_text(ab, "1/2*abab + aa - 2/3*bb"))
+    assert not sweedler._window_holds_support(long, 2)
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__new__", refuse_new)
+        model = learn(f, 3)
+        long_model = learn(long, 2)
+    assert model.dim == 4 and long_model.dim == 5
+    assert reps_equal(long_model, embed_finite(long))
     for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
         monkeypatch.setattr(Fraction, op, refuse)
-    model = learn(f, 3)
-    assert model.dim == 4
+    assert learn(f, 3) == model
     assert hankel_rank(f, 4, 4) == 4
     assert reps_equal(model, rep)
     assert not reps_equal(model, scale_rep(rep, 2))
