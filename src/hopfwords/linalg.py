@@ -357,9 +357,9 @@ class RowReducer(_Span):
 
     def coordinates(self, vec: Sequence[int]) -> Matrix | None:
         """The 1 x rank row of vec's coefficients over the accepted original
-        rows (at least one), or None when vec lies outside their span."""
+        rows, or None when vec is outside their span or none was accepted."""
         d, residual = self._eliminate([*vec, *[0] * self.width])
-        if any(residual[: self.width]):
+        if not self.rank or any(residual[: self.width]):
             return None
         # d * vec = sum_j -residual[width + j] * original_j
         tail = residual[self.width : self.width + self.rank]

@@ -121,6 +121,10 @@ def test_rowreducer_coordinates_recover_combinations():
     # a multiple of 1/3 of the last row: a coordinate over a denominator
     assert reducer.coordinates([0, 0, 0, 1]) == Matrix.row_vector([0, 0, "1/3"])
     assert reducer.coordinates([0, 0, 1, 0]) is None
+    # with no accepted row, even the zero vector has no 1 x rank row
+    empty = RowReducer(2)
+    assert not empty.offer([0, 0])
+    assert empty.coordinates([0, 0]) is None and empty.coordinates([1, 0]) is None
 
 
 def test_rowreducer_rejects_dependent_rows():
@@ -291,9 +295,9 @@ def test_rowreducer_agrees_with_fraction_reference(data, n, width):
     assert fast.rank == len(ref._rows) == ref_rank([[Fraction(x) for x in r] for r in rows])
     for vec in rows + probes:
         expected = ref.coordinates(vec)
-        if expected is None:
+        if expected is None or not fast.rank:  # no row was accepted: no 1 x 0 Matrix
             assert fast.coordinates(vec) is None
-        elif fast.rank:  # coordinates are a row over at least one accepted row
+        else:
             assert fast.coordinates(vec).row(0) == tuple(expected)
 
 
