@@ -12,7 +12,7 @@ _EXPORTS = {
     "errors": ("DomainError", "HopfwordsError", "InconclusiveError", "InternalInvariantError", "ParseError"),
     "freealg": (
         "Alphabet", "Letter", "LetterKind", "NCPoly", "Tensor2", "Tensor3", "Word", "antipode",
-        "coassoc_lhs", "coassoc_rhs", "conc", "coproduct", "coproduct_word", "counit", "poly_mul",
+        "coassoc_lhs", "coassoc_rhs", "conc", "coproduct", "counit", "poly_mul",
         "splittings", "tensor2_mul",
     ),
     "linalg": ("Matrix",),

@@ -128,17 +128,13 @@ def pair(f: Series, p: NCPoly) -> Fraction:
     return total
 
 
-def _merges(u: Word, v: Word) -> list[str]:
-    """The symbol string of every word that admits (u, v) among its subword
-    splittings, once per splitting (see _merge_texts)."""
-    return _merge_texts(u.symbols(), v.symbols(), u.alphabet.group_like_symbols)
-
-
 def _merge_texts(a: str, b: str, group_like) -> list[str]:
-    """_merges on symbol strings: primitive letters interleave freely while
-    group-like letters must match pairwise and appear once. Built row by
-    row: entry j of row i holds the merges of a[:i] and b[:j], each one
-    letter longer than a merge to its left, above, or above-left."""
+    """The symbol string of every word that admits the symbol strings
+    (a, b) among its subword splittings, once per splitting: primitive
+    letters interleave freely while group-like letters (the symbols in
+    group_like) must match pairwise and appear once. Built row by row:
+    entry j of row i holds the merges of a[:i] and b[:j], each one letter
+    longer than a merge to its left, above, or above-left."""
     row = [[""]]
     for y in b:
         row.append([] if y in group_like else [m + y for m in row[-1]])
@@ -158,11 +154,12 @@ def _merge_texts(a: str, b: str, group_like) -> list[str]:
 
 
 def _merge_count(u: Word, v: Word) -> int:
-    """How many words _merges(u, v) emits, counted in O(|u| + |v|). Its
-    recursion moves primitive letters of either word freely and group-like
-    letters only in equal pairs, so there is no merge unless the group-like
-    letters of u and v agree in order; then the primitive runs between
-    them interleave independently, C(p + q, p) ways for runs of p and q."""
+    """How many words _merge_texts emits for the words u and v, counted in
+    O(|u| + |v|). Its recursion moves primitive letters of either word
+    freely and group-like letters only in equal pairs, so there is no merge
+    unless the group-like letters of u and v agree in order; then the
+    primitive runs between them interleave independently, C(p + q, p) ways
+    for runs of p and q."""
     (gu, ru), (gv, rv) = _runs(u), _runs(v)
     if gu != gv:
         return 0

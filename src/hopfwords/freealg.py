@@ -610,11 +610,6 @@ def splittings(w: Word) -> Iterator[tuple[Word, Word]]:
         yield words[left], words[right]
 
 
-def coproduct_word(w: Word) -> Tensor2:
-    """Coproduct of a single word by the subword-splitting formula."""
-    return coproduct(NCPoly.from_word(w))
-
-
 def _split_all(p: NCPoly, memo: dict) -> tuple[dict, int]:
     """The coproduct of p on symbol-string pairs, as integer numerators over
     one denominator (see _numerators), zero pairs included."""

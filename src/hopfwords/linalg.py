@@ -309,7 +309,10 @@ class _Span:
         return d, residual
 
     def offer(self, vec: Sequence[int]) -> bool:
-        """Absorb vec if independent of the accepted rows; report whether it was."""
+        """Absorb vec if independent of the accepted rows; report whether it
+        was. No row enlarges a span with one dimension per column."""
+        if len(self._rows) == self.width:
+            return False
         new = self._eliminate(vec)[1]
         pivot = next(compress(range(self.width), new), None)
         if pivot is None:
@@ -331,11 +334,7 @@ class _Span:
 
 def rank(m: Matrix) -> int:
     """Exact rank over Q: the rows a greedy _Span pass accepts, top-down."""
-    span = _Span(m.ncols)
-    for row in m.num:
-        if span.offer(row) and span.rank == span.width:
-            break
-    return span.rank
+    return sum(map(_Span(m.ncols).offer, m.num))
 
 
 class RowReducer(_Span):
@@ -348,12 +347,10 @@ class RowReducer(_Span):
 
     def offer(self, vec: Sequence[int]) -> bool:
         """Absorb vec if independent of the accepted rows; report whether it
-        was. No row enlarges a span with one dimension per column."""
-        if self.rank == self.width:
-            return False
-        tail = [0] * self.width
-        tail[self.rank] = 1
-        return super().offer([*vec, *tail])
+        was."""
+        # the unit vector of the row's index, unread once the span is full
+        k = self.rank
+        return super().offer([*vec, *[0] * k, 1, *[0] * (self.width - k - 1)])
 
     def coordinates(self, vec: Sequence[int]) -> Matrix | None:
         """The 1 x rank row of vec's coefficients over the accepted original

@@ -65,7 +65,7 @@ def _walk(start: Matrix, mu: dict[Letter, Matrix], letters, max_len: int | None,
     sparse = None
     while pending:
         w, row = pending.popleft()
-        kept = reducer is None or (reducer.rank < reducer.width and reducer.offer(row.num[0]))
+        kept = reducer is None or reducer.offer(row.num[0])
         yield w, row, kept
         if kept and (max_len is None or len(w) < max_len):
             if sparse is None:

@@ -7,10 +7,13 @@ import time
 import pytest
 
 from cli_cases import CASES, FIXTURES, GOLDEN, regen_requested, run_cli
-from hopfwords import Alphabet, FiniteSupportSeries, LinRep, NCPoly, RecognizableSeries, Tensor2
+from hopfwords import (
+    Alphabet, FiniteSupportSeries, LinRep, NCPoly, RecognizableSeries, Tensor2, coassoc_rhs, conv_rep, convolve,
+)
 from hopfwords.cli import _COMMANDS, _preflight_window, build_parser, run
 from hopfwords.dualforms import _suffix_trie
 from hopfwords.errors import ParseError
+from hopfwords.linalg import tensor_scheme
 
 
 # finite-support operands turned into an automaton by embed_finite; kept
@@ -91,6 +94,63 @@ def test_domain_error_exit_code():
 def test_check_antipode_without_antipode_is_domain_error():
     proc = run_cli(["check-antipode", "--alphabet", "g:G", "--maxlen", "2"])
     assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"hopfwords: domain error: no antipode: group-like letters present\n"
+
+
+def _reversed(p):
+    """p with every word reversed and no sign change."""
+    return NCPoly(p.alphabet, {w.reverse(): c for w, c in p.terms.items()})
+
+
+def _no_constant_term(f, h):
+    """convolve with the coefficient of the empty word dropped."""
+    terms = convolve(f, h).terms
+    return FiniteSupportSeries(NCPoly(f.alphabet, {w: c for w, c in terms.items() if len(w)}))
+
+
+def _sum_scheme_on_group_like(r1, r2):
+    """conv_rep with a group-like letter given a (x) I + I (x) b, the
+    primitive letters' scheme, in place of a (x) b."""
+    good = conv_rep(r1, r2)
+    mu = {l: tensor_scheme(r1.mu[l], r2.mu[l], False) for l in good.mu}
+    return LinRep(good.alphabet, good.dim, good.lam, mu, good.gamma)
+
+
+# one fault seeded into the kernel each verifier exercises, under the name
+# the CLI looks it up by: (name, fault, alphabet, the first failing case,
+# the cases passed before it, the whole text output at --maxlen 2)
+SEEDED_FAULTS = {
+    "coassoc": (
+        "hopfwords.cli.coassoc_rhs", lambda p: coassoc_rhs(_reversed(p)), "a:L,g:G", "ag", 4,
+        "coassoc: FAIL at ag (4 checks passed, maxlen=2)",
+    ),
+    "antipode": (
+        "hopfwords.cli.antipode", _reversed, "a:L,b:L", "a", 1,
+        "antipode: FAIL at a (1 checks passed, maxlen=2)",
+    ),
+    "dual-assoc": (
+        "hopfwords.dualforms.convolve", _no_constant_term, "a:L,b:L", "(1,1,a)", 1,
+        "dual-assoc: FAIL at (1,1,a) (1 checks passed, maxlen=2)",
+    ),
+    "conv-oracle": (
+        "hopfwords.rep.conv_rep", _sum_scheme_on_group_like, "a:L,g:G", "geometric(2)*geometric(3) at g", 9,
+        "conv-oracle: FAIL at geometric(2)*geometric(3) at g (9 checks passed, maxlen=2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("target, fault, decl, label, checked, line", SEEDED_FAULTS.values(), ids=SEEDED_FAULTS)
+def test_each_verifier_reports_a_seeded_fault(capsys, monkeypatch, target, fault, decl, label, checked, line):
+    name = line.split(":")[0]
+    argv = [f"check-{name}", "--alphabet", decl, "--maxlen", "2"]
+    monkeypatch.setattr(target, fault)
+    out, err, code = _outcome(capsys, lambda: run(argv))
+    assert (code, out, err) == (4, line + "\n", "")
+    out, err, code = _outcome(capsys, lambda: run([*argv, "--format", "json"]))
+    assert (code, err) == (4, "")
+    assert json.loads(out) == {"check": name, "maxlen": 2, "status": "FAIL", "checked": checked,
+                               "counterexample": label}
 
 
 def test_inconclusive_exit_code():
@@ -344,6 +404,25 @@ def test_each_size_bound_refuses_with_its_exact_message(capsys, tmp_path, monkey
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
+    out, err, code = _outcome(capsys, lambda: run(list(argv)))
+    assert (code, out, err) == (1, "", f"hopfwords: parse error: {message}\n")
+
+
+# each option that a run needs and argparse does not require, missing or
+# given the wrong number of times: (argv, the whole stderr)
+MISSING_OPTIONS = {
+    "rep-count": (["tensor", "--rep", "mat_a2.json"], "expected exactly 2 --rep operand(s), got 1"),
+    "hankel": (["hankel", "--alphabet", "a:L", "--series", "a"], "--hankel P,S is required"),
+    "maxlen": (["check-coassoc", "--alphabet", "a:L"], "--maxlen N is required"),
+    # read before check-antipode's first case meets the group-like letter
+    "maxlen-group-like": (["check-antipode", "--alphabet", "g:G"], "--maxlen N is required"),
+    "explore": (["learn", "--alphabet", "a:L", "--series", "a"], "--explore L (nonnegative) is required"),
+}
+
+
+@pytest.mark.parametrize("argv, message", MISSING_OPTIONS.values(), ids=MISSING_OPTIONS)
+def test_each_missing_option_is_refused_with_its_exact_message(capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(FIXTURES)
     out, err, code = _outcome(capsys, lambda: run(list(argv)))
     assert (code, out, err) == (1, "", f"hopfwords: parse error: {message}\n")
 

@@ -13,12 +13,13 @@ from hopfwords import (
     Word,
     coefficients_agree,
     convolve,
-    coproduct_word,
+    coproduct,
     dual_unit,
     embed_finite,
     pair,
+    reps_equal,
 )
-from hopfwords.dualforms import _merge_count, _merges
+from hopfwords.dualforms import _merge_count, _merge_texts
 from hopfwords.errors import DomainError
 
 
@@ -29,7 +30,7 @@ def indicator(alphabet, text):
 def convolution_oracle(f, h, w):
     """Definitional route: pair f (x) h against the subword coproduct of w."""
     return sum(
-        (c * f.coeff(u) * h.coeff(v) for (u, v), c in coproduct_word(w).terms.items()),
+        (c * f.coeff(u) * h.coeff(v) for (u, v), c in coproduct(NCPoly.from_word(w)).terms.items()),
         Fraction(0),
     )
 
@@ -94,7 +95,7 @@ _words = st.text(alphabet="abgh", max_size=6).map(lambda s: _TWO_GROUP_LIKE.word
 @settings(max_examples=300, deadline=None)
 def test_merge_count_counts_the_enumeration(u, v):
     # the CLI's conv preflight counts merges instead of enumerating them
-    assert _merge_count(u, v) == sum(1 for _ in _merges(u, v))
+    assert _merge_count(u, v) == len(_merge_texts(u.symbols(), v.symbols(), u.alphabet.group_like_symbols))
 
 
 def recursive_merges(u, v):
@@ -128,7 +129,8 @@ _mixed_words = st.text(alphabet="abg", max_size=6).map(lambda s: _MIXED.word(s o
 @given(_mixed_words, _mixed_words)
 @settings(max_examples=300, deadline=None)
 def test_merges_match_the_recursive_oracle(u, v):
-    assert sorted(_merges(u, v)) == sorted(recursive_merges(u, v))
+    merges = _merge_texts(u.symbols(), v.symbols(), u.alphabet.group_like_symbols)
+    assert sorted(merges) == sorted(recursive_merges(u, v))
 
 
 def word_keyed_convolve(f, h):
@@ -137,7 +139,7 @@ def word_keyed_convolve(f, h):
     acc = {}
     for u, cu in f.terms.items():
         for v, cv in h.terms.items():
-            for text in _merges(u, v):
+            for text in _merge_texts(u.symbols(), v.symbols(), f.alphabet.group_like_symbols):
                 w = Word(f.alphabet, text)
                 acc[w] = acc.get(w, Fraction(0)) + cu * cv
     return FiniteSupportSeries(NCPoly(f.alphabet, acc))
@@ -317,6 +319,9 @@ def test_series_addition_with_recognizable(ab):
     diff = total - f
     for w in ab.words(4):
         assert diff.coeff(w) == geo.coeff(w)
+    # a recognizable series scaled, by 2 and by -1 in f - geo
+    assert reps_equal((2 * geo).rep, (geo + geo).rep)
+    assert reps_equal(((f - geo) + geo).rep, embed_finite(f))
 
 
 def test_finite_series_displayed_as_polynomial(ab):

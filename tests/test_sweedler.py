@@ -153,10 +153,17 @@ def test_hankel_accepts_callable_with_alphabet(single):
     assert h.entries == Matrix([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         hankel(lambda w: Fraction(0), 1, 1)
+    with pytest.raises(TypeError, match="expected a Series or a coefficient oracle"):
+        hankel(42, 1, 1)
+
+
+def learn_window(f, p, s, alphabet=None):
+    """learn at exploration length min(p, s), called as hankel is."""
+    return learn(f, min(p, s), alphabet)
 
 
 @pytest.mark.parametrize("kind", ["finite", "recognizable", "oracle"])
-@pytest.mark.parametrize("window", [hankel, hankel_rank])
+@pytest.mark.parametrize("window", [hankel, hankel_rank, learn_window])
 @pytest.mark.parametrize("p, s", [(1, -1), (-1, 1), (-1, -1)])
 def test_negative_window_lengths_are_value_errors(ab, kind, window, p, s):
     f = FiniteSupportSeries.from_text(ab, "ab + 2*b")

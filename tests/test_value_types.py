@@ -30,7 +30,7 @@ from hopfwords import (
     shift_right,
     splittings,
 )
-from hopfwords.dualforms import _merges
+from hopfwords.dualforms import _merge_texts
 from hopfwords.errors import DomainError, InconclusiveError, ParseError
 
 MIXED = Alphabet.from_decl("a:L,b:L,g:G")
@@ -171,7 +171,7 @@ def test_derived_words_equal_checked_words(s, t, data):
         u.reverse()
         conc(u, v)
         list(splittings(u))
-        list(_merges(u, v))
+        _merge_texts(u.symbols(), v.symbols(), MIXED.group_like_symbols)
         list(MIXED.words(2))
         NCPoly.from_text(MIXED, f"{s or 1} - 2*{t or 1}")
     assert_like_checked(built)
