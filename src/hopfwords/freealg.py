@@ -19,7 +19,9 @@ equals another Word when both the symbol strings and the alphabets are
 equal. str hashes are salted per process, so no cached hash is ever
 pickled; words, alphabets and linear combinations are rebuilt from their
 parts when loaded. Coefficients are exact: only int and Fraction are
-accepted, anything else is a TypeError.
+accepted, anything else is a TypeError. They are stored as integer
+numerators over one denominator, so every operation here runs on ints and
+a Fraction is built only at the edge (`terms`, `coeff`, `counit`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from itertools import product as _cartesian
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .errors import DomainError, ParseError
@@ -281,13 +283,16 @@ def _same_alphabet(a: Alphabet, b: Alphabet):
         raise DomainError("alphabet mismatch")
 
 
-def _exact(c) -> Fraction:
-    """A coefficient as a Fraction; only int and Fraction are exact inputs.
-    A Fraction is immutable, so it is returned as it is."""
-    if c.__class__ is Fraction:
+def _exact(c) -> int | Fraction:
+    """A coefficient as an int or a Fraction; only int (not bool) and
+    Fraction are exact inputs. Both are immutable, so they are returned as
+    they are."""
+    if c.__class__ is int or c.__class__ is Fraction:
         return c
-    if isinstance(c, Fraction) or (isinstance(c, int) and not isinstance(c, bool)):
+    if isinstance(c, Fraction):
         return Fraction(c)
+    if isinstance(c, int) and not isinstance(c, bool):
+        return int(c)
     raise TypeError(f"coefficient must be an int or a Fraction, got {c!r}")
 
 
@@ -299,10 +304,11 @@ def _text_order(text: str) -> tuple:
     return (-len(text), text)
 
 
-def _canonical(alphabet: Alphabet, terms, arity: int) -> dict:
-    """Validate and merge terms; drop zero coefficients. A key is a Word at
-    arity 1 and a tuple of `arity` words otherwise; it is stored as its
-    symbol strings (a str, or a tuple of str)."""
+def _canonical(alphabet: Alphabet, terms, arity: int) -> tuple[dict, int]:
+    """Validate and merge terms, drop zero coefficients, and clear the
+    denominators with one lcm: (numerators, den) in lowest terms. A key is
+    a Word at arity 1 and a tuple of `arity` words otherwise; it is stored
+    as its symbol strings (a str, or a tuple of str)."""
     single = arity == 1
     acc: dict = {}
     get = acc.get
@@ -312,12 +318,15 @@ def _canonical(alphabet: Alphabet, terms, arity: int) -> dict:
             if w.alphabet is not alphabet:
                 _same_alphabet(w.alphabet, alphabet)
         key = key._symbols if single else tuple([w._symbols for w in key])
-        if c.__class__ is not Fraction:
+        if c.__class__ is not int and c.__class__ is not Fraction:
             c = _exact(c)
         if c:
             old = get(key)
             acc[key] = c if old is None else old + c
-    return {k: c for k, c in acc.items() if c}
+    # each merged coefficient is in lowest terms (a zero one has denominator
+    # 1), so the numerators over the lcm of their denominators are too
+    den = lcm(*[c.denominator for c in acc.values()])
+    return {k: c.numerator * (den // c.denominator) for k, c in acc.items() if c}, den
 
 
 class LinComb:
@@ -328,51 +337,55 @@ class LinComb:
     A term's key in `terms` is a Word at arity 1 and a tuple of words
     otherwise. The nonzero terms are kept unordered in _terms, keyed by
     symbol strings (a str at arity 1, a tuple of str otherwise) over the
-    value's alphabet. The first read of `terms` orders them component by
-    component, by word length descending then symbols ascending, so output
-    is deterministic and parse(str(x)) == x, and builds each distinct word
+    value's alphabet, to integer numerators over one denominator _den > 0,
+    in lowest terms (zero is ({}, 1)), as Matrix stores its entries. The
+    first read of `terms` orders them component by component, by word
+    length descending then symbols ascending, so output is deterministic
+    and parse(str(x)) == x, and builds each distinct word and Fraction
     once. Values of different arity never compare equal, add or multiply.
     """
 
-    __slots__ = ("alphabet", "_terms", "_words")
+    __slots__ = ("alphabet", "_terms", "_den", "_words")
     arity: int
 
     def __init__(self, alphabet: Alphabet, terms=()):
         self.alphabet = alphabet
-        self._terms: dict = _canonical(alphabet, terms, self.arity)
+        self._terms, self._den = _canonical(alphabet, terms, self.arity)
         self._words = None
 
     @classmethod
-    def _of_checked(cls, alphabet: Alphabet, terms: dict):
-        """The value with these terms, keyed by symbol strings over alphabet
-        and already checked, merged and nonzero: built by _lift, a sum, or
-        the terms of a value negated, reversed or scaled by a nonzero
-        coefficient."""
+    def _of_checked(cls, alphabet: Alphabet, terms: dict, den: int):
+        """The value terms / den, keyed by symbol strings over alphabet and
+        already checked, merged, nonzero and in lowest terms: built by
+        _lift, or by negating, reversing or taking one word."""
         out = cls.__new__(cls)
         out.alphabet = alphabet
         out._terms = terms
+        out._den = den
         out._words = None
         return out
 
     @property
     def terms(self) -> dict:
-        """The terms keyed by Word, in canonical order. Built on the first
-        read, each distinct word once through the checked constructor, and
-        stored whole in one slot, so concurrent first reads are safe."""
+        """The terms keyed by Word, in canonical order, with Fraction
+        coefficients. Built on the first read, each distinct word once
+        through the checked constructor, and stored whole in one slot, so
+        concurrent first reads are safe."""
         words = self._words
         if words is None:
-            alphabet, store = self.alphabet, self._terms
+            alphabet, store, den = self.alphabet, self._terms, self._den
+            coeff = {n: Fraction(n, den) for n in set(store.values())}.__getitem__
             if self.arity == 1:
                 words = {
-                    Word(alphabet, k): c
-                    for k, c in sorted(store.items(), key=lambda kv: _text_order(kv[0]))
+                    Word(alphabet, k): coeff(n)
+                    for k, n in sorted(store.items(), key=lambda kv: _text_order(kv[0]))
                 }
             else:
                 built = {t: Word(alphabet, t) for t in {t for k in store for t in k}}
                 get = built.__getitem__
                 words = {
-                    tuple(map(get, k)): c
-                    for k, c in sorted(store.items(), key=lambda kv: list(map(_text_order, kv[0])))
+                    tuple(map(get, k)): coeff(n)
+                    for k, n in sorted(store.items(), key=lambda kv: list(map(_text_order, kv[0])))
                 }
             self._words = words
         return words
@@ -405,7 +418,8 @@ class LinComb:
             if not isinstance(w, Word) or (w.alphabet is not alphabet and w.alphabet != alphabet):
                 return Fraction(0)
         key = words[0]._symbols if self.arity == 1 else tuple([w._symbols for w in words])
-        return self._terms.get(key, Fraction(0))
+        n = self._terms.get(key)
+        return Fraction(0) if n is None else Fraction(n, self._den)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -413,6 +427,7 @@ class LinComb:
     def __eq__(self, other) -> bool:
         return (
             other.__class__ is self.__class__
+            and self._den == other._den
             and self.alphabet == other.alphabet
             and self._terms == other._terms
         )
@@ -421,23 +436,19 @@ class LinComb:
         if other.__class__ is not self.__class__:
             return NotImplemented
         _same_alphabet(self.alphabet, other.alphabet)
-        acc = dict(self._terms)
+        den = lcm(self._den, other._den)
+        k_a, k_b = den // self._den, den // other._den
+        acc = dict(self._terms) if k_a == 1 else {k: c * k_a for k, c in self._terms.items()}
         get = acc.get
         for k, c in other._terms.items():
-            old = get(k)
-            if old is None:
-                acc[k] = c
-            elif c := old + c:
-                acc[k] = c
-            else:
-                del acc[k]
-        return self._of_checked(self.alphabet, acc)
+            acc[k] = get(k, 0) + c * k_b
+        return _lift(self.__class__, self.alphabet, acc, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._of_checked(self.alphabet, {k: -c for k, c in self._terms.items()})
+        return self._of_checked(self.alphabet, {k: -c for k, c in self._terms.items()}, self._den)
 
     def __mul__(self, other):
         if other.__class__ is self.__class__:
@@ -453,21 +464,22 @@ class LinComb:
 
     def scale(self, c):
         c = _exact(c)
-        if not c:
-            return self._of_checked(self.alphabet, {})
-        return self._of_checked(self.alphabet, {k: c * v for k, v in self._terms.items()})
+        p = c.numerator
+        acc = {k: p * v for k, v in self._terms.items()}
+        return _lift(self.__class__, self.alphabet, acc, self._den * c.denominator)
 
     def __str__(self) -> str:
         single = self.arity == 1
         parts = []
         for k, c in self.terms.items():
+            n, d = c.numerator, c.denominator
             body = str(k) if single else "(x)".join(map(str, k))
-            mag = abs(c)
-            text = body if mag == 1 else f"{mag}*{body}"
+            mag = f"{abs(n)}" if d == 1 else f"{abs(n)}/{d}"
+            text = body if mag == "1" else f"{mag}*{body}"
             if parts:
-                parts.append(("+ " if c > 0 else "- ") + text)
+                parts.append(("+ " if n > 0 else "- ") + text)
             else:
-                parts.append(text if c > 0 else "-" + text)
+                parts.append(text if n > 0 else "-" + text)
         return " ".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
@@ -487,7 +499,7 @@ class NCPoly(LinComb):
     @classmethod
     def from_word(cls, w: Word, coeff=1) -> "NCPoly":
         c = _exact(coeff)
-        return cls._of_checked(w.alphabet, {w._symbols: c} if c else {})
+        return cls._of_checked(w.alphabet, {w._symbols: c.numerator} if c else {}, c.denominator)
 
 
 class Tensor2(LinComb):
@@ -514,26 +526,27 @@ def conc(u: Word, v: Word) -> Word:
     return Word(u.alphabet, u._symbols + v._symbols)
 
 
-def _numerators(x: LinComb) -> tuple[list, int]:
-    """The coefficients of x's terms as integer numerators over one common
-    denominator: ([(key, numerator)], denominator), each key the term's
-    symbol strings (a str at arity 1, a tuple of str otherwise). The
-    kernels below add these ints, which is far cheaper than adding
-    Fractions, and _lift divides once per distinct numerator."""
-    terms = x._terms
-    den = lcm(*[c.denominator for c in terms.values()])
-    return [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()], den
+def _numerators(x: LinComb) -> tuple:
+    """x's stored terms and denominator: ((key, numerator) pairs, den),
+    each key the term's symbol strings (a str at arity 1, a tuple of str
+    otherwise). The kernels below add these ints, which is far cheaper than
+    adding Fractions, and _lift brings their sums to lowest terms."""
+    return x._terms.items(), x._den
 
 
 def _lift(cls, alphabet: Alphabet, acc: dict, den: int) -> LinComb:
     """The LinComb of class cls with the nonzero terms of acc, which maps
     symbol strings (a str at arity 1, a tuple of str otherwise) to integer
-    numerators over den. The strings are kernel output over alphabet, so
-    they are stored as they are; each distinct numerator becomes a Fraction
-    once."""
-    items = [kv for kv in acc.items() if kv[1]]
-    coeffs = {n: Fraction(n, den) for n in {n for _, n in items}}
-    return cls._of_checked(alphabet, {k: coeffs[n] for k, n in items})
+    numerators over den > 0. The strings are kernel output over alphabet,
+    so they are stored as they are; numerators and den are brought to
+    lowest terms by one gcd, and zero is stored as ({}, 1)."""
+    terms = {k: n for k, n in acc.items() if n}
+    if den != 1:
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: n // g for k, n in terms.items()}
+            den //= g
+    return cls._of_checked(alphabet, terms, den)
 
 
 def poly_mul(x: LinComb, y: LinComb) -> LinComb:
@@ -632,11 +645,7 @@ def counit(p: NCPoly) -> Fraction:
     """1 on words of group-like letters only (the empty word included),
     0 elsewhere, extended linearly."""
     group_like = p.alphabet.group_like_symbols
-    total = Fraction(0)
-    for text, c in p._terms.items():
-        if group_like.issuperset(text):
-            total += c
-    return total
+    return Fraction(sum([c for text, c in p._terms.items() if group_like.issuperset(text)]), p._den)
 
 
 def _check_antipode_domain(alphabet: Alphabet):
@@ -652,6 +661,7 @@ def antipode(p: NCPoly) -> NCPoly:
     return NCPoly._of_checked(
         p.alphabet,
         {text[::-1]: (c if len(text) % 2 == 0 else -c) for text, c in p._terms.items()},
+        p._den,
     )
 
 
@@ -741,7 +751,7 @@ def _parse_uint(cur: _Cursor) -> int:
         cur.fail(f"number of {cur.pos - start} digits is too long")
 
 
-def _parse_rational(cur: _Cursor) -> Fraction:
+def _parse_rational(cur: _Cursor) -> int | Fraction:
     num = _parse_uint(cur)
     if cur.peek() == "/":
         cur.advance()
@@ -749,7 +759,7 @@ def _parse_rational(cur: _Cursor) -> Fraction:
         if den == 0:
             cur.fail("zero denominator")
         return Fraction(num, den)
-    return Fraction(num)
+    return num
 
 
 def _parse_word_opt(cur: _Cursor, alphabet: Alphabet):
@@ -792,7 +802,7 @@ def _parse_term(cur: _Cursor, alphabet: Alphabet, arity: int):
                 cur.fail("expected a word")
             first = alphabet.unit_word()
     else:
-        coeff = Fraction(1)
+        coeff = 1
         first = _parse_word_opt(cur, alphabet)
         if first is None:
             cur.fail("expected a term")

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import os
 import pickle
 import re
@@ -8,6 +9,7 @@ import threading
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -1008,3 +1010,172 @@ def test_concurrent_first_reads_of_terms_agree():
         sys.setswitchinterval(interval)
     assert not errors and not any(t.is_alive() for t in threads)
     assert len(seen) == 4 * len(values) and all(items == expected for items in seen)
+
+
+# ---------------------------------------------------------------------------
+# the store: integer numerators over one denominator, in lowest terms,
+# against a plain dict-of-Fraction reference keyed by symbol strings
+
+
+def store_of(x) -> dict:
+    """x's stored value as Fractions, after checking the canonical form:
+    _den > 0, nonzero int numerators, lowest terms, and zero is ({}, 1)."""
+    numerators = list(x._terms.values())
+    assert type(x._den) is int and x._den > 0
+    assert all(type(n) is int and n for n in numerators)
+    assert gcd(x._den, *numerators) == 1
+    return {k: Fraction(n, x._den) for k, n in x._terms.items()}
+
+
+def ref_nonzero(d: dict) -> dict:
+    return {k: c for k, c in d.items() if c}
+
+
+def ref_add(d1: dict, d2: dict, sign: int = 1) -> dict:
+    out = dict(d1)
+    for k, c in d2.items():
+        out[k] = out.get(k, 0) + sign * c
+    return ref_nonzero(out)
+
+
+def ref_mul(d1: dict, d2: dict) -> dict:
+    out = {}
+    for k1, c in d1.items():
+        for k2, d in d2.items():
+            key = k1 + k2 if isinstance(k1, str) else tuple(map(str.__add__, k1, k2))
+            out[key] = out.get(key, 0) + c * d
+    return ref_nonzero(out)
+
+
+def ref_splits(text: str, group_like) -> list:
+    """Every splitting of text, letter by letter: a group-like letter goes
+    to both sides, a primitive one to either."""
+    out = [("", "")]
+    for ch in text:
+        if ch in group_like:
+            out = [(l + ch, r + ch) for l, r in out]
+        else:
+            out = [(l + ch, r) for l, r in out] + [(l, r + ch) for l, r in out]
+    return out
+
+
+def ref_coproduct(d: dict, group_like) -> dict:
+    out = {}
+    for text, c in d.items():
+        for pair in ref_splits(text, group_like):
+            out[pair] = out.get(pair, 0) + c
+    return ref_nonzero(out)
+
+
+def ref_resplit(d: dict, group_like, first: bool) -> dict:
+    out = {}
+    for (u, v), c in ref_coproduct(d, group_like).items():
+        for x, y in ref_splits(u if first else v, group_like):
+            key = (x, y, v) if first else (u, x, y)
+            out[key] = out.get(key, 0) + c
+    return ref_nonzero(out)
+
+
+def ref_convolve(d1: dict, d2: dict, group_like, letters: str) -> dict:
+    """(f * h)(w) = sum of f(u) h(v) over the splittings (u, v) of w, on
+    every word w no longer than a support word of each side together."""
+    n = max(map(len, d1), default=0) + max(map(len, d2), default=0)
+    out = {}
+    for w in ("".join(t) for k in range(n + 1) for t in itertools.product(letters, repeat=k)):
+        out[w] = sum((d1.get(u, 0) * d2.get(v, 0) for u, v in ref_splits(w, group_like)), Fraction(0))
+    return ref_nonzero(out)
+
+
+def built(cls, alphabet: Alphabet, d: dict):
+    """The value of class cls with the symbol-string-keyed terms of d."""
+    if cls.arity == 1:
+        return cls(alphabet, {Word(alphabet, k): c for k, c in d.items()})
+    return cls(alphabet, {tuple(Word(alphabet, t) for t in k): c for k, c in d.items()})
+
+
+_AB = Alphabet.from_decl("a:L,b:L")
+_ref_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_ref_coeffs = st.one_of(st.integers(min_value=-4, max_value=4), _ref_fractions)
+
+
+def ref_terms(arity: int, letters: str = "abg", max_len: int = 2):
+    text = st.text(alphabet=letters, max_size=max_len)
+    key = text if arity == 1 else st.tuples(*[text] * arity)
+    return st.dictionaries(key, _ref_coeffs, max_size=4)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_numerator_store_against_a_fraction_reference(data):
+    arity = data.draw(st.integers(min_value=1, max_value=3))
+    cls, group_like = _CLASSES[arity], _MIXED.group_like_symbols
+    d1, d2 = data.draw(ref_terms(arity)), data.draw(ref_terms(arity))
+    x, y = built(cls, _MIXED, d1), built(cls, _MIXED, d2)
+    assert store_of(x) == ref_nonzero(d1)
+    assert store_of(x + y) == ref_add(d1, d2)
+    assert store_of(x - y) == ref_add(d1, d2, -1)
+    assert store_of(-x) == ref_add({}, d1, -1)
+    for c in (data.draw(st.integers(min_value=-4, max_value=4)), data.draw(_ref_fractions), 0):
+        assert store_of(x.scale(c)) == ref_nonzero({k: c * v for k, v in d1.items()})
+    assert store_of(poly_mul(x, y)) == ref_mul(d1, d2)
+    assert store_of(cls.from_text(_MIXED, str(x))) == store_of(x)
+    # the constructor merges repeated keys, which may cancel
+    merged = cls(_MIXED, [*x.terms.items(), *[(k, -c) for k, c in y.terms.items()]])
+    assert store_of(merged) == ref_add(d1, d2, -1)
+    # the public edge still reads Fractions
+    assert all(type(c) is Fraction for c in x.terms.values())
+    for k, c in ref_nonzero(d1).items():
+        words = (Word(_MIXED, k),) if arity == 1 else tuple(Word(_MIXED, t) for t in k)
+        assert x.coeff(*words) == c and type(x.coeff(*words)) is Fraction
+    # equal values reached by different routes have equal stores
+    c = data.draw(_ref_fractions.filter(bool))
+    assert (x + y) - y == x and x.scale(c).scale(1 / c) == x and y - (y - x) == x
+    assert (x.scale(c) == x) == (c == 1 or not x)
+    zero = x - x
+    assert zero == cls(_MIXED) and (zero._terms, zero._den) == ({}, 1)
+    if arity == 1:
+        lhs, rhs = coassoc_lhs(x), coassoc_rhs(x)
+        assert store_of(coproduct(x)) == ref_coproduct(d1, group_like)
+        assert store_of(lhs) == ref_resplit(d1, group_like, True)
+        assert store_of(rhs) == ref_resplit(d1, group_like, False)
+        assert lhs == rhs and coproduct(x * y) == coproduct(x) * coproduct(y)
+        e = counit(x)
+        assert type(e) is Fraction
+        assert e == sum((c for t, c in d1.items() if group_like.issuperset(t)), Fraction(0))
+        conv = convolve(FiniteSupportSeries(x), FiniteSupportSeries(y)).poly
+        assert store_of(conv) == ref_convolve(d1, d2, group_like, "abg")
+        d3 = data.draw(ref_terms(1, "ab", 4))
+        z = built(NCPoly, _AB, d3)
+        s = antipode(z)
+        assert store_of(s) == ref_nonzero({t[::-1]: (-1) ** len(t) * c for t, c in d3.items()})
+        assert antipode(s) == z
+
+
+def test_freealg_kernels_do_no_fraction_arithmetic(mixed, ab, monkeypatch):
+    """The kernels, sums, differences, equality, integer scaling and the
+    antipode run on the stored integer numerators: no Fraction is added,
+    subtracted, multiplied, divided or compared. Fractions are built only
+    at the edge (parsing, `terms`, `coeff` and `counit`)."""
+    p = NCPoly.from_text(mixed, "1/2*agb - 2/3*ba + 3/4*g - 5/6")
+    q = NCPoly.from_text(mixed, "2/5*gb + 1/3*a - 7")
+    r = NCPoly.from_text(ab, "1/2*aab - 1/3*ba + 3/7*b")
+    f, h = FiniteSupportSeries(p), FiniteSupportSeries(q)
+    expected = [poly_mul(p, q), coproduct(p), coassoc_lhs(q), p + q, p - q, p.scale(-6), antipode(r),
+                convolve(f, h).poly]
+    assert str(expected[5]) == "-3*agb + 4*ba - 9/2*g + 5*1"
+
+    def refuse(self, other):
+        raise AssertionError("Fraction arithmetic in a freealg kernel")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__eq__"):
+        monkeypatch.setattr(Fraction, op, refuse)
+    s, t = coproduct(p), coproduct(q)
+    assert [poly_mul(p, q), s, coassoc_lhs(q), p + q, p - q, p.scale(-6), antipode(r),
+            convolve(f, h).poly] == expected
+    assert coassoc_lhs(p) == coassoc_rhs(p) and coproduct(p * q) == s * t
+    assert (p + q) - q == p and p.scale(3) == p + p + p and not p - p
+    assert antipode(antipode(r)) == r and tensor2_mul(s, t) == coproduct(poly_mul(p, q))
+    assert convolve(convolve(f, h), f) == convolve(f, convolve(h, f))
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) + Fraction(1, 3)

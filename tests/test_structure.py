@@ -168,13 +168,14 @@ def test_term_order_is_written_once():
 
 
 def test_only_freealg_reads_the_term_store():
-    # a LinComb keeps its terms unordered in _terms; every other module
-    # reads the ordered `terms`
+    # a LinComb keeps its terms unordered in _terms, as integer numerators
+    # over _den; every other module reads the ordered `terms`, or the
+    # numerators through freealg._numerators
     readers = {
         name
         for name, tree in _trees().items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "_terms"
+        if isinstance(node, ast.Attribute) and node.attr in ("_terms", "_den")
     }
     assert readers == {"freealg"}
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfwords.rep as rep_module
 import hopfwords.sweedler as sweedler
 from cli_cases import FIXTURES
 from conftest import counting_rep, geometric_rep
@@ -330,19 +331,52 @@ def test_conv_rep_binomial_closed_form(single):
         assert conv.value(w) == expected
 
 
+def conv_matches_subword_formula(r1: LinRep, r2: LinRep, max_len: int) -> bool:
+    """conv_rep(r1, r2) gives sum f1(u) f2(v) over the splittings (u, v)
+    of every word w up to max_len."""
+    t1, t2 = behavior_table(r1, max_len), behavior_table(r2, max_len)
+    tc = behavior_table(conv_rep(r1, r2), max_len)
+    return all(
+        tc[w] == sum((t1[u] * t2[v] for u, v in splittings(w)), Fraction(0))
+        for w in r1.alphabet.words(max_len)
+    )
+
+
+def unequal_dims_pair() -> tuple:
+    """A dim-2 and a dim-3 representation over a:L,g:G whose g matrices are
+    not scalar, so the order of the Kronecker factors on g matters."""
+    alph = Alphabet.from_decl("a:L,g:G")
+    a, g = alph.letters
+
+    def rep(lam, ma, mg, gamma):
+        return LinRep(alph, len(lam), Matrix.row_vector(lam), {a: Matrix(ma), g: Matrix(mg)},
+                      Matrix.col_vector(gamma))
+
+    r1 = rep([1, 0], [[2, 0], [0, 1]], [[1, 1], [0, 1]], [0, 1])
+    r2 = rep([1, 0, 0], [[0, 1, 0], [0, 0, 1], [0, 0, 0]], [[1, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 1, 1])
+    return r1, r2
+
+
 def test_conv_rep_matches_subword_formula_on_profiles():
     for decl in ("a:L,b:L", "g:G", "a:L,g:G"):
         alph = Alphabet.from_decl(decl)
-        r1 = geometric_rep(alph, 2)
-        r2 = geometric_rep(alph, 3)
-        conv = conv_rep(r1, r2)
-        t1 = behavior_table(r1, 4)
-        t2 = behavior_table(r2, 4)
-        tc = behavior_table(conv, 4)
-        for w in alph.words(4):
-            assert tc[w] == sum(
-                (t1[u] * t2[v] for u, v in splittings(w)), Fraction(0)
-            )
+        assert conv_matches_subword_formula(geometric_rep(alph, 2), geometric_rep(alph, 3), 4)
+    assert conv_matches_subword_formula(*unequal_dims_pair(), 4)
+
+
+def test_subword_formula_catches_swapped_kronecker_factors(monkeypatch):
+    # a seeded fault: conv_rep with b (x) a in place of a (x) b on the
+    # group-like letters. The geometric profiles have scalar letter
+    # matrices and cannot see it; the pair of unequal dimensions does.
+    scheme = rep_module.tensor_scheme
+
+    def swapped(a, b, group_like):
+        return b.kron(a) if group_like else scheme(a, b, group_like)
+
+    monkeypatch.setattr(rep_module, "tensor_scheme", swapped)
+    geo = Alphabet.from_decl("a:L,g:G")
+    assert conv_matches_subword_formula(geometric_rep(geo, 2), geometric_rep(geo, 3), 4)
+    assert not conv_matches_subword_formula(*unequal_dims_pair(), 3)
 
 
 def test_conv_rep_indicator_shuffle(ab):
