@@ -436,6 +436,8 @@ class LinComb:
         if other.__class__ is not self.__class__:
             return NotImplemented
         _same_alphabet(self.alphabet, other.alphabet)
+        if not (self._terms and other._terms):
+            return self if self._terms else other
         den = lcm(self._den, other._den)
         k_a, k_b = den // self._den, den // other._den
         acc = dict(self._terms) if k_a == 1 else {k: c * k_a for k, c in self._terms.items()}
@@ -464,6 +466,8 @@ class LinComb:
 
     def scale(self, c):
         c = _exact(c)
+        if not c:
+            return self._of_checked(self.alphabet, {}, 1)
         p = c.numerator
         acc = {k: p * v for k, v in self._terms.items()}
         return _lift(self.__class__, self.alphabet, acc, self._den * c.denominator)

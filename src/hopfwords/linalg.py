@@ -118,11 +118,14 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        rows = cls.zeros(n, n).num
+        return cls._from_ints(tuple([r[:i] + (1,) + r[i + 1 :] for i, r in enumerate(rows)]))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[0] * ncols for _ in range(nrows)])
+        if min(nrows, ncols) < 1:
+            raise ValueError("matrix must have at least one row and one column")
+        return cls._from_ints(((0,) * ncols,) * nrows)
 
     @classmethod
     def row_vector(cls, xs: Iterable) -> "Matrix":

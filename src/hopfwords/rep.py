@@ -13,12 +13,17 @@ w -> lambda * mu(w) * gamma. LinRep lives here, with the representation
 calculus it shares: sums and convolutions of series are direct sums and
 tensor products of their representations.
 
-Dual vectors are plain 1 x n matrices; column vectors are n x 1.
+Dual vectors are plain 1 x n matrices; column vectors are n x 1. The
+antipode audit and the dual action apply coproduct and antipode, then run
+on integer numerators: one length-n vector product per distinct prefix
+psi . rho(w) or suffix rho(v) . x, and no n x n product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import DomainError, ParseError
 from .freealg import (
@@ -27,12 +32,13 @@ from .freealg import (
     NCPoly,
     Word,
     _check_antipode_domain,
+    _numerators,
     _same_alphabet,
     antipode,
     coproduct,
     counit,
 )
-from .linalg import Matrix, _parse_rational, tensor_scheme
+from .linalg import Matrix, _parse_rational, _scaled, tensor_scheme
 
 
 def _json_matrix(rows) -> Matrix:
@@ -257,17 +263,43 @@ def _as_col(x, dim: int) -> Matrix:
     return m
 
 
+def _letter_numerators(r: MatRep) -> tuple[dict, dict, int]:
+    """The letter matrices as integer rows and as integer columns, keyed by
+    symbol, over the lcm D of their denominators; and D."""
+    den = lcm(*[m.den for m in r.assign.values()])
+    rows = {l.symbol: _scaled(m.num, den // m.den) for l, m in r.assign.items()}
+    return rows, {a: tuple(zip(*m)) for a, m in rows.items()}, den
+
+
+def _walked(cache: dict, mats: dict, text: str) -> tuple:
+    """The integer vector of text in cache (which holds ""), computed if
+    missing from its longest cached prefix: one product with the rows of
+    mats[letter] per further letter, each stored."""
+    k = len(text)
+    while (vec := cache.get(text[:k])) is None:
+        k -= 1
+    for k in range(k, len(text)):
+        vec = cache[text[: k + 1]] = tuple([sum(map(mul, vec, c)) for c in mats[text[k]]])
+    return vec
+
+
 def dual_action(r: MatRep, g: NCPoly, psi) -> Matrix:
-    """Left action on the dual through the antipode: psi . rho(S(g))."""
+    """Left action on the dual through the antipode: psi . rho(S(g)), the
+    sum of c * psi . rho(w) over the terms of antipode(g)."""
     _check_antipode_domain(r.alphabet)
     _same_alphabet(r.alphabet, g.alphabet)
     row = _as_row(psi, r.dim)
-    return row * eval_rep(r, antipode(g))
+    _, cols, den = _letter_numerators(r)
+    prefixes, (terms, sden) = {"": row.num[0]}, _numerators(antipode(g))
+    top = max([len(w) for w, _ in terms], default=0)
+    acc = [0] * r.dim
+    for w, c in terms:
+        c *= den ** (top - len(w))
+        acc = [a + c * y for a, y in zip(acc, _walked(prefixes, cols, w))]
+    return Matrix._from_ints((tuple(acc),), sden * row.den * den**top)
 
 
-def pairing_invariance_check(
-    r: MatRep, g: NCPoly, psi, x
-) -> tuple[Fraction, Fraction]:
+def pairing_invariance_check(r: MatRep, g: NCPoly, psi, x) -> tuple[Fraction, Fraction]:
     """Audit of the antipode axiom on a representation.
 
     Returns the two numbers that the axiom forces to coincide: the sum of
@@ -276,11 +308,22 @@ def pairing_invariance_check(
     """
     _check_antipode_domain(r.alphabet)
     _same_alphabet(r.alphabet, g.alphabet)
-    row = _as_row(psi, r.dim)
-    col = _as_col(x, r.dim)
-    lhs = Fraction(0)
-    for (u, v), c in coproduct(g).terms.items():
-        acted = dual_action(r, NCPoly.from_word(u), row)
-        lhs += c * (acted * eval_word(r, v) * col).scalar()
-    rhs = counit(g) * (row * col).scalar()
-    return lhs, rhs
+    row, col = _as_row(psi, r.dim), _as_col(x, r.dim)
+    rows, cols, den = _letter_numerators(r)
+    prefixes, suffixes = {"": row.num[0]}, {"": tuple([y for (y,) in col.num])}
+    images: dict = {}
+    sums: dict = {}  # integer numerators keyed by their denominators
+    pairs, cden = _numerators(coproduct(g))
+    for (u, v), c in pairs:
+        if u not in images:
+            images[u] = _numerators(antipode(NCPoly._of_checked(r.alphabet, {u: 1}, 1)))
+        terms, sden = images[u]
+        # rho(v) . x, walked as the reversed v on the transposed letter matrices
+        right = _walked(suffixes, rows, v[::-1])
+        for w, s in terms:
+            q = sden * den ** (len(w) + len(v))
+            sums[q] = sums.get(q, 0) + c * s * sum(map(mul, _walked(prefixes, cols, w), right))
+    q = lcm(*sums)
+    lhs = Fraction(sum([n * (q // d) for d, n in sums.items()]), cden * q * row.den * col.den)
+    e, dot = counit(g), sum(map(mul, prefixes[""], suffixes[""]))
+    return lhs, Fraction(e.numerator * dot, e.denominator * row.den * col.den)

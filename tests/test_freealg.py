@@ -103,6 +103,21 @@ def test_foreign_words_and_letters_are_domain_errors(ab, mixed):
         Word(ab, (Letter("a", LetterKind.GROUP_LIKE),))
 
 
+def test_zero_operands_keep_the_class_and_alphabet_checks(ab, mixed):
+    """+ returns the other operand when one is zero, but only after the class
+    and alphabet checks; scale(0) is the stored zero ({}, 1)."""
+    p, zero = NCPoly.from_text(ab, "1/2*ab - b"), NCPoly(ab)
+    assert p + zero == p and zero + p == p and zero + zero == zero
+    for x, y in [(p, NCPoly(mixed)), (NCPoly(mixed), p), (zero, NCPoly(mixed))]:
+        with pytest.raises(DomainError):
+            x + y
+    assert zero.__add__(Tensor2(ab)) is NotImplemented
+    for c in (0, Fraction(0)):
+        assert p.scale(c) == zero and (p.scale(c)._terms, p.scale(c)._den) == ({}, 1)
+    with pytest.raises(TypeError):
+        p.scale(0.0)
+
+
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
 _DUMP = """

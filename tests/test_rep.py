@@ -1,14 +1,22 @@
+import gc
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import hopfwords.rep
 from hopfwords import (
+    Alphabet,
     Matrix,
     MatRep,
     NCPoly,
+    Tensor2,
+    antipode,
     conc,
+    coproduct,
     counit,
     direct_sum,
     dual_action,
@@ -221,3 +229,124 @@ def test_matrep_json_round_trip(mixed):
     for dim, entry in [(True, "1"), ("1", "1"), (1, "1e3"), (1, "0.5"), (1, 0.1), (1, 1)]:
         with pytest.raises(ParseError):
             MatRep.from_json_dict({"alphabet": "a:L", "dim": dim, "assign": {"a": [[entry]]}})
+
+
+# ---------------------------------------------------------------------------
+# the antipode audit on integer vectors, against the Fraction reference
+
+
+def reference_dual_action(r, g, psi):
+    """psi . rho(S(g)) by matrix products over Fractions."""
+    return psi * eval_rep(r, antipode(g))
+
+
+def reference_pairing(r, g, psi, x):
+    """The audit as n x n matrix products and a Fraction sum."""
+    lhs = Fraction(0)
+    for (u, v), c in coproduct(g).terms.items():
+        acted = reference_dual_action(r, NCPoly.from_word(u), psi)
+        lhs += c * (acted * eval_word(r, v) * x).scalar()
+    return lhs, counit(g) * (psi * x).scalar()
+
+
+RATIONALS = st.sampled_from([0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6)])
+
+
+@st.composite
+def audit_operands(draw):
+    """A representation of dim 1-4 over a:L or a:L,b:L whose letter matrices
+    have unlike denominators, rational psi and x, and g over words of
+    length <= 5 with rational coefficients."""
+    alphabet = Alphabet.from_decl(draw(st.sampled_from(["a:L", "a:L,b:L"])))
+    dim = draw(st.integers(1, 4))
+    assign = {
+        l: Matrix([[draw(RATIONALS) for _ in range(dim)] for _ in range(dim)]).scale(
+            Fraction(1, draw(st.integers(1, 4)))
+        )
+        for l in alphabet.letters
+    }
+    words = list(alphabet.words(5))
+    terms = draw(st.dictionaries(st.sampled_from(words), RATIONALS, max_size=4))
+    vec = st.lists(RATIONALS, min_size=dim, max_size=dim)
+    psi, x = Matrix.row_vector(draw(vec)), Matrix.col_vector(draw(vec))
+    return MatRep(alphabet, dim, assign), NCPoly(alphabet, terms), psi, x
+
+
+@given(audit_operands())
+@settings(max_examples=80, deadline=None)
+def test_audit_matches_the_fraction_reference(operands):
+    r, g, psi, x = operands
+    lhs, rhs = pairing_invariance_check(r, g, psi, x)
+    assert (lhs, rhs) == reference_pairing(r, g, psi, x)
+    assert type(lhs) is Fraction and type(rhs) is Fraction and lhs == rhs
+    assert dual_action(r, g, psi) == reference_dual_action(r, g, psi)
+    # psi and x given as entry lists
+    assert pairing_invariance_check(r, g, psi.row(0), x.col(0)) == (lhs, rhs)
+
+
+def pinned_audit(ab):
+    r = rep_of(ab, a=Matrix([[1, 1], [0, 1]]), b=Matrix([[Fraction(1, 2), 0], [1, 2]]))
+    g = NCPoly.from_text(ab, "ab - 1/3*a + 2")
+    return r, g, Matrix.row_vector([1, 2]), Matrix.col_vector([3, -1])
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        lambda p: NCPoly(p.alphabet, {w.reverse(): c for w, c in p.terms.items()}),
+        lambda p: antipode(p).scale(Fraction(1, 2)),
+    ],
+    ids=["unsigned", "halved"],
+)
+def test_audit_catches_a_faulty_antipode(ab, monkeypatch, fault):
+    r, g, psi, x = pinned_audit(ab)
+    lhs, rhs = pairing_invariance_check(r, g, psi, x)
+    assert lhs == rhs == 2
+    monkeypatch.setattr(hopfwords.rep, "antipode", fault)
+    lhs, rhs = pairing_invariance_check(r, g, psi, x)
+    assert lhs != rhs
+    assert dual_action(r, g, psi) != reference_dual_action(r, g, psi)
+
+
+def test_audit_catches_a_coproduct_with_a_term_dropped(ab, monkeypatch):
+    r, g, psi, x = pinned_audit(ab)
+    full = coproduct
+
+    def dropped(p):
+        t = full(p)
+        key, c = next(iter(t.terms.items()))
+        return t - Tensor2(p.alphabet, {key: c})
+
+    monkeypatch.setattr(hopfwords.rep, "coproduct", dropped)
+    lhs, rhs = pairing_invariance_check(r, g, psi, x)
+    assert lhs != rhs
+
+
+def test_audit_leaves_no_cyclic_garbage(ab):
+    """Each call frees what it builds by reference counting alone."""
+    r, g, psi, x = pinned_audit(ab)
+    gc.collect()
+    gc.disable()
+    try:
+        pairing_invariance_check(r, g, psi, x)
+        dual_action(r, g, psi)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_audit_does_no_fraction_arithmetic(ab, monkeypatch):
+    """pairing_invariance_check and dual_action build Fractions only at the
+    edge, the counit's and each returned number, on both sides."""
+    r, g, psi, x = pinned_audit(ab)
+    expected = reference_pairing(r, g, psi, x), reference_dual_action(r, g, psi)
+
+    def refuse(self, other):
+        raise AssertionError("Fraction arithmetic in the audit")
+
+    for op in ("add", "sub", "mul", "truediv"):
+        monkeypatch.setattr(Fraction, f"__{op}__", refuse)
+        monkeypatch.setattr(Fraction, f"__r{op}__", refuse)
+    assert (pairing_invariance_check(r, g, psi, x), dual_action(r, g, psi)) == expected
+    with pytest.raises(AssertionError):
+        Fraction(1, 2) * 3
