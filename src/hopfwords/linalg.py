@@ -118,14 +118,13 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        rows = cls.zeros(n, n).num
-        return cls._from_ints(tuple([r[:i] + (1,) + r[i + 1 :] for i, r in enumerate(rows)]))
+        if n < 1:
+            return cls([])  # the constructor's ValueError
+        return cls._from_ints(tuple([(0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)]))
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        if min(nrows, ncols) < 1:
-            raise ValueError("matrix must have at least one row and one column")
-        return cls._from_ints(((0,) * ncols,) * nrows)
+        return cls([[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def row_vector(cls, xs: Iterable) -> "Matrix":

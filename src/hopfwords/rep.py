@@ -14,9 +14,9 @@ calculus it shares: sums and convolutions of series are direct sums and
 tensor products of their representations.
 
 Dual vectors are plain 1 x n matrices; column vectors are n x 1. The
-antipode audit and the dual action apply coproduct and antipode, then run
-on integer numerators: one length-n vector product per distinct prefix
-psi . rho(w) or suffix rho(v) . x, and no n x n product.
+antipode audit applies coproduct and antipode, then runs on integer
+numerators: one length-n vector product per distinct prefix psi . rho(w)
+or suffix rho(v) . x, and no n x n product.
 """
 
 from __future__ import annotations
@@ -263,14 +263,6 @@ def _as_col(x, dim: int) -> Matrix:
     return m
 
 
-def _letter_numerators(r: MatRep) -> tuple[dict, dict, int]:
-    """The letter matrices as integer rows and as integer columns, keyed by
-    symbol, over the lcm D of their denominators; and D."""
-    den = lcm(*[m.den for m in r.assign.values()])
-    rows = {l.symbol: _scaled(m.num, den // m.den) for l, m in r.assign.items()}
-    return rows, {a: tuple(zip(*m)) for a, m in rows.items()}, den
-
-
 def _walked(cache: dict, mats: dict, text: str) -> tuple:
     """The integer vector of text in cache (which holds ""), computed if
     missing from its longest cached prefix: one product with the rows of
@@ -284,22 +276,16 @@ def _walked(cache: dict, mats: dict, text: str) -> tuple:
 
 
 def dual_action(r: MatRep, g: NCPoly, psi) -> Matrix:
-    """Left action on the dual through the antipode: psi . rho(S(g)), the
-    sum of c * psi . rho(w) over the terms of antipode(g)."""
+    """Left action on the dual through the antipode: psi . rho(S(g))."""
     _check_antipode_domain(r.alphabet)
     _same_alphabet(r.alphabet, g.alphabet)
     row = _as_row(psi, r.dim)
-    _, cols, den = _letter_numerators(r)
-    prefixes, (terms, sden) = {"": row.num[0]}, _numerators(antipode(g))
-    top = max([len(w) for w, _ in terms], default=0)
-    acc = [0] * r.dim
-    for w, c in terms:
-        c *= den ** (top - len(w))
-        acc = [a + c * y for a, y in zip(acc, _walked(prefixes, cols, w))]
-    return Matrix._from_ints((tuple(acc),), sden * row.den * den**top)
+    return row * eval_rep(r, antipode(g))
 
 
-def pairing_invariance_check(r: MatRep, g: NCPoly, psi, x) -> tuple[Fraction, Fraction]:
+def pairing_invariance_check(
+    r: MatRep, g: NCPoly, psi, x
+) -> tuple[Fraction, Fraction]:
     """Audit of the antipode axiom on a representation.
 
     Returns the two numbers that the axiom forces to coincide: the sum of
@@ -309,7 +295,10 @@ def pairing_invariance_check(r: MatRep, g: NCPoly, psi, x) -> tuple[Fraction, Fr
     _check_antipode_domain(r.alphabet)
     _same_alphabet(r.alphabet, g.alphabet)
     row, col = _as_row(psi, r.dim), _as_col(x, r.dim)
-    rows, cols, den = _letter_numerators(r)
+    # the letter matrices as integer rows and columns over the lcm of their denominators
+    den = lcm(*[m.den for m in r.assign.values()])
+    rows = {l.symbol: _scaled(m.num, den // m.den) for l, m in r.assign.items()}
+    cols = {a: tuple(zip(*m)) for a, m in rows.items()}
     prefixes, suffixes = {"": row.num[0]}, {"": tuple([y for (y,) in col.num])}
     images: dict = {}
     sums: dict = {}  # integer numerators keyed by their denominators
