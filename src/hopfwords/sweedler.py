@@ -20,24 +20,24 @@ the nonzeros of x and mu(a); reps_equal checks gamma on that basis
 with no change of basis. A finite-support window is filled straight from
 the support. Windows, ranks and row reduction run on integer numerators.
 
-hankel_rank and learn walk both sides with a reducer: the closed table of
-Beimel et al. ("Learning functions represented as multiplicity automata").
-The columns are a set C spanning the column space, chosen breadth first
-with the empty suffix first, so its columns of length <= l also span those
-of length <= l: the kept columns, at most n, or for a finite support the
-empty word and its support words' suffixes (every other column is zero).
-Then H = H[:, C] T with T of full row rank, so the rows of H and H[:, C]
-satisfy the same linear relations. The rows of a representation are its
-basis words and their one-letter extensions, at most 1 + n*|A|; every other
-row is a combination of basis rows before it. So the rank, the shortlex-first
-independent rows and each row's coordinates over them are the whole
-window's. A bare coefficient oracle keeps every row and column.
+hankel_rank and learn read a representation off its two reduced walks,
+with no window: H = P Q^T for the prefix rows P and the suffix columns Q
+(Berstel & Reutenauer, ch. 2), so the rank is that of the kept rows times
+the kept columns, the smaller count with no product when either spans Q^n.
+A row dependent in Q^n is dependent in H, so the window's shortlex-first
+basis (the closed table of Beimel et al., "Learning functions represented
+as multiplicity automata") is the walk's kept rows or, when the kept
+columns miss part of Q^n, those independent on them. A finite support
+keeps its empty word and its support words' suffixes as columns C (every
+other column is zero): H = H[:, C] T with T of full row rank, so the rows
+of H and H[:, C] satisfy the same relations. An oracle keeps everything.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import reduce
 from itertools import compress
 from operator import mul
 
@@ -46,7 +46,7 @@ from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, _suffix_
 from .errors import InconclusiveError, InternalInvariantError
 from .freealg import Alphabet, Letter, NCPoly, Word, _Frozen, _check_antipode_domain, _numerators, _same_alphabet, conc
 from .linalg import Matrix, RowReducer, _Span, _stacked
-from .rep import LinRep, eval_word, rep_sum, scale_rep, zero_rep
+from .rep import LinRep, rep_sum, scale_rep, zero_rep
 
 
 def _walk(start: Matrix, mu: dict[Letter, Matrix], letters, max_len: int | None, reducer: _Span | None = None):
@@ -117,9 +117,8 @@ def shift_right(f: Series, s: Word) -> Series:
         }
         return FiniteSupportSeries(NCPoly(f.alphabet, terms))
     rep = f.rep
-    return RecognizableSeries(
-        LinRep(rep.alphabet, rep.dim, rep.lam * eval_word(rep, s), rep.mu, rep.gamma)
-    )
+    lam = reduce(lambda row, a: row * rep.mu[a], s.letters, rep.lam)
+    return RecognizableSeries(LinRep(rep.alphabet, rep.dim, lam, rep.mu, rep.gamma))
 
 
 def shift_left(f: Series, s: Word) -> Series:
@@ -134,9 +133,8 @@ def shift_left(f: Series, s: Word) -> Series:
         }
         return FiniteSupportSeries(NCPoly(f.alphabet, terms))
     rep = f.rep
-    return RecognizableSeries(
-        LinRep(rep.alphabet, rep.dim, rep.lam, rep.mu, eval_word(rep, s) * rep.gamma)
-    )
+    gamma = reduce(lambda col, a: rep.mu[a] * col, reversed(s.letters), rep.gamma)
+    return RecognizableSeries(LinRep(rep.alphabet, rep.dim, rep.lam, rep.mu, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -196,17 +194,10 @@ def _rep_window(alph: Alphabet, rows, cols) -> HankelSlice:
 
 
 def _spanning_window(f, p: int, s: int, alphabet: Alphabet | None) -> HankelSlice:
-    """The (p, s) window on the rows and spanning columns C that the module
-    docstring describes. C keeps the empty suffix even when gamma = 0: learn
-    reads gamma from its column."""
+    """The (p, s) window of a finite support on its spanning columns C, and of an oracle on all."""
     if isinstance(f, FiniteSupportSeries):
         suffixes = _suffix_closure([text for text, _ in _numerators(f.poly)[0]], s)
         return _finite_window(f, p, tuple(Word(f.alphabet, v) for v in suffixes))
-    if isinstance(f, RecognizableSeries):
-        rep = f.rep
-        rows = _walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, p, _Span(rep.dim))
-        cols = [(v, c, k) for v, c, k in _column_walk(rep, s, _Span(rep.dim)) if k or not v]
-        return _rep_window(rep.alphabet, rows, cols)
     return hankel(f, p, s, alphabet)
 
 
@@ -233,17 +224,56 @@ def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
     return HankelSlice(rows, cols, Matrix([[cf(conc(u, v)) for v in cols] for u in rows]))
 
 
+def _product_rank(rows: list[Matrix], cols: list[Matrix], n: int) -> int:
+    """rank(P Q^T) for independent 1 x n rows P and Q; no product when either spans Q^n."""
+    if min(len(rows), len(cols)) == 0 or n in (len(rows), len(cols)):
+        return min(len(rows), len(cols))
+    return linalg.rank(_stacked(rows) * _stacked(cols).transpose())
+
+
 def hankel_rank(f, p: int, s: int, alphabet: Alphabet | None = None) -> int:
-    """Exact rank over Q of the (p, s) Hankel window, computed on the
-    window restricted to a spanning set of its suffix columns, which has
-    the same rank (see the module docstring)."""
+    """Exact rank over Q of the (p, s) Hankel window, read off the two basis
+    walks of a representation and otherwise off the window restricted to a
+    spanning set of its suffix columns (see the module docstring)."""
     if min(p, s) < 0:
         raise ValueError(f"window lengths must be nonnegative, got {p} and {s}")
+    if isinstance(f, RecognizableSeries):
+        rep = f.rep
+        rows = [r for _, r, k in _walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, p, _Span(rep.dim)) if k]
+        return _product_rank(rows, [c for _, c, k in _column_walk(rep, s, _Span(rep.dim)) if k], rep.dim)
     return linalg.rank(_spanning_window(f, p, s, alphabet).entries)
 
 
 # ---------------------------------------------------------------------------
 # learning
+
+
+def _walk_model(rep: LinRep, explore: int):
+    """learn's inputs for a representation, read off its two basis walks."""
+    n, reducer = rep.dim, RowReducer(rep.dim)
+    walk = list(_walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, explore + 1, reducer))
+    rows, basis = {w: row for w, row, _ in walk}, [w for w, _, k in walk if k]
+    cols = [(v, c) for v, c, k in _column_walk(rep, explore + 1, _Span(n)) if k]
+    r_small = _product_rank([rows[w] for w in basis if len(w) <= explore], [c for v, c in cols if len(v) <= explore], n)
+    row_of = rows.__getitem__
+    if not cols:  # gamma = 0
+        basis = []
+    elif len(cols) < n:
+        # a row dependent in Q^n is dependent in H, so the window's greedy
+        # basis is the walk-basis rows independent on the kept columns
+        qt = _stacked([c for _, c in cols]).transpose()
+        reducer = RowReducer(len(cols))
+        basis = [w for w in basis if reducer.offer((rows[w] * qt).num[0])]
+        row_of = lambda w: rows[w] * qt
+    dens = [row_of(w).den for w in basis]
+
+    def coords(w: str) -> Matrix | None:
+        # the reducer took the basis rows' numerators: rescale by their dens
+        row = row_of(w)
+        a = reducer.coordinates(row.num[0])
+        return None if a is None else Matrix._from_ints((tuple(map(mul, a.num[0], dens)),), a.den * row.den)
+
+    return rep.alphabet, r_small, basis, coords, _stacked([rows[w] * rep.gamma for w in basis])
 
 
 def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
@@ -259,33 +289,37 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     (length <= 2*explore + 1) and everywhere when f is genuinely
     recognizable with rank reached inside the window.
 
-    f is a Series or, with `alphabet`, a bare coefficient oracle, learned on
-    the window restricted to its spanning suffix columns (see the module
-    docstring). A rank that agrees between two windows may still grow, so
-    the model is checked with reps_equal against a RecognizableSeries of
-    larger dimension than that rank, and against a finite support with a
-    word longer than explore + 1; a shorter support has every nonzero
-    Hankel entry inside the window, which certifies the model. The
-    InconclusiveError, raised when the ranks differ or the check fails,
-    carries the two window ranks and the exploration length as attributes
-    r_small, r_big and explore.
+    A representation is learned from its two basis walks, with no window; a
+    finite support, or with `alphabet` a bare coefficient oracle, on the
+    window restricted to its spanning suffix columns (module docstring). A
+    rank that agrees between two windows may still grow, so the model is
+    checked with reps_equal against a RecognizableSeries of larger dimension
+    than that rank, and against a finite support with a word longer than
+    explore + 1; a shorter support has every nonzero Hankel entry inside the
+    window, which certifies the model. The InconclusiveError, raised when
+    the ranks differ or the check fails, carries the two window ranks and
+    the exploration length as attributes r_small, r_big and explore.
     """
     if explore < 0:
         raise ValueError("exploration length must be nonnegative")
-    window = _spanning_window(f, explore + 1, explore + 1, alphabet)
-    alph = window.rows[0].alphabet
-    # integer rows: the window's common denominator scales every row alike,
-    # which changes no rank, no accepted row and no coordinate
-    num = window.entries.num
-    n_small = sum(1 for w in window.rows if len(w) <= explore)
-    # the columns of length <= explore come first and span the small window
-    c_small = sum(1 for v in window.cols if len(v) <= explore)
-    r_small = linalg.rank(Matrix._from_ints(tuple([row[:c_small] for row in num[:n_small]])))
-    # one elimination of the window gives its rank and the basis; a zero
-    # row enlarges no span, so it is not offered
-    reducer = RowReducer(len(window.cols))
-    basis = [i for i, row in enumerate(num) if any(row) and reducer.offer(row)]
-    r_big = reducer.rank
+    if isinstance(f, RecognizableSeries):
+        alph, r_small, basis, coords, gamma = _walk_model(f.rep, explore)
+    else:
+        window = _spanning_window(f, explore + 1, explore + 1, alphabet)
+        alph, num = window.rows[0].alphabet, window.entries.num
+        # integer rows: a common denominator changes no rank, basis or coordinate
+        n_small = sum(1 for w in window.rows if len(w) <= explore)
+        # the columns of length <= explore come first and span the small window
+        c_small = sum(1 for v in window.cols if len(v) <= explore)
+        r_small = linalg.rank(Matrix._from_ints(tuple([row[:c_small] for row in num[:n_small]])))
+        # one elimination gives the window's rank and basis; zero rows are not offered
+        reducer = RowReducer(len(window.cols))
+        rows = dict(zip([w.symbols() for w in window.rows], num))
+        basis = [w for w, row in rows.items() if any(row) and reducer.offer(row)]
+        coords = lambda w: reducer.coordinates(rows[w])
+        # the column of the empty suffix holds f on the basis words
+        gamma = Matrix._from_ints(tuple([(rows[w][0],) for w in basis]), window.entries.den)
+    r_big = len(basis)
     if r_small != r_big:
         raise InconclusiveError(
             f"hankel rank not stabilized: {r_small} at window {explore}, "
@@ -297,25 +331,12 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     if r_big == 0:
         model = zero_rep(alph)
     else:
-        index = {w.symbols(): i for i, w in enumerate(window.rows)}
-        basis_words = [window.rows[i] for i in basis]
-        if any(len(w) > explore for w in basis_words):
+        if any(len(w) > explore for w in basis):
             raise InternalInvariantError("stabilized basis contains a maximal-length row")
-        lam = reducer.coordinates(num[0])
-        if lam is None:
-            raise InternalInvariantError("empty-word row escaped the selected basis")
-        mu: dict[Letter, Matrix] = {}
-        for letter in alph.letters:
-            rows = []
-            for w in basis_words:
-                coords = reducer.coordinates(num[index[w.symbols() + letter.symbol]])
-                if coords is None:
-                    raise InternalInvariantError("hankel row escaped the selected basis")
-                rows.append(coords)
-            mu[letter] = _stacked(rows)
-        # column of the empty suffix holds f on the basis words
-        gamma = Matrix._from_ints(tuple([(num[i][0],) for i in basis]), window.entries.den)
-        model = LinRep(alph, r_big, lam, mu, gamma)
+        lam, mu = coords(""), {a: [coords(w + a.symbol) for w in basis] for a in alph.letters}
+        if lam is None or any(None in m for m in mu.values()):
+            raise InternalInvariantError("hankel row escaped the selected basis")
+        model = LinRep(alph, r_big, lam, {a: _stacked(m) for a, m in mu.items()}, gamma)
     if isinstance(f, RecognizableSeries) and r_big < f.rep.dim:
         reference = f.rep
     elif isinstance(f, FiniteSupportSeries) and not _window_holds_support(f, explore):

@@ -105,6 +105,19 @@ def test_shift_recognizable_coherence(ab):
             assert left.coeff(x) == c.coeff(conc(x, s))
 
 
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_shifts_of_a_representation_match_the_word_matrix(data):
+    """lambda * mu(s) and mu(s) * gamma, walked one letter at a time, give
+    the representations built from the word's matrix eval_word(rep, s)."""
+    rep = data.draw(hidden_state_reps())
+    symbols = "".join(l.symbol for l in rep.alphabet.letters)
+    s = rep.alphabet.word(data.draw(st.text(symbols, max_size=5)) or "1")
+    m, f = eval_word(rep, s), RecognizableSeries(rep)
+    assert shift_right(f, s).rep == LinRep(rep.alphabet, rep.dim, rep.lam * m, rep.mu, rep.gamma)
+    assert shift_left(f, s).rep == LinRep(rep.alphabet, rep.dim, rep.lam, rep.mu, m * rep.gamma)
+
+
 # ---------------------------------------------------------------------------
 # hankel windows
 
@@ -896,6 +909,123 @@ def test_spanning_columns_of_a_support_longer_than_the_window(ab, text):
             assert (got_err.r_small, got_err.r_big) == (ranks[explore], ranks[explore + 1])
 
 
+# ---------------------------------------------------------------------------
+# rank and learning of a representation from its two basis walks
+
+
+@st.composite
+def hidden_state_reps(draw):
+    """A rep of dim 1..6 with rational entries over an alphabet that may
+    hold a group-like letter: a core of dim m and k more states that lambda
+    and the core never reach (unreachable) or that never feed gamma or the
+    core (unobservable), the states shuffled; sometimes lambda = 0 or
+    gamma = 0."""
+    alph = draw(SPANNING_ALPHABETS)
+    m = draw(st.integers(1, 6))
+    k = draw(st.integers(0, 6 - m))
+    n, hidden = m + k, draw(st.sampled_from(["unreachable", "unobservable"]))
+    vec = st.lists(RATIONALS, min_size=n, max_size=n)
+    lam, gamma = draw(vec), draw(vec)
+    mats = {l: draw(st.lists(vec, min_size=n, max_size=n)) for l in alph.letters}
+    for i in range(n):
+        for j in range(n):
+            # unreachable: no transition from the core into a hidden state;
+            # unobservable: none from a hidden state into the core
+            if (i < m <= j) if hidden == "unreachable" else (j < m <= i):
+                for rows in mats.values():
+                    rows[i][j] = 0
+    for i in range(m, n):
+        (lam if hidden == "unreachable" else gamma)[i] = 0
+    zero = draw(st.sampled_from([None, None, None, "lambda", "gamma"]))
+    lam, gamma = ([0] * n if zero == "lambda" else lam), ([0] * n if zero == "gamma" else gamma)
+    perm = draw(st.permutations(range(n)))
+    mu = {l: Matrix([[rows[i][j] for j in perm] for i in perm]) for l, rows in mats.items()}
+    return LinRep(alph, n, Matrix.row_vector([lam[i] for i in perm]), mu, Matrix.col_vector([gamma[i] for i in perm]))
+
+
+@given(hidden_state_reps(), st.integers(0, 4), st.integers(0, 4), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_rank_and_learn_of_a_representation_agree_with_the_whole_window(rep, p, s, explore):
+    """hankel_rank against the rank of the whole window that hankel builds,
+    and learn against the bare-oracle path on every row and column."""
+    f = RecognizableSeries(rep)
+    assert hankel_rank(f, p, s) == rank(hankel(f, p, s).entries)
+    _check_learn_against_the_oracle(rep, explore)
+
+
+def _check_learn_against_the_oracle(rep: LinRep, explore: int):
+    table = behavior_table(rep, 2 * explore + 2)
+    expected, expected_err = _learn_outcome(table.__getitem__, explore, alphabet=rep.alphabet)
+    got, got_err = _learn_outcome(RecognizableSeries(rep), explore)
+    if expected_err is not None:
+        assert got_err is not None and str(got_err) == str(expected_err)
+        assert (got_err.r_small, got_err.r_big, got_err.explore) == (
+            expected_err.r_small, expected_err.r_big, expected_err.explore)
+    elif got_err is None:
+        assert got == expected and got.to_json_dict() == expected.to_json_dict()
+    else:
+        # learn's reps_equal check refutes the window's model
+        assert "differs from the operand" in str(got_err)
+        window = hankel(RecognizableSeries(rep), explore + 1, explore + 1)
+        assert got_err.r_small == got_err.r_big == rank(window.entries)
+        assert not reps_equal(expected, rep)
+    return got_err
+
+
+def test_learn_of_a_representation_refuses_the_oracles_model(ab):
+    """The (1, 1) window of the indicator of aaa is zero, as is the
+    oracle's model; the automaton of dim 4 refutes it."""
+    err = _check_learn_against_the_oracle(embed_finite(FiniteSupportSeries.indicator(ab.word("aaa"))), 0)
+    assert "differs from the operand" in str(err)
+
+
+def counting_with_a_hidden_state(ab, hidden: str) -> LinRep:
+    """counting_rep with a third state: one lambda never reaches, or one
+    that never feeds gamma. The series is still the count of a's."""
+    if hidden == "unreachable":
+        a, lam, gamma = [[1, 1, 0], [0, 1, 0], [1, 0, 2]], [1, 0, 0], [0, 1, 1]
+    else:
+        a, lam, gamma = [[1, 1, 1], [0, 1, 0], [0, 0, 2]], [1, 0, 1], [0, 1, 0]
+    mu = {l: Matrix(a) if l.symbol == "a" else Matrix.identity(3) for l in ab.letters}
+    return LinRep(ab, 3, Matrix.row_vector(lam), mu, Matrix.col_vector(gamma))
+
+
+def _kept(walk) -> int:
+    return sum(1 for _, _, k in walk if k)
+
+
+@pytest.mark.parametrize("hidden, kept_rows, kept_cols", [("unreachable", 2, 3), ("unobservable", 3, 2)])
+def test_learn_of_a_representation_whose_columns_do_or_do_not_span(ab, hidden, kept_rows, kept_cols):
+    """With an unreachable state the kept columns span Q^3 and the walk's
+    basis is the window's; with an unobservable one they span a plane, and
+    the window's basis is the two walk-basis rows independent on it."""
+    rep = counting_with_a_hidden_state(ab, hidden)
+    f = RecognizableSeries(rep)
+    assert _kept(sweedler._walk(rep.lam, rep.mu, ab.sorted_letters, 4, _Span(3))) == kept_rows
+    assert _kept(sweedler._column_walk(rep, 4, _Span(3))) == kept_cols
+    assert reps_equal(rep, counting_rep(ab))
+    model = learn(RecognizableSeries(counting_rep(ab)), 3)
+    assert learn(f, 3) == model == learn(f.coeff, 3, alphabet=ab)
+    assert model.dim == hankel_rank(f, 4, 4) == 2
+    assert [hankel_rank(f, k, 4) for k in range(3)] == [1, 2, 2]
+
+
+def test_learn_and_rank_of_a_representation_build_no_window(ab, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a representation's Hankel window was built")
+
+    reps = [counting_rep(ab), counting_with_a_hidden_state(ab, "unreachable"),
+            counting_with_a_hidden_state(ab, "unobservable"), rep_sum(counting_rep(ab), counting_rep(ab)),
+            LinRep(ab, 2, counting_rep(ab).lam, counting_rep(ab).mu, Matrix.col_vector([0, 0]))]
+    models = [learn(RecognizableSeries(r), 3) for r in reps]
+    ranks = [rank(hankel(RecognizableSeries(r), 4, 4).entries) for r in reps]
+    monkeypatch.setattr(sweedler, "_rep_window", refuse)
+    assert [learn(RecognizableSeries(r), 3) for r in reps] == models
+    assert [hankel_rank(RecognizableSeries(r), 4, 4) for r in reps] == ranks == [2, 2, 2, 2, 0]
+    with pytest.raises(AssertionError, match="window was built"):
+        hankel(RecognizableSeries(reps[0]), 1, 1)
+
+
 def test_learn_and_rank_of_a_representation_build_no_matrix_wider_than_its_dim(ab, monkeypatch):
     """A window of a dim-n representation keeps at most n suffix columns:
     no Matrix built has more than rows x n entries, where the whole window
@@ -1022,15 +1152,11 @@ def test_basis_walk_from_zero_and_of_a_doubled_rep(ab):
     # a zero start is yielded unkept and never extended
     walk = sweedler._walk(zero_gamma.gamma.transpose(), c.mu, ab.sorted_letters, None, RowReducer(2))
     assert [(w, k) for w, _, k in walk] == [("", False)]
-    # gamma = 0 still keeps the empty suffix, from which learn reads gamma
-    window = sweedler._spanning_window(RecognizableSeries(zero_gamma), 2, 2, None)
-    assert [str(v) for v in window.cols] == ["1"]
-    assert rank(window.entries) == 0
-    # lambda = 0 still lists the empty prefix first, from which learn reads lambda
+    # gamma = 0 keeps no column, and lambda = 0 no row: rank 0, the zero model
     zero_lam = LinRep(ab, 2, Matrix.row_vector([0, 0]), c.mu, c.gamma)
-    window = sweedler._spanning_window(RecognizableSeries(zero_lam), 2, 2, None)
-    assert [str(u) for u in window.rows] == ["1"]
-    assert learn(RecognizableSeries(zero_lam), 2) == zero_rep(ab)
+    for rep in (zero_gamma, zero_lam):
+        assert hankel_rank(RecognizableSeries(rep), 2, 2) == 0
+        assert learn(RecognizableSeries(rep), 2) == zero_rep(ab)
 
 
 @given(spanning_operands(), st.integers(0, 4))
