@@ -24,7 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from os.path import commonprefix
 
 from .errors import DomainError, ParseError
 from .freealg import (
@@ -184,19 +183,11 @@ def eval_word(r: MatRep, w: Word) -> Matrix:
 
 
 def eval_rep(r: MatRep, p: NCPoly) -> Matrix:
-    """rho(p), the unique algebra-morphism extension of the letter matrices, on the
-    sorted words: a product per new prefix past one letter, kept while the next needs it."""
+    """rho(p), the unique algebra-morphism extension of the letter matrices."""
     _same_alphabet(r.alphabet, p.alphabet)
-    terms = sorted([(w.symbols(), w.letters, c) for w, c in p.terms.items()])
-    out, prods = Matrix.zeros(r.dim, r.dim), [Matrix.identity(r.dim)]
-    for (text, letters, c), (nxt, *_) in zip(terms, [*terms[1:], ("",)]):
-        keep, m = len(commonprefix([text, nxt])), prods[-1]
-        for j in range(len(prods) - 1, len(text)):
-            m = m * r.assign[letters[j]] if j else r.assign[letters[j]]
-            if j < keep:
-                prods.append(m)
-        del prods[keep + 1 :]
-        out = out + m.scale(c)
+    out = Matrix.zeros(r.dim, r.dim)
+    for w, c in p.terms.items():
+        out = out + eval_word(r, w).scale(c)
     return out
 
 

@@ -273,7 +273,7 @@ def _walk_model(rep: LinRep, explore: int):
         a = reducer.coordinates(row.num[0])
         return None if a is None else Matrix._from_ints((tuple(map(mul, a.num[0], dens)),), a.den * row.den)
 
-    return rep.alphabet, r_small, basis, coords, _stacked([rows[w] * rep.gamma for w in basis])
+    return rep.alphabet, r_small, basis, coords, lambda: _stacked([rows[w] for w in basis]) * rep.gamma
 
 
 def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
@@ -318,7 +318,7 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
         basis = [w for w, row in rows.items() if any(row) and reducer.offer(row)]
         coords = lambda w: reducer.coordinates(rows[w])
         # the column of the empty suffix holds f on the basis words
-        gamma = Matrix._from_ints(tuple([(rows[w][0],) for w in basis]), window.entries.den)
+        gamma = lambda: Matrix._from_ints(tuple([(rows[w][0],) for w in basis]), window.entries.den)
     r_big = len(basis)
     if r_small != r_big:
         raise InconclusiveError(
@@ -336,7 +336,7 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
         lam, mu = coords(""), {a: [coords(w + a.symbol) for w in basis] for a in alph.letters}
         if lam is None or any(None in m for m in mu.values()):
             raise InternalInvariantError("hankel row escaped the selected basis")
-        model = LinRep(alph, r_big, lam, {a: _stacked(m) for a, m in mu.items()}, gamma)
+        model = LinRep(alph, r_big, lam, {a: _stacked(m) for a, m in mu.items()}, gamma())
     if isinstance(f, RecognizableSeries) and r_big < f.rep.dim:
         reference = f.rep
     elif isinstance(f, FiniteSupportSeries) and not _window_holds_support(f, explore):

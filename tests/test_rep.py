@@ -1,7 +1,6 @@
 import gc
 import json
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -350,64 +349,3 @@ def test_audit_does_no_fraction_arithmetic(ab, monkeypatch):
     assert pairing_invariance_check(r, g, psi, x) == expected
     with pytest.raises(AssertionError):
         Fraction(1, 2) * 3
-
-
-# ---------------------------------------------------------------------------
-# eval_rep shares the products of common prefixes
-
-
-def reference_eval_rep(r, p):
-    """Each term's word multiplied out on its own with eval_word."""
-    out = Matrix.zeros(r.dim, r.dim)
-    for w, c in p.terms.items():
-        out = out + eval_word(r, w).scale(c)
-    return out
-
-
-@given(audit_operands())
-@settings(max_examples=60, deadline=None)
-def test_eval_rep_matches_the_sum_of_its_words(operands):
-    r, g, _, _ = operands
-    assert eval_rep(r, g) == reference_eval_rep(r, g)
-    assert eval_rep(r, g + NCPoly.one(r.alphabet)) == reference_eval_rep(r, g) + Matrix.identity(r.dim)
-
-
-def test_eval_rep_makes_one_product_per_distinct_prefix(ab, monkeypatch):
-    """The 256 words of length 8 have 508 distinct prefixes of two or more
-    letters; multiplying each word out on its own takes 7 products a word,
-    1,792."""
-    rng = random.Random(8)
-    r = random_rep(ab, 8, rng)
-    p = NCPoly(ab, {w: Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)) for w in ab.words(8) if len(w) == 8})
-    expected = reference_eval_rep(r, p)
-    calls = []
-    mul = Matrix.__mul__
-
-    def counted(self, other):
-        if isinstance(other, Matrix):
-            calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(Matrix, "__mul__", counted)
-    assert eval_rep(r, p) == expected
-    assert len(calls) == 508
-    # a word sorted after a longer one that shares more with its predecessor
-    nested = NCPoly.from_text(ab, "aaa + 2*aab - ab + b + 1")
-    expected = reference_eval_rep(r, nested)
-    calls.clear()
-    assert eval_rep(r, nested) == expected
-    assert len(calls) == 4  # aa, aaa, aab, ab
-
-
-def test_eval_rep_of_one_long_word_keeps_no_prefix_products(ab):
-    """Only prefixes a later word shares keep their products: one word of
-    20,000 letters is multiplied out holding one matrix at a time."""
-    r = rep_of(ab, a=Matrix([[1, 1], [0, 1]]), b=Matrix([[1, 0], [1, 1]]))
-    p = NCPoly.from_text(ab, "a" * 20000)
-    tracemalloc.start()
-    try:
-        assert eval_rep(r, p) == Matrix([[1, 20000], [0, 1]])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000, f"eval_rep of one long word peaked at {peak} bytes"
