@@ -21,12 +21,12 @@ _EXPORTS = {
         "pairing_invariance_check", "rep_sum", "scale_rep", "tensor_rep", "trivial_rep", "zero_rep",
     ),
     "dualforms": (
-        "FiniteSupportSeries", "RecognizableSeries", "Series", "coefficients_agree", "convolve",
-        "dual_unit", "embed_finite", "pair",
+        "FiniteSupportSeries", "RecognizableSeries", "Series", "convolve", "dual_unit",
+        "embed_finite", "pair", "reps_equal",
     ),
     "sweedler": (
         "HankelSlice", "behavior_table", "dual_counit", "hankel", "hankel_rank", "learn",
-        "reps_equal", "shift_left", "shift_right", "split", "transpose_antipode",
+        "shift_left", "shift_right", "split", "transpose_antipode",
     ),
 }
 _SOURCE = {name: layer for layer, names in _EXPORTS.items() for name in names}

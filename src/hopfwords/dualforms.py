@@ -6,15 +6,23 @@ the rep module). Both expose coeff(word); the convolution product dual to the
 coproduct works on either, and its unit is the counit seen as a series.
 embed_finite turns a finite-support series into a LinRep, so mixed operands
 are combined at the representation level.
+
+Equality of series is decided, not sampled: == compares two finite
+supports by their polynomials and any other pair with reps_equal, which
+walks the word tree (_walk) down a basis of the prefix rows lambda*mu(u).
+Series are unhashable: an identity hash would contradict that equality.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
+from itertools import compress
 from math import comb
+from operator import mul
 
-from .freealg import Alphabet, NCPoly, Word, _lift, _numerators, _same_alphabet
-from .linalg import Matrix
+from .freealg import Alphabet, Letter, NCPoly, Word, _lift, _numerators, _same_alphabet
+from .linalg import Matrix, _Span
 from .rep import LinRep, conv_rep, rep_sum, scale_rep, trivial_rep
 
 
@@ -50,6 +58,13 @@ class Series:
     def __sub__(self, other: "Series") -> "Series":
         return self + other.scale(-1) if isinstance(other, Series) else NotImplemented
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Series):
+            return NotImplemented
+        if isinstance(self, FiniteSupportSeries) and isinstance(other, FiniteSupportSeries):
+            return self.poly == other.poly
+        return self.alphabet == other.alphabet and reps_equal(_to_linrep(self), _to_linrep(other))
+
 
 class FiniteSupportSeries(Series):
     """Series with finitely many nonzero coefficients; it is displayed (and
@@ -83,9 +98,6 @@ class FiniteSupportSeries(Series):
 
     def scale(self, c) -> "FiniteSupportSeries":
         return FiniteSupportSeries(self.poly.scale(c))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteSupportSeries) and self.poly == other.poly
 
     def __str__(self) -> str:
         return str(self.poly)
@@ -276,7 +288,49 @@ def _suffix_closure(texts, max_len: int | None = None) -> list[str]:
     return sorted(suffixes, key=lambda text: (len(text), text))
 
 
-def coefficients_agree(f: Series, h: Series, max_len: int) -> bool:
-    """Coefficientwise comparison on all words up to max_len."""
-    _same_alphabet(f.alphabet, h.alphabet)
-    return all(f.coeff(w) == h.coeff(w) for w in f.alphabet.words(max_len))
+def _walk(start: Matrix, mu: dict[Letter, Matrix], letters, max_len: int | None, reducer: _Span | None = None):
+    """Yield (w, start*mu(w), kept), w a symbol string, for each row computed
+    breadth first, in shortlex order, up to length max_len (None: no bound).
+    Only a kept row is extended, one product per letter, over the nonzeros
+    of the row and of the letter matrix, read once on the first extension.
+    Without a reducer (a _Span, such as a RowReducer) every row is kept;
+    with one, each row that enlarges the span of those kept before it. As
+    row(ua) = row(u) mu(a), a row in the span of the rows before it has
+    every extension in theirs, so for every l the kept words of length <= l
+    are the shortlex-first basis of all rows of length <= l (Berstel &
+    Reutenauer, ch. 2). Once they span the space, the rows already computed
+    are yielded unkept and nothing more is multiplied."""
+    pending = deque([("", start)])
+    sparse = None
+    while pending:
+        w, row = pending.popleft()
+        kept = reducer is None or reducer.offer(row.num[0])
+        yield w, row, kept
+        if kept and (max_len is None or len(w) < max_len):
+            if sparse is None:
+                sparse = [(a.symbol, *_sparse(mu[a])) for a in letters]
+            _, (x,) = _sparse(row)
+            for symbol, den, m in sparse:
+                out = [0] * len(m)
+                for i, v in x:
+                    for j, y in m[i]:
+                        out[j] += v * y
+                pending.append((w + symbol, Matrix._from_ints((tuple(out),), row.den * den)))
+
+
+def _sparse(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """m's denominator, and each numerator row as its nonzeros' (column,
+    entry) pairs."""
+    return m.den, [[(j, r[j]) for j in compress(range(len(r)), r)] for r in m.num]
+
+
+def reps_equal(r1: LinRep, r2: LinRep) -> bool:
+    """Exact equality of the recognized series, decided in polynomial time:
+    the difference r1 - r2 is the zero series exactly when its gamma
+    annihilates the basis walk of its rows lambda*mu(w), n = dim1 + dim2
+    (Tzeng 1992): at most n*|A| sparse products and a span-only echelon; on
+    dense operands of dim 20, 40, 80, time grew as dim^3.5, then dim^4.6."""
+    d = rep_sum(r1, scale_rep(r2, -1))
+    walk = _walk(d.lam, d.mu, d.alphabet.sorted_letters, None, _Span(d.dim))
+    gamma = [r[0] for r in d.gamma.num]
+    return not any(sum(map(mul, row.num[0], gamma)) for _, row, kept in walk if kept)

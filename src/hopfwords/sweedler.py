@@ -4,21 +4,17 @@ A series belongs to the (convolution-closed) dual of the free algebra
 exactly when a finite linear representation (lambda, mu, gamma) computes it,
 equivalently when its Hankel matrix has finite rank. The representation
 type LinRep, with its sums, scalings and convolutions, lives in the rep
-module; this module holds finite Hankel windows with exact rank, shifted
+module, and equality of series (reps_equal) and the walk it runs on live in
+dualforms; this module holds finite Hankel windows with exact rank, shifted
 series, minimal-model learning from coefficients, the splitting of a series
-into rank-one factors, the transposed antipode and equality of
-representations.
+into rank-one factors and the transposed antipode.
 
 Every vector of a representation comes from one breadth-first walk down
-the word tree (_walk): the prefix rows lambda*mu(u), and the suffix columns
-mu(v)*gamma as rows of the transposed representation on reversed words.
-Walked whole, they give behavior_table and the Hankel window (one product).
-Walked with a reducer, the walk extends only the shortlex-first basis of the
-rows, at most n*|A| sparse products x*mu(a) in dimension n, each summed over
-the nonzeros of x and mu(a); reps_equal checks gamma on that basis
-(polynomial time). A reducer that reads no coordinates is a linalg._Span,
-with no change of basis. A finite-support window is filled straight from
-the support. Windows, ranks and row reduction run on integer numerators.
+the word tree (dualforms._walk): the prefix rows lambda*mu(u), and the
+suffix columns mu(v)*gamma as rows of the transposed representation on
+reversed words. Walked whole, they give behavior_table and the Hankel
+window (one product). A finite-support window is filled straight from the
+support. Windows, ranks and row reduction run on integer numerators.
 
 hankel_rank and learn read a representation off its two reduced walks,
 with no window: H = P Q^T for the prefix rows P and the suffix columns Q
@@ -35,54 +31,16 @@ of H and H[:, C] satisfy the same relations. An oracle keeps everything.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
 from operator import mul
 
 from . import linalg
-from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, _suffix_closure, embed_finite
+from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, _suffix_closure, _walk, embed_finite, reps_equal
 from .errors import InconclusiveError, InternalInvariantError
-from .freealg import Alphabet, Letter, NCPoly, Word, _Frozen, _check_antipode_domain, _numerators, _same_alphabet, conc
+from .freealg import Alphabet, NCPoly, Word, _Frozen, _check_antipode_domain, _numerators, _same_alphabet, conc
 from .linalg import Matrix, RowReducer, _Span, _stacked
-from .rep import LinRep, rep_sum, scale_rep, zero_rep
-
-
-def _walk(start: Matrix, mu: dict[Letter, Matrix], letters, max_len: int | None, reducer: _Span | None = None):
-    """Yield (w, start*mu(w), kept), w a symbol string, for each row computed
-    breadth first, in shortlex order, up to length max_len (None: no bound).
-    Only a kept row is extended, one product per letter, over the nonzeros
-    of the row and of the letter matrix, read once on the first extension.
-    Without a reducer (a _Span, such as a RowReducer) every row is kept;
-    with one, each row that enlarges the span of those kept before it. As
-    row(ua) = row(u) mu(a), a row in the span of the rows before it has
-    every extension in theirs, so for every l the kept words of length <= l
-    are the shortlex-first basis of all rows of length <= l (Berstel &
-    Reutenauer, ch. 2). Once they span the space, the rows already computed
-    are yielded unkept and nothing more is multiplied."""
-    pending = deque([("", start)])
-    sparse = None
-    while pending:
-        w, row = pending.popleft()
-        kept = reducer is None or reducer.offer(row.num[0])
-        yield w, row, kept
-        if kept and (max_len is None or len(w) < max_len):
-            if sparse is None:
-                sparse = [(a.symbol, *_sparse(mu[a])) for a in letters]
-            _, (x,) = _sparse(row)
-            for symbol, den, m in sparse:
-                out = [0] * len(m)
-                for i, v in x:
-                    for j, y in m[i]:
-                        out[j] += v * y
-                pending.append((w + symbol, Matrix._from_ints((tuple(out),), row.den * den)))
-
-
-def _sparse(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
-    """m's denominator, and each numerator row as its nonzeros' (column,
-    entry) pairs."""
-    return m.den, [[(j, r[j]) for j in compress(range(len(r)), r)] for r in m.num]
+from .rep import LinRep, zero_rep
 
 
 def _column_walk(rep: LinRep, max_len: int, reducer: _Span | None = None):
@@ -97,6 +55,8 @@ def _column_walk(rep: LinRep, max_len: int, reducer: _Span | None = None):
 def behavior_table(rep: LinRep, max_len: int) -> dict[Word, Fraction]:
     """Values on all words up to max_len in ascending shortlex order, from
     the unreduced walk of the prefix rows: shared prefixes multiply once."""
+    if max_len < 0:
+        raise ValueError(f"window lengths must be nonnegative, got {max_len}")
     walk = _walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, max_len)
     return {Word(rep.alphabet, w): (row * rep.gamma).scalar() for w, row, _ in walk}
 
@@ -155,6 +115,7 @@ class HankelSlice(_Frozen):
 
 def _coeff_fn(f, alphabet: Alphabet | None):
     if isinstance(f, Series):
+        _same_alphabet(f.alphabet, alphabet or f.alphabet)
         return f.coeff, f.alphabet
     if callable(f):
         if alphabet is None:
@@ -211,6 +172,7 @@ def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
     (which needs `alphabet`) is asked for f(uv) entry by entry."""
     if min(p, s) < 0:
         raise ValueError(f"window lengths must be nonnegative, got {p} and {s}")
+    cf, alph = _coeff_fn(f, alphabet)
     if isinstance(f, FiniteSupportSeries):
         return _finite_window(f, p, tuple(f.alphabet.words(s)))
     if isinstance(f, RecognizableSeries):
@@ -219,7 +181,6 @@ def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
         # back in shortlex order of the suffix, from that of its reversal
         cols = sorted(_column_walk(rep, s), key=lambda c: (len(c[0]), c[0]))
         return _rep_window(rep.alphabet, rows, cols)
-    cf, alph = _coeff_fn(f, alphabet)
     rows, cols = tuple(alph.words(p)), tuple(alph.words(s))
     return HankelSlice(rows, cols, Matrix([[cf(conc(u, v)) for v in cols] for u in rows]))
 
@@ -237,6 +198,7 @@ def hankel_rank(f, p: int, s: int, alphabet: Alphabet | None = None) -> int:
     spanning set of its suffix columns (see the module docstring)."""
     if min(p, s) < 0:
         raise ValueError(f"window lengths must be nonnegative, got {p} and {s}")
+    _coeff_fn(f, alphabet)
     if isinstance(f, RecognizableSeries):
         rep = f.rep
         rows = [r for _, r, k in _walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, p, _Span(rep.dim)) if k]
@@ -302,6 +264,7 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     """
     if explore < 0:
         raise ValueError("exploration length must be nonnegative")
+    _coeff_fn(f, alphabet)
     if isinstance(f, RecognizableSeries):
         alph, r_small, basis, coords, gamma = _walk_model(f.rep, explore)
     else:
@@ -389,15 +352,3 @@ def transpose_antipode(rep: LinRep) -> LinRep:
 def dual_counit(rep: LinRep) -> Fraction:
     """Evaluation at the empty word, the counit of the dual-side coproduct."""
     return (rep.lam * rep.gamma).scalar()
-
-
-def reps_equal(r1: LinRep, r2: LinRep) -> bool:
-    """Exact equality of the recognized series, decided in polynomial time:
-    the difference r1 - r2 is the zero series exactly when its gamma
-    annihilates the basis walk of its rows lambda*mu(w), n = dim1 + dim2
-    (Tzeng 1992): at most n*|A| sparse products and a span-only echelon,
-    O(n^3 |A|) for dense operands and far less for sparse ones."""
-    d = rep_sum(r1, scale_rep(r2, -1))
-    walk = _walk(d.lam, d.mu, d.alphabet.sorted_letters, None, _Span(d.dim))
-    gamma = [r[0] for r in d.gamma.num]
-    return not any(sum(map(mul, row.num[0], gamma)) for _, row, kept in walk if kept)

@@ -1,17 +1,20 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import geometric_rep
+from conftest import counting_rep, geometric_rep
 from hopfwords import (
     Alphabet,
     FiniteSupportSeries,
+    LinRep,
+    Matrix,
     NCPoly,
     RecognizableSeries,
     Word,
-    coefficients_agree,
     convolve,
     coproduct,
     dual_unit,
@@ -271,7 +274,7 @@ def test_recognizable_convolution_agrees_with_formula(mixed):
 def test_dual_unit_is_unit_indicator_when_no_group_like(single):
     e = dual_unit(single)
     chi1 = indicator(single, "1")
-    assert coefficients_agree(e, chi1, 5)
+    assert e == chi1
 
 
 def test_dual_unit_on_group_like_words(grouponly):
@@ -334,3 +337,107 @@ def test_embedding_matches_finite_series(ab):
     rep = embed_finite(f)
     for w in ab.words(3):
         assert rep.value(w) == f.coeff(w)
+
+
+# ---------------------------------------------------------------------------
+# decided equality
+
+ALPHABETS = st.sampled_from(["a:L,b:L", "a:L,b:L,g:G"]).map(Alphabet.from_decl)
+
+
+@st.composite
+def finite_series(draw, alphabet):
+    """A sum of at most three scaled indicators of words of length <= 3."""
+    symbols = "".join(letter.symbol for letter in alphabet.letters)
+    terms = draw(st.lists(st.tuples(st.text(symbols, max_size=3), st.integers(-2, 2)), max_size=3))
+    f = FiniteSupportSeries.zero(alphabet)
+    for text, c in terms:
+        f = f + FiniteSupportSeries.indicator(alphabet.word(text or "1"), c)
+    return f
+
+
+@st.composite
+def recognizable_series(draw, alphabet):
+    """A representation of dim 1-3 with entries in -1..1."""
+    n = draw(st.integers(1, 3))
+    vec = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+    mu = {l: Matrix(draw(st.lists(vec, min_size=n, max_size=n))) for l in alphabet.letters}
+    lam, gamma = Matrix.row_vector(draw(vec)), Matrix.col_vector(draw(vec))
+    return RecognizableSeries(LinRep(alphabet, n, lam, mu, gamma))
+
+
+def _rep_of(f):
+    return f.rep if isinstance(f, RecognizableSeries) else embed_finite(f)
+
+
+@given(st.data(), st.integers(-2, 2))
+@settings(max_examples=60, deadline=None)
+def test_equality_is_reps_equal_across_presentations(data, c):
+    alph = data.draw(ALPHABETS)
+    f, h = data.draw(finite_series(alph)), data.draw(finite_series(alph))
+    r = data.draw(recognizable_series(alph))
+    automaton = RecognizableSeries(embed_finite(f))
+    zero = r - r  # a summand whose series is zero, in dimension 2 * r.dim
+    assert f == automaton and automaton == f
+    pairs = [
+        (f, h),
+        (automaton, h),
+        (f + r, automaton + r),
+        (f + r, h + r + zero),
+        (c * r, r + r),
+        (c * f, automaton.scale(c)),
+        (r, r + zero),
+        (f, h + zero),
+        (zero, FiniteSupportSeries.zero(alph)),
+    ]
+    for x, y in pairs:
+        expected = reps_equal(_rep_of(x), _rep_of(y))
+        assert (x == y) is (y == x) is expected
+        assert (x != y) is (not expected)
+
+
+def test_equality_holds_across_presentations_and_after_cancelling(ab, mixed):
+    f = FiniteSupportSeries.from_text(ab, "ab - 1/2*ba")
+    assert f == RecognizableSeries(embed_finite(f)) and RecognizableSeries(embed_finite(f)) == f
+    for r in (RecognizableSeries(geometric_rep(mixed, 2)), RecognizableSeries(counting_rep(mixed))):
+        assert (r + r) - r == r
+        assert r != 2 * r and 2 * r == r + r
+        assert RecognizableSeries(r.rep) == r
+
+
+def test_series_over_different_alphabets_are_unequal(ab, single):
+    finite = FiniteSupportSeries.from_text(single, "a")
+    recognizable = RecognizableSeries(embed_finite(finite))
+    other = FiniteSupportSeries.from_text(ab, "a")
+    for x in (finite, recognizable):
+        for y in (other, RecognizableSeries(embed_finite(other))):
+            assert not x == y and x != y and not y == x
+
+
+def test_a_series_never_equals_a_non_series(ab):
+    f = FiniteSupportSeries.zero(ab)
+    for series in (f, RecognizableSeries(embed_finite(f))):
+        assert series.__eq__(0) is NotImplemented
+        assert series != 0 and series != f.poly and series != embed_finite(f)
+
+
+def test_series_are_unhashable(ab):
+    f = FiniteSupportSeries.from_text(ab, "ab")
+    for series in (f, RecognizableSeries(embed_finite(f))):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(series)
+
+
+def test_a_series_equals_its_pickled_and_copied_selves(mixed):
+    f = FiniteSupportSeries.from_text(mixed, "2*ag - b + 1/3")
+    g = RecognizableSeries(counting_rep(mixed))
+    for series in (f, g, convolve(f, g)):
+        for twin in (pickle.loads(pickle.dumps(series)), copy.copy(series), copy.deepcopy(series)):
+            assert type(twin) is type(series) and twin == series
+
+
+def test_convolution_laws_are_decided_on_recognizable_operands(mixed):
+    f, g = RecognizableSeries(geometric_rep(mixed, 2)), RecognizableSeries(counting_rep(mixed))
+    h, e = RecognizableSeries(embed_finite(FiniteSupportSeries.from_text(mixed, "ag - 1/2*b"))), dual_unit(mixed)
+    assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
+    assert convolve(e, h) == h == convolve(h, e)

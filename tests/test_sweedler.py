@@ -186,6 +186,23 @@ def test_negative_window_lengths_are_value_errors(ab, kind, window, p, s):
         window(operand, p, s, alphabet=ab if kind == "oracle" else None)
 
 
+def test_behavior_table_refuses_a_negative_length(ab):
+    rep = embed_finite(FiniteSupportSeries.from_text(ab, "3 + ab"))
+    with pytest.raises(ValueError, match="window lengths must be nonnegative, got -1"):
+        behavior_table(rep, -1)
+    assert behavior_table(rep, 0) == {ab.word("1"): 3}
+
+
+@pytest.mark.parametrize("window", [hankel, hankel_rank, learn_window])
+def test_a_series_refuses_a_window_over_another_alphabet(single, window):
+    f = FiniteSupportSeries.from_text(single, "a + 2*aa")
+    for series in (f, RecognizableSeries(geometric_rep(single, 2))):
+        with pytest.raises(DomainError, match="alphabet mismatch"):
+            window(series, 2, 2, alphabet=Alphabet.from_decl("a:L,b:L"))
+        # an equal alphabet, even a separate copy, is accepted
+        assert window(series, 2, 2, alphabet=Alphabet.from_decl("a:L")) == window(series, 2, 2)
+
+
 # ---------------------------------------------------------------------------
 # learning
 
@@ -1074,6 +1091,9 @@ def test_learn_checks_a_finite_support_longer_than_its_window(ab, monkeypatch):
     monkeypatch.setattr(sweedler, "reps_equal", refuse)
     assert learn(f, 9) == model and model.dim == 10
     assert learn(FiniteSupportSeries.from_text(ab, "2*ab - b + aaaa"), 3).dim == 5
+    # positive control: the patch intercepts a learn that must check its model
+    with pytest.raises(AssertionError, match="reps_equal called"):
+        learn(FiniteSupportSeries.from_text(ab, "aaaa"), 0)
     monkeypatch.undo()
     assert reps_equal(model, embed_finite(f))
 
