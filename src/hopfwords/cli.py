@@ -444,6 +444,13 @@ def _cmd_hankel(args):
     (f,) = _series_args(args, 1)
     p, s = _window(args)
     _preflight_window(f.alphabet, p, s)
+    if isinstance(f, _layer("dualforms").RecognizableSeries):
+        # d^2 multiply-adds per walked row or column but the empty word's
+        # (a vector times a letter matrix), d per entry, counted densely
+        n, d = len(f.alphabet.letters), f.rep.dim
+        rows, cols = _window_side(n, p), _window_side(n, s)
+        count = (rows + cols - 2) * d * d + rows * cols * d
+        _refuse(count, f"hankel of dimension {d} on {rows} x {cols} words takes {count} multiply-adds, which", "")
     slice_ = _layer("sweedler").hankel(f, p, s)
     obj = {
         "rows": [str(w) for w in slice_.rows],

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import compress
-from math import comb
+from math import comb, prod
 from operator import mul
 
 from .freealg import Alphabet, Letter, NCPoly, Word, _lift, _numerators, _same_alphabet
@@ -140,81 +140,76 @@ def pair(f: Series, p: NCPoly) -> Fraction:
     return total
 
 
-def _merge_texts(a: str, b: str, group_like) -> list[str]:
-    """The symbol string of every word that admits the symbol strings
-    (a, b) among its subword splittings, once per splitting: primitive
-    letters interleave freely while group-like letters (the symbols in
-    group_like) must match pairwise and appear once. Built row by row:
-    entry j of row i holds the merges of a[:i] and b[:j], each one letter
-    longer than a merge to its left, above, or above-left."""
-    row = [[""]]
-    for y in b:
-        row.append([] if y in group_like else [m + y for m in row[-1]])
-    for x in a:
-        above, row = row, [[] if x in group_like else [m + x for m in row[0]]]
+def _runs(text: str, group_like) -> tuple[str, list[str]]:
+    """The group-like letters of the symbol string text in order, and the
+    runs of primitive letters before, between and after them."""
+    if group_like.isdisjoint(text):
+        return "", [text]
+    marks = [i for i, ch in enumerate(text) if ch in group_like]
+    cuts = [-1, *marks, len(text)]
+    return "".join(text[i] for i in marks), [text[i + 1 : j] for i, j in zip(cuts, cuts[1:])]
+
+
+def _interleavings(a: str, b: str) -> list[str]:
+    """Every interleaving of the strings a and b, once per choice of the places
+    of a's letters, built row by row: entry j of row i holds those of a[:i], b[:j]."""
+    if not a or not b:
+        return [a + b]
+    row = [[b[:j]] for j in range(len(b) + 1)]
+    for i, x in enumerate(a, 1):
+        above, row = row, [[a[:i]]]
         for j, y in enumerate(b):
-            if y not in group_like:
-                out = [m + y for m in row[j]]
-            elif x == y:
-                out = [m + x for m in above[j]]
-            else:
-                out = []
-            if x not in group_like:
-                out += [m + x for m in above[j + 1]]
-            row.append(out)
+            row.append([m + y for m in row[j]] + [m + x for m in above[j + 1]])
     return row[-1]
 
 
+def _merge_runs(marks: str, xs: list[str], ys: list[str]) -> list[str]:
+    """_merge_texts of two words split by _runs into the group-like letters marks and runs xs, ys."""
+    merges = _interleavings(xs[0], ys[0])
+    for g, x, y in zip(marks, xs[1:], ys[1:]):
+        merges = [m + g + tail for tail in _interleavings(x, y) for m in merges]
+    return merges
+
+
+def _merge_texts(a: str, b: str, group_like) -> list[str]:
+    """The symbol string of every word that admits the symbol strings
+    (a, b) among its subword splittings, once per splitting: none unless
+    their group-like letters (in group_like) agree in order, one comparison;
+    then each appears once and the primitive runs between them interleave
+    run by run."""
+    (marks, xs), (other, ys) = _runs(a, group_like), _runs(b, group_like)
+    return _merge_runs(marks, xs, ys) if marks == other else []
+
+
 def _merge_count(u: Word, v: Word) -> int:
-    """How many words _merge_texts emits for the words u and v, counted in
-    O(|u| + |v|). Its recursion moves primitive letters of either word
-    freely and group-like letters only in equal pairs, so there is no merge
-    unless the group-like letters of u and v agree in order; then the
-    primitive runs between them interleave independently, C(p + q, p) ways
-    for runs of p and q."""
-    (gu, ru), (gv, rv) = _runs(u), _runs(v)
-    if gu != gv:
-        return 0
-    total = 1
-    for p, q in zip(ru, rv):
-        total *= comb(p + q, p)
-    return total
-
-
-def _runs(w: Word):
-    """The group-like letters of w in order, and the lengths of the runs of
-    primitive letters before, between and after them."""
-    group_like_symbols = w.alphabet.group_like_symbols
-    group_like, runs, n = [], [], 0
-    for ch in w.symbols():
-        if ch in group_like_symbols:
-            group_like.append(ch)
-            runs.append(n)
-            n = 0
-        else:
-            n += 1
-    runs.append(n)
-    return group_like, runs
+    """How many words _merge_texts emits for the words u and v, counted on
+    the same runs in O(|u| + |v|): C(p + q, p) per pair of p and q letters."""
+    group_like = u.alphabet.group_like_symbols
+    (gu, ru), (gv, rv) = _runs(u.symbols(), group_like), _runs(v.symbols(), group_like)
+    return prod(comb(len(x) + len(y), len(x)) for x, y in zip(ru, rv)) if gu == gv else 0
 
 
 def convolve(f: Series, h: Series) -> Series:
     """The product dual to the coproduct: (f * h)(w) = <f (x) h, coproduct(w)>.
 
-    Finite-support operands are combined directly (the result is again finite
-    support); as soon as a recognizable operand is involved both sides are
-    normalized to linear representations and multiplied at that level.
-    """
+    Finite-support operands are combined directly, each support word split
+    into runs once and only words with equal group-like letters paired (the
+    result is again finite support); as soon as a recognizable operand is
+    involved both sides are turned into linear representations and multiplied."""
     _same_alphabet(f.alphabet, h.alphabet)
     if isinstance(f, FiniteSupportSeries) and isinstance(h, FiniteSupportSeries):
-        # integer numerators on symbol strings; no Word is built
+        # integer numerators on symbol strings; h's words grouped by marks
         (fs, df), (hs, dh) = _numerators(f.poly), _numerators(h.poly)
-        group_like = f.alphabet.group_like_symbols
-        acc: dict[str, int] = {}
+        group_like, by_marks, acc = f.alphabet.group_like_symbols, {}, {}
+        for v, cv in hs:
+            marks, ys = _runs(v, group_like)
+            by_marks.setdefault(marks, []).append((ys, cv))
         get = acc.get
         for u, cu in fs:
-            for v, cv in hs:
+            marks, xs = _runs(u, group_like)
+            for ys, cv in by_marks.get(marks, ()):
                 c = cu * cv
-                for text in _merge_texts(u, v, group_like):
+                for text in _merge_runs(marks, xs, ys):
                     acc[text] = get(text, 0) + c
         return FiniteSupportSeries(_lift(NCPoly, f.alphabet, acc, df * dh))
     return RecognizableSeries(conv_rep(_to_linrep(f), _to_linrep(h)))

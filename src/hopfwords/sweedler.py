@@ -36,7 +36,7 @@ from functools import reduce
 from operator import mul
 
 from . import linalg
-from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, _suffix_closure, _walk, embed_finite, reps_equal
+from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, _suffix_closure, _walk
 from .errors import InconclusiveError, InternalInvariantError
 from .freealg import Alphabet, NCPoly, Word, _Frozen, _check_antipode_domain, _numerators, _same_alphabet, conc
 from .linalg import Matrix, RowReducer, _Span, _stacked
@@ -255,8 +255,8 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     finite support, or with `alphabet` a bare coefficient oracle, on the
     window restricted to its spanning suffix columns (module docstring). A
     rank that agrees between two windows may still grow, so the model is
-    checked with reps_equal against a RecognizableSeries of larger dimension
-    than that rank, and against a finite support with a word longer than
+    checked with the decided == against a RecognizableSeries of larger
+    dimension than that rank, and a finite support with a word longer than
     explore + 1; a shorter support has every nonzero Hankel entry inside the
     window, which certifies the model. The InconclusiveError, raised when
     the ranks differ or the check fails, carries the two window ranks and
@@ -300,13 +300,10 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
         if lam is None or any(None in m for m in mu.values()):
             raise InternalInvariantError("hankel row escaped the selected basis")
         model = LinRep(alph, r_big, lam, {a: _stacked(m) for a, m in mu.items()}, gamma())
-    if isinstance(f, RecognizableSeries) and r_big < f.rep.dim:
-        reference = f.rep
-    elif isinstance(f, FiniteSupportSeries) and not _window_holds_support(f, explore):
-        reference = embed_finite(f)
-    else:
-        return model
-    if not reps_equal(model, reference):
+    if (
+        isinstance(f, RecognizableSeries) and r_big < f.rep.dim
+        or isinstance(f, FiniteSupportSeries) and not _window_holds_support(f, explore)
+    ) and f != RecognizableSeries(model):
         raise InconclusiveError(
             f"learned model of dim {r_big} differs from the operand; raise the exploration length",
             r_small=r_small,

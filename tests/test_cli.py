@@ -396,6 +396,11 @@ REFUSALS = {
         "Hankel window (prefixes <= 0, suffixes <= 1048575 over 1 letter(s)) lists words of "
         "549755289600 characters, which exceeds the cap of 20971520 characters",
     ),
+    "window-work": (
+        ["hankel", "--series", "rep.json", "--hankel", "12,0"],
+        {"rep.json": _rep_json(60, "ab")},
+        "hankel of dimension 60 on 8191 x 1 words takes 29975460 multiply-adds, which exceeds the cap of 1048576",
+    ),
 }
 
 

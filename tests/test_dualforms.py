@@ -1,5 +1,6 @@
 import copy
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from hopfwords import (
     pair,
     reps_equal,
 )
+from hopfwords import dualforms
+from hopfwords.cli import run
 from hopfwords.dualforms import _merge_count, _merge_texts
 from hopfwords.errors import DomainError
 
@@ -169,6 +172,71 @@ def test_finite_convolve_matches_the_word_keyed_oracle(f, h):
     out, expected = convolve(f, h), word_keyed_convolve(f, h)
     assert out == expected and list(out.terms.items()) == list(expected.terms.items())
     assert all(out.terms.values())
+
+
+@st.composite
+def skeleton_series(draw):
+    """A finite support over a:L,b:L,g:G,h:G whose words are a long string of
+    group-like letters or its reversal, with a few primitive letters put in,
+    so that most pairs of words merge and some differ in group-like letters."""
+    skeleton = draw(st.text(alphabet="gh", min_size=8, max_size=30))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        text = draw(st.sampled_from([skeleton, skeleton[::-1]]))
+        for i, ch in draw(st.lists(st.tuples(st.integers(0, len(text)), st.sampled_from("ab")), max_size=3)):
+            text = text[:i] + ch + text[i:]
+        terms[_TWO_GROUP_LIKE.word(text)] = draw(_small_coeffs)
+    return FiniteSupportSeries(NCPoly(_TWO_GROUP_LIKE, terms))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_convolve_of_long_group_like_runs_matches_the_oracles(data):
+    f, h = data.draw(skeleton_series()), data.draw(skeleton_series())
+    out, expected = convolve(f, h), word_keyed_convolve(f, h)
+    assert out == expected and list(out.terms.items()) == list(expected.terms.items())
+    for u in f.terms:
+        for v in h.terms:
+            merges = _merge_texts(u.symbols(), v.symbols(), _TWO_GROUP_LIKE.group_like_symbols)
+            assert sorted(merges) == sorted(recursive_merges(u, v))
+
+
+def test_unlike_group_like_letters_merge_with_no_interleaving(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("_interleavings called")
+
+    monkeypatch.setattr(dualforms, "_interleavings", refuse)
+    u, v = _TWO_GROUP_LIKE.word("a" * 13 + "g"), _TWO_GROUP_LIKE.word("b" * 13 + "h")
+    assert _merge_texts(u.symbols(), v.symbols(), _TWO_GROUP_LIKE.group_like_symbols) == []
+    assert _merge_count(u, v) == 0
+    f, h = FiniteSupportSeries.indicator(u), FiniteSupportSeries.indicator(v)
+    assert convolve(f, h) == FiniteSupportSeries.zero(_TWO_GROUP_LIKE)
+    # positive control: a pair whose group-like letters agree interleaves
+    with pytest.raises(AssertionError, match="_interleavings called"):
+        _merge_texts(u.symbols(), u.symbols(), _TWO_GROUP_LIKE.group_like_symbols)
+
+
+def test_conv_of_unlike_group_like_letters_is_fast(capsys):
+    """Merges were built letter by letter: every interleaving of the two
+    primitive prefixes, 9 s and 2.7 GB for this pair."""
+    t0 = time.perf_counter()
+    code = run(["conv", "--alphabet", "a:L,b:L,g:G,h:G", "--series", "a" * 13 + "g", "--series", "b" * 13 + "h"])
+    elapsed = time.perf_counter() - t0
+    assert (code, capsys.readouterr().out) == (0, "0\n")
+    assert elapsed < 1.0, f"conv of two unmergeable words took {elapsed:.2f}s"
+
+
+def test_self_convolution_of_long_group_like_words_is_fast():
+    """Fifty words g^i a g^(400-i), one merge per pair of distinct words and
+    two per word with itself: the letter-by-letter table filled 401 x 401
+    cells per pair and did not finish in 120 s."""
+    ag = Alphabet.from_decl("a:L,g:G")
+    f = FiniteSupportSeries.from_text(ag, " + ".join("g" * i + "a" + "g" * (400 - i) for i in range(0, 400, 8)))
+    t0 = time.perf_counter()
+    out = convolve(f, f)
+    elapsed = time.perf_counter() - t0
+    assert len(out.terms) == 50 * 51 // 2 and set(out.terms.values()) == {2}
+    assert elapsed < 10.0, f"self-convolution of 50 words of length 401 took {elapsed:.2f}s"
 
 
 def test_finite_convolve_against_the_coproduct_pairing():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hopfwords.dualforms as dualforms
 import hopfwords.rep as rep_module
 import hopfwords.sweedler as sweedler
 from cli_cases import FIXTURES
@@ -1088,7 +1089,7 @@ def test_learn_checks_a_finite_support_longer_than_its_window(ab, monkeypatch):
         raise AssertionError("reps_equal called")
 
     model = learn(f, 9)
-    monkeypatch.setattr(sweedler, "reps_equal", refuse)
+    monkeypatch.setattr(dualforms, "reps_equal", refuse)
     assert learn(f, 9) == model and model.dim == 10
     assert learn(FiniteSupportSeries.from_text(ab, "2*ab - b + aaaa"), 3).dim == 5
     # positive control: the patch intercepts a learn that must check its model
