@@ -218,7 +218,7 @@ def test_unlike_group_like_letters_merge_with_no_interleaving(monkeypatch):
 
 def test_conv_of_unlike_group_like_letters_is_fast(capsys):
     """Merges were built letter by letter: every interleaving of the two
-    primitive prefixes, 9 s and 2.7 GB for this pair."""
+    primitive prefixes, 7.5 to 9 s and 2.7 GB for this pair."""
     t0 = time.perf_counter()
     code = run(["conv", "--alphabet", "a:L,b:L,g:G,h:G", "--series", "a" * 13 + "g", "--series", "b" * 13 + "h"])
     elapsed = time.perf_counter() - t0
@@ -229,7 +229,7 @@ def test_conv_of_unlike_group_like_letters_is_fast(capsys):
 def test_self_convolution_of_long_group_like_words_is_fast():
     """Fifty words g^i a g^(400-i), one merge per pair of distinct words and
     two per word with itself: the letter-by-letter table filled 401 x 401
-    cells per pair and did not finish in 120 s."""
+    cells per pair and did not finish in 60 s."""
     ag = Alphabet.from_decl("a:L,g:G")
     f = FiniteSupportSeries.from_text(ag, " + ".join("g" * i + "a" + "g" * (400 - i) for i in range(0, 400, 8)))
     t0 = time.perf_counter()
