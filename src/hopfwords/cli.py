@@ -300,15 +300,14 @@ def _preflight_embed(f: Series) -> int:
 
 
 def _preflight_conv(f: Series, h: Series):
-    """Refuse a convolution that would enumerate more than _WINDOW_CAP
-    merged words (two finite supports), or whose representation (dimension
-    d1*d2) would have more than _WINDOW_CAP letter-matrix entries."""
+    """Refuse a convolution that would enumerate more than _WINDOW_CAP merged
+    words (two finite supports, counted on the pairs convolve merges), or whose
+    representation (dimension d1*d2) has more than _WINDOW_CAP letter-matrix entries."""
     dualforms = _layer("dualforms")
-    finite = dualforms.FiniteSupportSeries
-    if isinstance(f, finite) and isinstance(h, finite):
+    if isinstance(f, dualforms.FiniteSupportSeries) and isinstance(h, dualforms.FiniteSupportSeries):
         total = 0
-        for u, v in ((u, v) for u in f.terms for v in h.terms):
-            total += dualforms._merge_count(u, v)
+        for _, xs, ys, _ in dualforms._support_pairs(f, h):
+            total += dualforms._count_merges(xs, ys)
             if total > _WINDOW_CAP:
                 break
         _refuse(total, f"convolution of the finite supports merges {total} or more words, which", "words")
@@ -575,22 +574,28 @@ def _conv_oracle_cases(alph: Alphabet, maxlen: int):
                 yield f"{n1}*{n2} at {w}", table[w] == expected
 
 
-# check subcommand -> (the verifier's name, its (label, ok) case generator)
+# check subcommand -> (the verifier's name, its (label, ok) case generator,
+# its case count in closed form from the letter count n and the count of
+# words of length <= --maxlen)
 _CHECKS = {
-    "check-coassoc": ("coassoc", _coassoc_cases),
-    "check-antipode": ("antipode", _antipode_cases),
-    "check-dual-assoc": ("dual-assoc", _dual_assoc_cases),
-    "check-conv-oracle": ("conv-oracle", _conv_oracle_cases),
+    "check-coassoc": ("coassoc", _coassoc_cases, lambda n, words: words),
+    "check-antipode": ("antipode", _antipode_cases, lambda n, words: words),
+    "check-dual-assoc": ("dual-assoc", _dual_assoc_cases, lambda n, words: (1 + n + n * n) ** 3),
+    "check-conv-oracle": ("conv-oracle", _conv_oracle_cases, lambda n, words: (n + 3) ** 2 * words),
 }
 
 
 def _run_check(args):
     """Walk the cases of the verifier args.command names up to the first
     failure: '<name>: OK (<n> checks, maxlen=<m>)', or '<name>: FAIL at
-    <label> (<n> checks passed, maxlen=<m>)' and exit 4."""
-    name, cases = _CHECKS[args.command]
+    <label> (<n> checks passed, maxlen=<m>)' and exit 4. More than
+    _WINDOW_CAP cases are refused before any is built."""
+    name, cases, count = _CHECKS[args.command]
     alph = _need_alphabet(args)
     maxlen = _maxlen(args)
+    n = len(alph.letters)
+    total = count(n, sum(n**i for i in range(maxlen + 1)))
+    _refuse(total, f"{name} over {n} letter(s) with maxlen={maxlen} checks {total} cases, which", "cases")
     checked = 0
     for label, ok in cases(alph, maxlen):
         if not ok:

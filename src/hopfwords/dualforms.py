@@ -171,6 +171,11 @@ def _merge_runs(marks: str, xs: list[str], ys: list[str]) -> list[str]:
     return merges
 
 
+def _count_merges(xs: list[str], ys: list[str]) -> int:
+    """len(_merge_runs(marks, xs, ys)) in O(|xs| + |ys|): C(p + q, p) per pair of runs of p and q letters."""
+    return prod(comb(len(x) + len(y), len(x)) for x, y in zip(xs, ys))
+
+
 def _merge_texts(a: str, b: str, group_like) -> list[str]:
     """The symbol string of every word that admits the symbol strings
     (a, b) among its subword splittings, once per splitting: none unless
@@ -181,37 +186,33 @@ def _merge_texts(a: str, b: str, group_like) -> list[str]:
     return _merge_runs(marks, xs, ys) if marks == other else []
 
 
-def _merge_count(u: Word, v: Word) -> int:
-    """How many words _merge_texts emits for the words u and v, counted on
-    the same runs in O(|u| + |v|): C(p + q, p) per pair of p and q letters."""
-    group_like = u.alphabet.group_like_symbols
-    (gu, ru), (gv, rv) = _runs(u.symbols(), group_like), _runs(v.symbols(), group_like)
-    return prod(comb(len(x) + len(y), len(x)) for x, y in zip(ru, rv)) if gu == gv else 0
+def _support_pairs(f: FiniteSupportSeries, h: FiniteSupportSeries):
+    """Yield (marks, xs, ys, cu * cv) for each word u of f and v of h with the same group-like
+    letters marks, runs xs, ys by _runs and numerators cu, cv: each word split once, h's grouped."""
+    group_like, by_marks = f.alphabet.group_like_symbols, {}
+    for v, cv in _numerators(h.poly)[0]:
+        marks, ys = _runs(v, group_like)
+        by_marks.setdefault(marks, []).append((ys, cv))
+    for u, cu in _numerators(f.poly)[0]:
+        marks, xs = _runs(u, group_like)
+        for ys, cv in by_marks.get(marks, ()):
+            yield marks, xs, ys, cu * cv
 
 
 def convolve(f: Series, h: Series) -> Series:
     """The product dual to the coproduct: (f * h)(w) = <f (x) h, coproduct(w)>.
 
-    Finite-support operands are combined directly, each support word split
-    into runs once and only words with equal group-like letters paired (the
-    result is again finite support); as soon as a recognizable operand is
-    involved both sides are turned into linear representations and multiplied."""
+    Finite-support operands merge their _support_pairs (the result is again
+    finite support); as soon as a recognizable operand is involved both
+    sides are turned into linear representations and multiplied."""
     _same_alphabet(f.alphabet, h.alphabet)
     if isinstance(f, FiniteSupportSeries) and isinstance(h, FiniteSupportSeries):
-        # integer numerators on symbol strings; h's words grouped by marks
-        (fs, df), (hs, dh) = _numerators(f.poly), _numerators(h.poly)
-        group_like, by_marks, acc = f.alphabet.group_like_symbols, {}, {}
-        for v, cv in hs:
-            marks, ys = _runs(v, group_like)
-            by_marks.setdefault(marks, []).append((ys, cv))
+        acc = {}
         get = acc.get
-        for u, cu in fs:
-            marks, xs = _runs(u, group_like)
-            for ys, cv in by_marks.get(marks, ()):
-                c = cu * cv
-                for text in _merge_runs(marks, xs, ys):
-                    acc[text] = get(text, 0) + c
-        return FiniteSupportSeries(_lift(NCPoly, f.alphabet, acc, df * dh))
+        for marks, xs, ys, c in _support_pairs(f, h):
+            for text in _merge_runs(marks, xs, ys):
+                acc[text] = get(text, 0) + c
+        return FiniteSupportSeries(_lift(NCPoly, f.alphabet, acc, _numerators(f.poly)[1] * _numerators(h.poly)[1]))
     return RecognizableSeries(conv_rep(_to_linrep(f), _to_linrep(h)))
 
 

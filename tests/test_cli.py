@@ -401,6 +401,11 @@ REFUSALS = {
         {"rep.json": _rep_json(60, "ab")},
         "hankel of dimension 60 on 8191 x 1 words takes 29975460 multiply-adds, which exceeds the cap of 1048576",
     ),
+    "check-cases": (
+        ["check-conv-oracle", "--alphabet", "a:L,b:L,c:L,d:L,e:L,f:L,h:L,i:L", "--maxlen", "7"],
+        {},
+        "conv-oracle over 8 letter(s) with maxlen=7 checks 290006145 cases, which exceeds the cap of 1048576 cases",
+    ),
 }
 
 

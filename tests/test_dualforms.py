@@ -23,9 +23,9 @@ from hopfwords import (
     pair,
     reps_equal,
 )
-from hopfwords import dualforms
+from hopfwords import cli, dualforms
 from hopfwords.cli import run
-from hopfwords.dualforms import _merge_count, _merge_texts
+from hopfwords.dualforms import _merge_texts
 from hopfwords.errors import DomainError
 
 
@@ -97,11 +97,28 @@ _TWO_GROUP_LIKE = Alphabet.from_decl("a:L,b:L,g:G,h:G")
 _words = st.text(alphabet="abgh", max_size=6).map(lambda s: _TWO_GROUP_LIKE.word(s or "1"))
 
 
-@given(_words, _words)
+_supports = st.dictionaries(_words, st.integers(-3, 3).filter(bool), min_size=1, max_size=4).map(
+    lambda terms: FiniteSupportSeries(NCPoly(_TWO_GROUP_LIKE, terms))
+)
+
+
+def preflight_total(f, h):
+    """The merge count that the CLI's conv preflight passes to its refusal."""
+    counts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_refuse", lambda count, *rest: counts.append(count))
+        cli._preflight_conv(f, h)
+    (total,) = counts
+    return total
+
+
+@given(_supports, _supports)
 @settings(max_examples=300, deadline=None)
-def test_merge_count_counts_the_enumeration(u, v):
+def test_merge_count_counts_the_enumeration(f, h):
     # the CLI's conv preflight counts merges instead of enumerating them
-    assert _merge_count(u, v) == len(_merge_texts(u.symbols(), v.symbols(), u.alphabet.group_like_symbols))
+    group_like = _TWO_GROUP_LIKE.group_like_symbols
+    merges = sum(len(_merge_texts(u.symbols(), v.symbols(), group_like)) for u in f.terms for v in h.terms)
+    assert preflight_total(f, h) == merges
 
 
 def recursive_merges(u, v):
@@ -208,8 +225,8 @@ def test_unlike_group_like_letters_merge_with_no_interleaving(monkeypatch):
     monkeypatch.setattr(dualforms, "_interleavings", refuse)
     u, v = _TWO_GROUP_LIKE.word("a" * 13 + "g"), _TWO_GROUP_LIKE.word("b" * 13 + "h")
     assert _merge_texts(u.symbols(), v.symbols(), _TWO_GROUP_LIKE.group_like_symbols) == []
-    assert _merge_count(u, v) == 0
     f, h = FiniteSupportSeries.indicator(u), FiniteSupportSeries.indicator(v)
+    assert preflight_total(f, h) == 0
     assert convolve(f, h) == FiniteSupportSeries.zero(_TWO_GROUP_LIKE)
     # positive control: a pair whose group-like letters agree interleaves
     with pytest.raises(AssertionError, match="_interleavings called"):
@@ -224,6 +241,19 @@ def test_conv_of_unlike_group_like_letters_is_fast(capsys):
     elapsed = time.perf_counter() - t0
     assert (code, capsys.readouterr().out) == (0, "0\n")
     assert elapsed < 1.0, f"conv of two unmergeable words took {elapsed:.2f}s"
+
+
+def test_conv_counts_only_pairs_with_like_group_like_letters(capsys, tmp_path):
+    """a g^i against b h^i for i < 600: only a and b merge. The preflight
+    counted merges on all 360,000 pairs, splitting both words again for
+    each, and conv took 51 s."""
+    (tmp_path / "f.txt").write_text(" + ".join("a" + "g" * i for i in range(600)))
+    (tmp_path / "h.txt").write_text(" + ".join("b" + "h" * i for i in range(600)))
+    t0 = time.perf_counter()
+    code = run(["conv", "--alphabet", "a:L,b:L,g:G,h:G", "--series", str(tmp_path / "f.txt"), "--series", str(tmp_path / "h.txt")])
+    elapsed = time.perf_counter() - t0
+    assert (code, capsys.readouterr().out) == (0, "ab + ba\n")
+    assert elapsed < 5.0, f"conv of 600 words against 600 unmergeable words took {elapsed:.2f}s"
 
 
 def test_self_convolution_of_long_group_like_words_is_fast():
