@@ -25,6 +25,7 @@ from math import isqrt
 from .errors import DomainError, InconclusiveError, ParseError
 from .freealg import (
     _DIGITS,
+    _numerators,
     Alphabet,
     LinComb,
     NCPoly,
@@ -243,15 +244,15 @@ def _refuse(count: int, what: str, unit: str = "entries", cap: int = _WINDOW_CAP
 def _preflight_window(alphabet: Alphabet, p: int, s: int, f: Series | None = None):
     """Refuse a (p, s) Hankel window with a side of more than _WINDOW_CAP
     words, or with more than _WINDOW_CAP entries filled. hankel fills the
-    whole window. rank and learn pass their operand f and fill rows x k
-    entries, k the spanning columns that sweedler keeps: min(dim, cols) for
-    a representation, and for a finite support the empty suffix plus every
-    suffix of a support word of length <= s. A representation's rows are at
-    most its 1 + dim*|A| basis words and their one-letter extensions, each
-    at most min(p, dim) letters long. Then refuse a window whose words have
-    more than _WORD_CHARS_CAP characters in all: every row word, and every
-    column word of hankel or spanning suffix of a finite support. Over one
-    letter a side of 2^20 words lists words up to 2^20 letters long."""
+    whole window. rank and learn pass their operand f and fill at most
+    rows x k entries, k the spanning columns that sweedler keeps:
+    min(dim, cols) for a representation, and for a finite support the empty
+    suffix plus every suffix of a support word of length <= s. A
+    representation's rows are at most its 1 + dim*|A| basis words and their
+    one-letter extensions, each at most min(p, dim) letters long. Then refuse
+    more than _WORD_CHARS_CAP characters in the words listed: every row word,
+    and every column word of hankel or spanning suffix of a finite support.
+    Over one letter a side of 2^20 words lists words up to 2^20 letters long."""
     dualforms = _layer("dualforms")
     n = len(alphabet.letters)
     rows, cols = _window_side(n, p), _window_side(n, s)
@@ -271,7 +272,7 @@ def _preflight_window(alphabet: Alphabet, p: int, s: int, f: Series | None = Non
     else:
         col_chars = 0
         if isinstance(f, dualforms.FiniteSupportSeries):
-            trie = dualforms._suffix_trie((w.symbols() for w in f.terms), s)
+            trie = dualforms._suffix_trie((text for text, _ in _numerators(f.poly)[0]), s)
             cols, col_chars = len(trie), sum(depth for _, _, depth in trie)
         _refuse(rows * cols, f"{window} on {cols} spanning column(s) fills {rows * cols} entries, which")
     if chars is None:
@@ -292,7 +293,7 @@ def _preflight_embed(f: Series) -> int:
         return f.rep.dim
     k = len(f.alphabet.letters)
     m = isqrt(_WINDOW_CAP // k) + 1
-    n = len(dualforms._suffix_trie((w.symbols() for w in f.terms), None, m))
+    n = len(dualforms._suffix_trie((text for text, _ in _numerators(f.poly)[0]), None, m))
     n, more = min(n, m), "more than " * (n > m)
     entries = n * n * k
     _refuse(entries, f"automaton of {more}{n} states over {k} letter(s) has {more}{entries} letter-matrix entries, which")
@@ -377,8 +378,9 @@ def _out_matrix(args, m: Matrix):
 
 def _cmd_coprod(args):
     p = _load_poly(args, args.poly)
-    # a word with k primitive letters splits 2^k ways; counted, not enumerated
-    count = sum(1 << sum(not l.group_like for l in w.letters) for w in p.terms)
+    # a word with k primitive letters (group-like ones dropped) splits 2^k ways; counted, not enumerated
+    drop = dict.fromkeys(map(ord, p.alphabet.group_like_symbols))
+    count = sum(1 << len(text.translate(drop)) for text, _ in _numerators(p)[0])
     _refuse(count, f"coproduct of {count} terms before merging", "terms")
     return _out_terms(args, coproduct(p))
 
@@ -387,7 +389,7 @@ def _cmd_mul(args):
     alph = _need_alphabet(args)
     p = _load_poly(args, args.poly, alph)
     q = _load_poly(args, args.poly2, alph)
-    count = len(p.terms) * len(q.terms)
+    count = len(_numerators(p)[0]) * len(_numerators(q)[0])
     _refuse(count, f"product of {count} terms before merging", "terms")
     return _out_terms(args, poly_mul(p, q))
 
@@ -433,9 +435,9 @@ def _cmd_eval(args):
     # a term of length n takes n - 1 products of d x d matrices, d^3
     # multiply-adds each, and a scaled sum of d^2 (the empty word an
     # identity), counted before any product
-    d = r.dim
-    count = sum(max(len(w) - 1, 0) * d**3 + d * d for w in p.terms)
-    _refuse(count, f"eval of dimension {d} on {len(p.terms)} term(s) takes {count} multiply-adds, which", "")
+    d, terms = r.dim, _numerators(p)[0]
+    count = sum(max(len(text) - 1, 0) * d**3 + d * d for text, _ in terms)
+    _refuse(count, f"eval of dimension {d} on {len(terms)} term(s) takes {count} multiply-adds, which", "")
     return _out_matrix(args, _layer("rep").eval_rep(r, p))
 
 

@@ -26,7 +26,9 @@ as multiplicity automata") is the walk's kept rows or, when the kept
 columns miss part of Q^n, those independent on them. A finite support
 keeps its empty word and its support words' suffixes as columns C (every
 other column is zero): H = H[:, C] T with T of full row rank, so the rows
-of H and H[:, C] satisfy the same relations. An oracle keeps everything.
+of H and H[:, C] satisfy the same relations. Its rows are its empty word
+and the prefixes its support fills: every other row is zero. An oracle
+keeps everything.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from operator import mul
 from . import linalg
 from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, _suffix_closure, _walk
 from .errors import InconclusiveError, InternalInvariantError
-from .freealg import Alphabet, NCPoly, Word, _Frozen, _check_antipode_domain, _numerators, _same_alphabet, conc
+from .freealg import Alphabet, NCPoly, Word, _Frozen, _check_antipode_domain, _lift, _numerators, _same_alphabet, conc
 from .linalg import Matrix, RowReducer, _Span, _stacked
 from .rep import LinRep, zero_rep
 
@@ -69,13 +71,9 @@ def shift_right(f: Series, s: Word) -> Series:
     """f_s with f_s(x) = f(s x)."""
     _same_alphabet(f.alphabet, s.alphabet)
     if isinstance(f, FiniteSupportSeries):
-        prefix, k = s.symbols(), len(s)
-        terms = {
-            Word(f.alphabet, w.symbols()[k:]): c
-            for w, c in f.terms.items()
-            if w.symbols().startswith(prefix)
-        }
-        return FiniteSupportSeries(NCPoly(f.alphabet, terms))
+        (numerators, den), prefix = _numerators(f.poly), s.symbols()
+        acc = {text[len(prefix) :]: x for text, x in numerators if text.startswith(prefix)}
+        return FiniteSupportSeries(_lift(NCPoly, f.alphabet, acc, den))
     rep = f.rep
     lam = reduce(lambda row, a: row * rep.mu[a], s.letters, rep.lam)
     return RecognizableSeries(LinRep(rep.alphabet, rep.dim, lam, rep.mu, rep.gamma))
@@ -85,13 +83,9 @@ def shift_left(f: Series, s: Word) -> Series:
     """The mirror shift: (shift_left(f, s))(x) = f(x s)."""
     _same_alphabet(f.alphabet, s.alphabet)
     if isinstance(f, FiniteSupportSeries):
-        suffix, k = s.symbols(), len(s)
-        terms = {
-            Word(f.alphabet, w.symbols()[: len(w) - k]): c
-            for w, c in f.terms.items()
-            if w.symbols().endswith(suffix)
-        }
-        return FiniteSupportSeries(NCPoly(f.alphabet, terms))
+        (numerators, den), suffix = _numerators(f.poly), s.symbols()
+        acc = {text[: len(text) - len(suffix)]: x for text, x in numerators if text.endswith(suffix)}
+        return FiniteSupportSeries(_lift(NCPoly, f.alphabet, acc, den))
     rep = f.rep
     gamma = reduce(lambda col, a: rep.mu[a] * col, reversed(s.letters), rep.gamma)
     return RecognizableSeries(LinRep(rep.alphabet, rep.dim, rep.lam, rep.mu, gamma))
@@ -124,16 +118,14 @@ def _coeff_fn(f, alphabet: Alphabet | None):
     raise TypeError(f"expected a Series or a coefficient oracle, got {type(f)!r}")
 
 
-def _finite_window(f: FiniteSupportSeries, p: int, cols: tuple[Word, ...]) -> HankelSlice:
-    """The window of a finite-support series on the prefixes of length <= p
-    and the suffix columns `cols`, filled from its support: each word w = uv
-    with |u| <= p and v in cols sets the one entry (u, v), and every other
-    entry is zero. cols is in shortlex order and holds every suffix of a
-    support word up to the length of its last column. Costs the zero table
-    plus the sum of |w| over the support; no coefficient is looked up."""
-    alph = f.alphabet
-    rows = tuple(alph.words(p))
-    s = len(cols[-1])
+def _finite_window(f: FiniteSupportSeries, rows: tuple[Word, ...], cols: tuple[Word, ...]) -> HankelSlice:
+    """The window of a finite-support series on rows and columns listed in
+    shortlex order up to lengths p and s, filled from its support: each
+    word w = uv with u in rows and v in cols sets the entry (u, v), and
+    every other entry is zero. cols lists every suffix of a support word up
+    to length s, rows every prefix that fills an entry (hankel all words,
+    rank and learn the empty word and the prefixes the support fills)."""
+    p, s = len(rows[-1]), len(cols[-1])
     row_index = {u.symbols(): i for i, u in enumerate(rows)}
     col_index = {v.symbols(): j for j, v in enumerate(cols)}
     numerators, den = _numerators(f.poly)
@@ -155,10 +147,16 @@ def _rep_window(alph: Alphabet, rows, cols) -> HankelSlice:
 
 
 def _spanning_window(f, p: int, s: int, alphabet: Alphabet | None) -> HankelSlice:
-    """The (p, s) window of a finite support on its spanning columns C, and of an oracle on all."""
+    """The (p, s) window of a finite support on its spanning columns C and its
+    empty word and filled prefixes (every other row is zero), and of an oracle on all."""
     if isinstance(f, FiniteSupportSeries):
-        suffixes = _suffix_closure([text for text, _ in _numerators(f.poly)[0]], s)
-        return _finite_window(f, p, tuple(Word(f.alphabet, v) for v in suffixes))
+        texts = [text for text, _ in _numerators(f.poly)[0]]
+        suffixes = _suffix_closure(texts, s)
+        # a prefix u of a support word uv with |u| <= p fills a row when |v| <= k, the longest column
+        k = len(suffixes[-1])
+        prefixes = {t[:i] for t in texts for i in range(max(0, len(t) - k), min(p, len(t)) + 1)}
+        words = lambda side: tuple([Word(f.alphabet, t) for t in side])
+        return _finite_window(f, words(sorted(prefixes | {""}, key=lambda t: (len(t), t))), words(suffixes))
     return hankel(f, p, s, alphabet)
 
 
@@ -174,7 +172,7 @@ def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
         raise ValueError(f"window lengths must be nonnegative, got {p} and {s}")
     cf, alph = _coeff_fn(f, alphabet)
     if isinstance(f, FiniteSupportSeries):
-        return _finite_window(f, p, tuple(f.alphabet.words(s)))
+        return _finite_window(f, tuple(alph.words(p)), tuple(alph.words(s)))
     if isinstance(f, RecognizableSeries):
         rep = f.rep
         rows = _walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, p)
@@ -235,7 +233,7 @@ def _walk_model(rep: LinRep, explore: int):
         a = reducer.coordinates(row.num[0])
         return None if a is None else Matrix._from_ints((tuple(map(mul, a.num[0], dens)),), a.den * row.den)
 
-    return rep.alphabet, r_small, basis, coords, lambda: _stacked([rows[w] for w in basis]) * rep.gamma
+    return r_small, basis, coords, lambda: _stacked([rows[w] for w in basis]) * rep.gamma
 
 
 def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
@@ -264,22 +262,22 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     """
     if explore < 0:
         raise ValueError("exploration length must be nonnegative")
-    _coeff_fn(f, alphabet)
+    _, alph = _coeff_fn(f, alphabet)
     if isinstance(f, RecognizableSeries):
-        alph, r_small, basis, coords, gamma = _walk_model(f.rep, explore)
+        r_small, basis, coords, gamma = _walk_model(f.rep, explore)
     else:
         window = _spanning_window(f, explore + 1, explore + 1, alphabet)
-        alph, num = window.rows[0].alphabet, window.entries.num
+        num = window.entries.num
         # integer rows: a common denominator changes no rank, basis or coordinate
         n_small = sum(1 for w in window.rows if len(w) <= explore)
         # the columns of length <= explore come first and span the small window
         c_small = sum(1 for v in window.cols if len(v) <= explore)
         r_small = linalg.rank(Matrix._from_ints(tuple([row[:c_small] for row in num[:n_small]])))
-        # one elimination gives the window's rank and basis; zero rows are not offered
+        # one elimination gives the window's rank and basis; zero rows are not offered, unlisted ones are zero
         reducer = RowReducer(len(window.cols))
         rows = dict(zip([w.symbols() for w in window.rows], num))
         basis = [w for w, row in rows.items() if any(row) and reducer.offer(row)]
-        coords = lambda w: reducer.coordinates(rows[w])
+        coords = lambda w: reducer.coordinates(rows.get(w, (0,) * len(window.cols)))
         # the column of the empty suffix holds f on the basis words
         gamma = lambda: Matrix._from_ints(tuple([(rows[w][0],) for w in basis]), window.entries.den)
     r_big = len(basis)
@@ -316,7 +314,7 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
 def _window_holds_support(f: FiniteSupportSeries, explore: int) -> bool:
     """Whether learn's (explore+1, explore+1) window holds every nonzero
     Hankel entry of f: no support word is longer than explore + 1."""
-    return all(len(w) <= explore + 1 for w in f.terms)
+    return all(len(text) <= explore + 1 for text, _ in _numerators(f.poly)[0])
 
 
 # ---------------------------------------------------------------------------

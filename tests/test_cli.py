@@ -13,6 +13,7 @@ from hopfwords import (
 from hopfwords.cli import _COMMANDS, _preflight_window, build_parser, run
 from hopfwords.dualforms import _suffix_trie
 from hopfwords.errors import ParseError
+from hopfwords.freealg import LinComb
 from hopfwords.linalg import tensor_scheme
 
 
@@ -416,6 +417,50 @@ def test_each_size_bound_refuses_with_its_exact_message(capsys, tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     out, err, code = _outcome(capsys, lambda: run(list(argv)))
     assert (code, out, err) == (1, "", f"hopfwords: parse error: {message}\n")
+
+
+def _refuse_ordered_terms(monkeypatch):
+    """Make a read of LinComb.terms, which orders the operand and builds a
+    Word and a Fraction per term, fail the test."""
+
+    def ordered(self):
+        raise AssertionError(f"a {type(self).__name__} of {len(self._terms)} terms was ordered")
+
+    monkeypatch.setattr(LinComb, "terms", property(ordered))
+
+
+@pytest.mark.parametrize("argv, files, message", REFUSALS.values(), ids=REFUSALS)
+def test_each_size_bound_counts_from_the_term_store(capsys, tmp_path, monkeypatch, argv, files, message):
+    """Every refusal counts its operands from the unordered term store: with
+    the ordered terms unreadable, each refuses with the same message."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    _refuse_ordered_terms(monkeypatch)
+    out, err, code = _outcome(capsys, lambda: run(list(argv)))
+    assert (code, out, err) == (1, "", f"hopfwords: parse error: {message}\n")
+
+
+def test_learn_checks_a_large_support_without_ordering_it(capsys, monkeypatch):
+    # the window preflight, the automaton preflight, the window and the
+    # model check of learn --explore 3 all read the support's term store
+    _refuse_ordered_terms(monkeypatch)
+    argv = ["learn", "--explore", "3", "--alphabet", "a:L,b:L", "--series", str(FIXTURES / "words40.txt")]
+    out, err, code = _outcome(capsys, lambda: run(argv))
+    assert (code, out) == (3, "")
+    assert err == "hopfwords: inconclusive: learned model of dim 0 differs from the operand; raise the exploration length\n"
+
+
+def test_rank_of_a_finite_support_lists_only_the_rows_it_fills(capsys):
+    """The (19, 0) window of 40 words of length 12 has 2^20 - 1 prefix rows,
+    of which the support fills 40 and the empty word is listed: rank lists
+    those 41 rows, not every word of length <= 19."""
+    argv = ["rank", "--alphabet", "a:L,b:L", "--hankel", "19,0", "--series", str(FIXTURES / "words40.txt")]
+    t0 = time.perf_counter()
+    out, err, code = _outcome(capsys, lambda: run(argv))
+    elapsed = time.perf_counter() - t0
+    assert (code, out, err) == (0, "1\n", "")
+    assert elapsed < 1.0, f"rank of the (19, 0) window of a 40-word support took {elapsed:.2f}s"
 
 
 # each option that a run needs and argparse does not require, missing or

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hopfwords.dualforms as dualforms
@@ -117,6 +117,33 @@ def test_shifts_of_a_representation_match_the_word_matrix(data):
     m, f = eval_word(rep, s), RecognizableSeries(rep)
     assert shift_right(f, s).rep == LinRep(rep.alphabet, rep.dim, rep.lam * m, rep.mu, rep.gamma)
     assert shift_left(f, s).rep == LinRep(rep.alphabet, rep.dim, rep.lam, rep.mu, m * rep.gamma)
+
+
+finite_supports = st.dictionaries(
+    st.text("ab", max_size=4),
+    st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
+    max_size=4,
+)
+
+
+@given(finite_supports, st.text("ab", max_size=3))
+@example({"ab": Fraction(2), "b": Fraction(1, 3)}, "a")
+@example({"ab": Fraction(2), "b": Fraction(1, 3)}, "b")
+@settings(max_examples=80, deadline=None)
+def test_shifts_of_a_finite_support_match_those_of_its_automaton(ab_terms, text):
+    """The finite-support shifts filter the support's term store; each is
+    the polynomial, in lowest terms, that the Word-keyed terms give (2*ab +
+    1/3*b shifted right by a is 2*b), and the series that the same shift of
+    its automaton gives."""
+    ab = Alphabet.from_decl("a:L,b:L")
+    f = FiniteSupportSeries(NCPoly(ab, {ab.word(w): c for w, c in ab_terms.items()}))
+    s, k, auto = ab.word(text or "1"), len(text), RecognizableSeries(embed_finite(f))
+    right = {ab.word(w.symbols()[k:]): c for w, c in f.terms.items() if w.symbols().startswith(text)}
+    left = {ab.word(w.symbols()[: len(w) - k]): c for w, c in f.terms.items() if w.symbols().endswith(text)}
+    for shift, terms in (shift_right, right), (shift_left, left):
+        shifted = shift(f, s)
+        assert shifted.poly == NCPoly(ab, terms)
+        assert shifted == shift(auto, s)
 
 
 # ---------------------------------------------------------------------------
@@ -753,13 +780,6 @@ def test_hankel_rank_of_a_finite_window_of_mostly_zero_rows_is_fast(ab):
     assert hankel_rank(f, 10, 10) == 132
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0, f"(10, 10) window of a 40-word support took {elapsed:.2f}s"
-
-
-finite_supports = st.dictionaries(
-    st.text("ab", max_size=4),
-    st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
-    max_size=4,
-)
 
 
 @given(finite_supports, st.integers(0, 3), st.integers(0, 3))
