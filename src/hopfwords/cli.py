@@ -252,19 +252,24 @@ def _preflight_window(alphabet: Alphabet, p: int, s: int, f: Series | None = Non
     one-letter extensions, each at most min(p, dim) letters long. Then refuse
     more than _WORD_CHARS_CAP characters in the words listed: every row word,
     and every column word of hankel or spanning suffix of a finite support.
-    Over one letter a side of 2^20 words lists words up to 2^20 letters long."""
+    Over one letter a side of 2^20 words lists words up to 2^20 letters long.
+    Last, refuse more than _WINDOW_CAP multiply-adds in a representation's
+    two walks of at most min(side, 1 + dim*|A|) vectors each."""
     dualforms = _layer("dualforms")
     n = len(alphabet.letters)
     rows, cols = _window_side(n, p), _window_side(n, s)
     where = f"prefixes <= {p}, suffixes <= {s} over {n} letter(s)"
     shape = " x ".join(f">{_WINDOW_CAP}" if k > _WINDOW_CAP else str(k) for k in (rows, cols))
     window = f"Hankel window of {shape} words ({where})"
-    chars = None
+    chars, work, d = None, 0, 0
     if isinstance(f, dualforms.RecognizableSeries):
-        cols = min(f.rep.dim, cols)
-        if rows > 1 + f.rep.dim * n:
-            rows = 1 + f.rep.dim * n
-            chars = rows * min(p, f.rep.dim)
+        d, most = f.rep.dim, 1 + f.rep.dim * n
+        # per walked vector, a product and an elimination of d^2 multiply-adds each
+        work = 2 * d * d * (min(rows, most) + min(cols, most))
+        cols = min(d, cols)
+        if rows > most:
+            rows = most
+            chars = rows * min(p, d)
     if f is None or rows > _WINDOW_CAP or cols > _WINDOW_CAP:
         # a side over the cap refuses any operand, so only hankel gets past
         _refuse(rows * cols, window)
@@ -279,6 +284,7 @@ def _preflight_window(alphabet: Alphabet, p: int, s: int, f: Series | None = Non
         chars = _word_chars(n, p) + col_chars
     what = f"Hankel window ({where}) lists words of {chars} characters, which"
     _refuse(chars, what, "characters", _WORD_CHARS_CAP)
+    _refuse(work, f"basis walks of dimension {d} ({where}) take {work} multiply-adds, which", "")
 
 
 def _preflight_embed(f: Series) -> int:

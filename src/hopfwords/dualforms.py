@@ -9,7 +9,7 @@ are combined at the representation level.
 
 Equality of series is decided, not sampled: == compares two finite
 supports by their polynomials and any other pair with reps_equal, which
-walks the word tree (_walk) down a basis of the prefix rows lambda*mu(u).
+walks the word tree (_walk) down a basis of r1 - r2's rows, in place.
 Series are unhashable: an identity hash would contradict that equality.
 """
 
@@ -18,10 +18,10 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 from itertools import compress
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import mul
 
-from .freealg import Alphabet, Letter, NCPoly, Word, _lift, _numerators, _same_alphabet
+from .freealg import Alphabet, NCPoly, Word, _lift, _numerators, _same_alphabet
 from .linalg import Matrix, _Span
 from .rep import LinRep, conv_rep, rep_sum, scale_rep, trivial_rep
 
@@ -284,11 +284,31 @@ def _suffix_closure(texts, max_len: int | None = None) -> list[str]:
     return sorted(suffixes, key=lambda text: (len(text), text))
 
 
-def _walk(start: Matrix, mu: dict[Letter, Matrix], letters, max_len: int | None, reducer: _Span | None = None):
+def _tables(*reps: LinRep, columns: bool = False):
+    """For each sorted letter a, (a's symbol, den, table): table[i] lists the
+    nonzeros (j, x) of row i (with columns, of column i, gathered by one
+    compress scan per row) of the block-diagonal matrix of the reps' mu(a)
+    over the lcm den of their denominators."""
+    for a in reps[0].alphabet.sorted_letters:
+        blocks = [r.mu[a] for r in reps]
+        den, table = lcm(*[m.den for m in blocks]), []
+        for m in blocks:
+            k, off = den // m.den, len(table)
+            if not columns:
+                table += [[(off + j, k * r[j]) for j in compress(range(len(r)), r)] for r in m.num]
+                continue
+            table += [[] for _ in m.num]
+            for i, r in enumerate(m.num, off):
+                for j in compress(range(len(r)), r):
+                    table[off + j].append((i, k * r[j]))
+        yield a.symbol, den, table
+
+
+def _walk(start: Matrix, tables, max_len: int | None, reducer: _Span | None = None):
     """Yield (w, start*mu(w), kept), w a symbol string, for each row computed
     breadth first, in shortlex order, up to length max_len (None: no bound).
     Only a kept row is extended, one product per letter, over the nonzeros
-    of the row and of the letter matrix, read once on the first extension.
+    of the row and of the letter's table, read once on the first extension.
     Without a reducer (a _Span, such as a RowReducer) every row is kept;
     with one, each row that enlarges the span of those kept before it. As
     row(ua) = row(u) mu(a), a row in the span of the rows before it has
@@ -304,8 +324,8 @@ def _walk(start: Matrix, mu: dict[Letter, Matrix], letters, max_len: int | None,
         yield w, row, kept
         if kept and (max_len is None or len(w) < max_len):
             if sparse is None:
-                sparse = [(a.symbol, *_sparse(mu[a])) for a in letters]
-            _, (x,) = _sparse(row)
+                sparse = list(tables)
+            x = [(i, r[i]) for r in row.num for i in compress(range(len(r)), r)]
             for symbol, den, m in sparse:
                 out = [0] * len(m)
                 for i, v in x:
@@ -314,19 +334,13 @@ def _walk(start: Matrix, mu: dict[Letter, Matrix], letters, max_len: int | None,
                 pending.append((w + symbol, Matrix._from_ints((tuple(out),), row.den * den)))
 
 
-def _sparse(m: Matrix) -> tuple[int, list[list[tuple[int, int]]]]:
-    """m's denominator, and each numerator row as its nonzeros' (column,
-    entry) pairs."""
-    return m.den, [[(j, r[j]) for j in compress(range(len(r)), r)] for r in m.num]
-
-
 def reps_equal(r1: LinRep, r2: LinRep) -> bool:
     """Exact equality of the recognized series, decided in polynomial time:
-    the difference r1 - r2 is the zero series exactly when its gamma
-    annihilates the basis walk of its rows lambda*mu(w), n = dim1 + dim2
-    (Tzeng 1992): at most n*|A| sparse products and a span-only echelon; on
-    dense operands of dim 20, 40, 80, time grew as dim^3.5, then dim^4.6."""
-    d = rep_sum(r1, scale_rep(r2, -1))
-    walk = _walk(d.lam, d.mu, d.alphabet.sorted_letters, None, _Span(d.dim))
-    gamma = [r[0] for r in d.gamma.num]
+    r1 - r2 is zero exactly when (gamma1, gamma2) annihilates the basis walk
+    of the rows (lambda1, -lambda2)*mu(w), n = dim1 + dim2 (Tzeng 1992): at
+    most n*|A| sparse products and a span-only echelon, on both operands'
+    letter tables side by side (_tables), with no sum representation built."""
+    _same_alphabet(r1.alphabet, r2.alphabet)
+    walk = _walk(r1.lam.hstack(-r2.lam), _tables(r1, r2), None, _Span(r1.dim + r2.dim))
+    gamma = [x for (x,) in r1.gamma.vstack(r2.gamma).num]
     return not any(sum(map(mul, row.num[0], gamma)) for _, row, kept in walk if kept)

@@ -11,10 +11,10 @@ into rank-one factors and the transposed antipode.
 
 Every vector of a representation comes from one breadth-first walk down
 the word tree (dualforms._walk): the prefix rows lambda*mu(u), and the
-suffix columns mu(v)*gamma as rows of the transposed representation on
-reversed words. Walked whole, they give behavior_table and the Hankel
-window (one product). A finite-support window is filled straight from the
-support. Windows, ranks and row reduction run on integer numerators.
+suffix columns mu(v)*gamma as rows on reversed words, read off the columns
+of each mu(a) in place. Walked whole, they give behavior_table and the
+Hankel window (one product). A finite-support window is filled straight
+from the support. Windows, ranks and row reduction run on integer numerators.
 
 hankel_rank and learn read a representation off its two reduced walks,
 with no window: H = P Q^T for the prefix rows P and the suffix columns Q
@@ -38,7 +38,7 @@ from functools import reduce
 from operator import mul
 
 from . import linalg
-from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, _suffix_closure, _walk
+from .dualforms import FiniteSupportSeries, RecognizableSeries, Series, _suffix_closure, _tables, _walk
 from .errors import InconclusiveError, InternalInvariantError
 from .freealg import Alphabet, NCPoly, Word, _Frozen, _check_antipode_domain, _lift, _numerators, _same_alphabet, conc
 from .linalg import Matrix, RowReducer, _Span, _stacked
@@ -46,11 +46,9 @@ from .rep import LinRep, zero_rep
 
 
 def _column_walk(rep: LinRep, max_len: int, reducer: _Span | None = None):
-    """_walk of the columns mu(v)*gamma, transposed: the rows gamma^T
-    mu(v_k)^T ... mu(v_1)^T of the transposed representation, yielded with
-    the reversed word v read back."""
-    mu_t = {a: m.transpose() for a, m in rep.mu.items()}
-    walk = _walk(rep.gamma.transpose(), mu_t, rep.alphabet.sorted_letters, max_len, reducer)
+    """_walk of the columns mu(v)*gamma as rows, on the columns of each mu(a)
+    read in place, yielded with the reversed word v read back."""
+    walk = _walk(rep.gamma.transpose(), _tables(rep, columns=True), max_len, reducer)
     return ((w[::-1], row, kept) for w, row, kept in walk)
 
 
@@ -59,7 +57,7 @@ def behavior_table(rep: LinRep, max_len: int) -> dict[Word, Fraction]:
     the unreduced walk of the prefix rows: shared prefixes multiply once."""
     if max_len < 0:
         raise ValueError(f"window lengths must be nonnegative, got {max_len}")
-    walk = _walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, max_len)
+    walk = _walk(rep.lam, _tables(rep), max_len)
     return {Word(rep.alphabet, w): (row * rep.gamma).scalar() for w, row, _ in walk}
 
 
@@ -175,7 +173,7 @@ def hankel(f, p: int, s: int, alphabet: Alphabet | None = None) -> HankelSlice:
         return _finite_window(f, tuple(alph.words(p)), tuple(alph.words(s)))
     if isinstance(f, RecognizableSeries):
         rep = f.rep
-        rows = _walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, p)
+        rows = _walk(rep.lam, _tables(rep), p)
         # back in shortlex order of the suffix, from that of its reversal
         cols = sorted(_column_walk(rep, s), key=lambda c: (len(c[0]), c[0]))
         return _rep_window(rep.alphabet, rows, cols)
@@ -199,7 +197,7 @@ def hankel_rank(f, p: int, s: int, alphabet: Alphabet | None = None) -> int:
     _coeff_fn(f, alphabet)
     if isinstance(f, RecognizableSeries):
         rep = f.rep
-        rows = [r for _, r, k in _walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, p, _Span(rep.dim)) if k]
+        rows = [r for _, r, k in _walk(rep.lam, _tables(rep), p, _Span(rep.dim)) if k]
         return _product_rank(rows, [c for _, c, k in _column_walk(rep, s, _Span(rep.dim)) if k], rep.dim)
     return linalg.rank(_spanning_window(f, p, s, alphabet).entries)
 
@@ -211,7 +209,7 @@ def hankel_rank(f, p: int, s: int, alphabet: Alphabet | None = None) -> int:
 def _walk_model(rep: LinRep, explore: int):
     """learn's inputs for a representation, read off its two basis walks."""
     n, reducer = rep.dim, RowReducer(rep.dim)
-    walk = list(_walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, explore + 1, reducer))
+    walk = list(_walk(rep.lam, _tables(rep), explore + 1, reducer))
     rows, basis = {w: row for w, row, _ in walk}, [w for w, _, k in walk if k]
     cols = [(v, c) for v, c, k in _column_walk(rep, explore + 1, _Span(n)) if k]
     r_small = _product_rank([rows[w] for w in basis if len(w) <= explore], [c for v, c in cols if len(v) <= explore], n)
@@ -294,7 +292,9 @@ def learn(f, explore: int, alphabet: Alphabet | None = None) -> LinRep:
     else:
         if any(len(w) > explore for w in basis):
             raise InternalInvariantError("stabilized basis contains a maximal-length row")
-        lam, mu = coords(""), {a: [coords(w + a.symbol) for w in basis] for a in alph.letters}
+        # basis word i is the i-th row its reducer accepted: its coordinates are e_i
+        solve = lambda w: Matrix._from_ints((tuple([int(u == w) for u in basis]),)) if w in basis else coords(w)
+        lam, mu = solve(""), {a: [solve(w + a.symbol) for w in basis] for a in alph.letters}
         if lam is None or any(None in m for m in mu.values()):
             raise InternalInvariantError("hankel row escaped the selected basis")
         model = LinRep(alph, r_big, lam, {a: _stacked(m) for a, m in mu.items()}, gamma())

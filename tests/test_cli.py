@@ -407,6 +407,12 @@ REFUSALS = {
         {},
         "conv-oracle over 8 letter(s) with maxlen=7 checks 290006145 cases, which exceeds the cap of 1048576 cases",
     ),
+    "walk-work": (
+        ["rank", "--series", "rep.json", "--hankel", "20,20"],
+        {"rep.json": _rep_json(80, "ab")},
+        "basis walks of dimension 80 (prefixes <= 20, suffixes <= 20 over 2 letter(s)) take 4121600 "
+        "multiply-adds, which exceeds the cap of 1048576",
+    ),
 }
 
 

@@ -5,6 +5,8 @@ import math
 import random
 import time
 from fractions import Fraction
+from operator import mul
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -43,7 +45,7 @@ from hopfwords import (
     zero_rep,
 )
 from hopfwords.errors import DomainError, InconclusiveError, ParseError
-from hopfwords.linalg import RowReducer, _Span, rank
+from hopfwords.linalg import RowReducer, _Span, _stacked, rank
 
 COUNTING_JSON = (
     '{"alphabet": "a:L,b:L", "dim": 2, "lambda": ["1","0"],'
@@ -1039,7 +1041,7 @@ def test_learn_of_a_representation_whose_columns_do_or_do_not_span(ab, hidden, k
     the window's basis is the two walk-basis rows independent on it."""
     rep = counting_with_a_hidden_state(ab, hidden)
     f = RecognizableSeries(rep)
-    assert _kept(sweedler._walk(rep.lam, rep.mu, ab.sorted_letters, 4, _Span(3))) == kept_rows
+    assert _kept(sweedler._walk(rep.lam, dualforms._tables(rep), 4, _Span(3))) == kept_rows
     assert _kept(sweedler._column_walk(rep, 4, _Span(3))) == kept_cols
     assert reps_equal(rep, counting_rep(ab))
     model = learn(RecognizableSeries(counting_rep(ab)), 3)
@@ -1143,7 +1145,8 @@ def _greedy_rows(rep: LinRep, max_len: int):
 
 
 class _CountedReads(dict):
-    """A letter-matrix map that counts its reads, one per product."""
+    """A letter-matrix map that counts its reads: the walk reads each letter's
+    matrix once, on its first extension."""
 
     reads = 0
 
@@ -1155,7 +1158,8 @@ class _CountedReads(dict):
 def _check_walk(rep: LinRep, max_len: int):
     mu = _CountedReads(rep.mu)
     letters = rep.alphabet.sorted_letters
-    walk = list(sweedler._walk(rep.lam, mu, letters, max_len, RowReducer(rep.dim)))
+    tables = dualforms._tables(SimpleNamespace(alphabet=rep.alphabet, mu=mu))
+    walk = list(sweedler._walk(rep.lam, tables, max_len, RowReducer(rep.dim)))
     kept = [(w, row) for w, row, k in walk if k]
     assert kept == _greedy_rows(rep, max_len)
     # only the rows kept are extended
@@ -1191,7 +1195,7 @@ def test_basis_walk_from_zero_and_of_a_doubled_rep(ab):
             _check_walk(rep, max_len)
             _check_walk(_transposed(rep), max_len)
     # a zero start is yielded unkept and never extended
-    walk = sweedler._walk(zero_gamma.gamma.transpose(), c.mu, ab.sorted_letters, None, RowReducer(2))
+    walk = sweedler._walk(zero_gamma.gamma.transpose(), dualforms._tables(c), None, RowReducer(2))
     assert [(w, k) for w, _, k in walk] == [("", False)]
     # gamma = 0 keeps no column, and lambda = 0 no row: rank 0, the zero model
     zero_lam = LinRep(ab, 2, Matrix.row_vector([0, 0]), c.mu, c.gamma)
@@ -1206,7 +1210,7 @@ def test_unreduced_walk_yields_every_word_in_shortlex_order(operand, max_len):
     """Without a reducer the walk keeps and yields every row up to max_len,
     and the column walk every column mu(v)*gamma, transposed."""
     _, _, rep = operand
-    walk = sweedler._walk(rep.lam, rep.mu, rep.alphabet.sorted_letters, max_len)
+    walk = sweedler._walk(rep.lam, dualforms._tables(rep), max_len)
     assert [(w, row, k) for w, row, k in walk] == [(w, row, True) for w, row in _reference_rows(rep, max_len)]
     columns = {v: (row, k) for v, row, k in sweedler._column_walk(rep, max_len)}
     assert columns == {
@@ -1296,13 +1300,13 @@ def test_sparse_walk_yields_the_triples_of_the_dense_walk(rep, max_len):
     same Matrix rows and the same kept flags."""
     letters = rep.alphabet.sorted_letters
     for r in (rep, _transposed(rep)):
-        assert list(sweedler._walk(r.lam, r.mu, letters, max_len)) == list(
+        assert list(sweedler._walk(r.lam, dualforms._tables(r), max_len)) == list(
             _dense_walk(r.lam, r.mu, letters, max_len)
         )
         for bound in (max_len, None):
             expected = list(_dense_walk(r.lam, r.mu, letters, bound, RowReducer(r.dim)))
             for reducer in (_Span(r.dim), RowReducer(r.dim)):
-                assert list(sweedler._walk(r.lam, r.mu, letters, bound, reducer)) == expected
+                assert list(sweedler._walk(r.lam, dualforms._tables(r), bound, reducer)) == expected
 
 
 def test_reps_equal_of_a_400_state_automaton_is_fast(ab):
@@ -1319,3 +1323,180 @@ def test_reps_equal_of_a_400_state_automaton_is_fast(ab):
         assert reps_equal(e, other) is expected
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"reps_equal of a {e.dim}-state automaton took {elapsed:.2f}s"
+
+
+# ---------------------------------------------------------------------------
+# walks on the operands' own letter matrices
+
+
+def reps_equal_over_rep_sum(r1: LinRep, r2: LinRep) -> bool:
+    """The former reps_equal, kept as the reference: the basis walk of the
+    sum representation r1 - r2, built by rep_sum and scale_rep."""
+    d = rep_sum(r1, scale_rep(r2, -1))
+    walk = sweedler._walk(d.lam, dualforms._tables(d), None, _Span(d.dim))
+    gamma = [r[0] for r in d.gamma.num]
+    return not any(sum(map(mul, row.num[0], gamma)) for _, row, kept in walk if kept)
+
+
+@st.composite
+def unlike_denominator_reps(draw, alphabet, max_dim=4):
+    """A LinRep of dim 1..max_dim with numerators in -2..2 over a
+    denominator drawn apart for lambda, for each mu(a) and for gamma."""
+    n = draw(st.integers(1, max_dim))
+
+    def entries(count):
+        den = draw(st.integers(1, 6))
+        return [Fraction(x, den) for x in draw(st.lists(st.integers(-2, 2), min_size=count, max_size=count))]
+
+    mu = {l: Matrix([entries(n) for _ in range(n)]) for l in alphabet.letters}
+    return LinRep(alphabet, n, Matrix.row_vector(entries(n)), mu, Matrix.col_vector(entries(n)))
+
+
+def _rescaled(r: LinRep, c: Fraction) -> LinRep:
+    """The same series: lambda times c, gamma over c."""
+    return LinRep(r.alphabet, r.dim, r.lam.scale(c), r.mu, r.gamma.scale(1 / c))
+
+
+@given(st.data(), st.sampled_from([Fraction(1), Fraction(3), Fraction(-2, 5)]))
+@settings(max_examples=80, deadline=None)
+def test_reps_equal_agrees_with_the_walk_over_rep_sum(data, c):
+    """Operands of unlike dims and unlike lambda, mu and gamma denominators,
+    over alphabets with and without a group-like letter: the side-by-side
+    walk decides as the walk of the sum representation, whose letter tables
+    it reads block by block."""
+    alph = data.draw(ALPHABETS)
+    r1 = data.draw(unlike_denominator_reps(alph))
+    r2 = data.draw(st.one_of(
+        unlike_denominator_reps(alph),
+        st.just(_rescaled(r1, c)),
+        st.just(rep_sum(_rescaled(r1, c), zero_rep(alph))),
+        basis_ops.map(lambda ops: change_basis(r1, ops)),
+    ))
+    assert reps_equal(r1, r2) == reps_equal_over_rep_sum(r1, r2) == word_window_equal(r1, r2)
+    for columns in (False, True):
+        assert list(dualforms._tables(r1, r2, columns=columns)) == list(
+            dualforms._tables(rep_sum(r1, r2), columns=columns)
+        )
+    other = Alphabet.from_decl("a:L,c:L")
+    with pytest.raises(DomainError):
+        reps_equal(r1, geometric_rep(other, 2))
+
+
+def test_reps_equal_aligns_unlike_denominators_with_no_fraction_arithmetic(ab, monkeypatch):
+    """lambda, mu and gamma over unlike denominators in each operand and
+    across them: aligned on integers, with no Fraction added, subtracted,
+    multiplied or divided."""
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    r1 = LinRep(
+        ab,
+        2,
+        Matrix.row_vector([third, 1]),
+        {l: Matrix([[half, 0], [Fraction(1, 5), 1]]) if l.symbol == "a" else Matrix([[1, third], [0, 2]])
+         for l in ab.letters},
+        Matrix.col_vector([Fraction(3, 7), 1]),
+    )
+    twin = change_basis(_rescaled(r1, Fraction(-6, 5)), [(0, 1, 2), (1, 0, -1)])
+    other = _rescaled(r1, Fraction(2, 3))
+    other = LinRep(ab, 2, other.lam, other.mu, other.gamma.scale(2))
+    bigger = rep_sum(twin, zero_rep(ab))
+    expected = [reps_equal_over_rep_sum(r1, r) for r in (twin, other, bigger)]
+    assert expected == [True, False, True]
+
+    def refuse(self, other):
+        raise AssertionError("Fraction arithmetic in reps_equal")
+
+    for op in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        monkeypatch.setattr(Fraction, op, refuse)
+    assert [reps_equal(r1, r) for r in (twin, other, bigger)] == expected
+    assert reps_equal(bigger, r1) and not reps_equal(other, bigger)
+
+
+@given(walk_operands(), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_column_walk_yields_the_walk_of_the_transposed_rep(rep, max_len):
+    """The columns read off each mu(a) in place are the rows of the
+    transposed representation: the same triples, with each word reversed,
+    for no reducer, a _Span and a RowReducer, bounded and unbounded."""
+    t = _transposed(rep)
+
+    def transposed_walk(bound, reducer):
+        return [(w[::-1], row, k) for w, row, k in sweedler._walk(t.lam, dualforms._tables(t), bound, reducer)]
+
+    assert list(sweedler._column_walk(rep, max_len)) == transposed_walk(max_len, None)
+    for bound in (max_len, None):
+        for reducer in (_Span, RowReducer):
+            assert list(sweedler._column_walk(rep, bound, reducer(rep.dim))) == transposed_walk(
+                bound, reducer(rep.dim)
+            )
+
+
+def _model_from_reducer_coordinates(f, explore: int) -> LinRep:
+    """learn's model with every coordinate row, the basis words' included,
+    solved by the reducer: the reference for learn's unit basis rows. A
+    representation is read off its walks, anything else off its window."""
+    alph = f.alphabet
+    if isinstance(f, RecognizableSeries):
+        _, basis, coords, gamma = sweedler._walk_model(f.rep, explore)
+    else:
+        window = sweedler._spanning_window(f, explore + 1, explore + 1, None)
+        rows = dict(zip([w.symbols() for w in window.rows], window.entries.num))
+        reducer = RowReducer(len(window.cols))
+        basis = [w for w, row in rows.items() if any(row) and reducer.offer(row)]
+        coords = lambda w: reducer.coordinates(rows.get(w, (0,) * len(window.cols)))
+        gamma = lambda: Matrix._from_ints(tuple([(rows[w][0],) for w in basis]), window.entries.den)
+    if not basis:
+        return zero_rep(alph)
+    mu = {a: _stacked([coords(w + a.symbol) for w in basis]) for a in alph.letters}
+    return LinRep(alph, len(basis), coords(""), mu, gamma())
+
+
+@given(
+    st.one_of(spanning_operands().map(lambda o: o[1]), hidden_state_reps().map(RecognizableSeries)),
+    st.integers(0, 3),
+)
+@settings(max_examples=80, deadline=None)
+def test_learn_with_unit_basis_rows_equals_the_model_from_reducer_coordinates(f, explore):
+    """Full walks, projected walks (hidden states) and finite-support
+    windows: basis word i has the unit row e_i as its coordinates."""
+    model, err = _learn_outcome(f, explore)
+    if err is None:
+        assert model == _model_from_reducer_coordinates(f, explore)
+
+
+@given(finite_supports, st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_learn_of_a_finite_support_uses_unit_basis_rows(ab_terms, extra):
+    """The window path: explore at least the longest support word puts every
+    nonzero Hankel entry in the small window, so learn returns a model."""
+    ab = Alphabet.from_decl("a:L,b:L")
+    f = FiniteSupportSeries(NCPoly(ab, {ab.word(w): c for w, c in ab_terms.items()}))
+    explore = max(map(len, ab_terms), default=0) + extra
+    assert learn(f, explore) == _model_from_reducer_coordinates(f, explore)
+
+
+@pytest.mark.parametrize("hidden", ["unreachable", "unobservable"])
+def test_learn_of_a_hidden_state_rep_uses_unit_basis_rows(ab, hidden):
+    # unobservable: the kept columns span a plane, so the walk is projected
+    f = RecognizableSeries(counting_with_a_hidden_state(ab, hidden))
+    assert learn(f, 3) == _model_from_reducer_coordinates(f, 3) == learn(RecognizableSeries(counting_rep(ab)), 3)
+
+
+def test_learn_solves_only_the_extensions_outside_its_basis(ab, monkeypatch):
+    """A dim-4 model over two letters has 1 + 4*2 coordinate rows; lambda's
+    and the three other basis words' are unit rows, so 5 are solved."""
+    rows = {"a": [[-1, 0, 0, 0], [1, 0, -1, -1], [0, -1, 0, 0], [1, -1, 1, 0]],
+            "b": [[0, 1, -1, 1], [-1, 0, -1, -1], [-1, 1, 1, -1], [0, 1, -1, 0]]}
+    mu = {l: Matrix(rows[l.symbol]) for l in ab.letters}
+    f = RecognizableSeries(LinRep(ab, 4, Matrix.row_vector([-1, 1, -1, 0]), mu, Matrix.col_vector([1, -1, 1, -1])))
+    calls = []
+    coordinates = RowReducer.coordinates
+
+    def counted(self, vec):
+        calls.append(vec)
+        return coordinates(self, vec)
+
+    monkeypatch.setattr(RowReducer, "coordinates", counted)
+    model = learn(f, 3)
+    assert model.dim == 4 and len(calls) == 5
+    monkeypatch.undo()
+    assert model == _model_from_reducer_coordinates(f, 3)
